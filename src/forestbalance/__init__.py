@@ -14,6 +14,7 @@ from .bounds import (
 from .core import (
     BLUE,
     RED,
+    CertificateError,
     ColouredCompleteGraph,
     Embedding,
     Forest,

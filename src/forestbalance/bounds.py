@@ -14,9 +14,6 @@ from fractions import Fraction
 
 from .core import InvalidInputError
 
-#: identity checks between the two optimisation branches use this tolerance
-CROSSING_TOL = 1e-9
-
 
 def universal_bound(delta: int) -> Fraction:
     """Guarantee valid for every spanning forest: delta/2 + 18, exact."""

@@ -213,7 +213,15 @@ def _parse_partial(text: str | None) -> PartialEmbedding:
     if not text:
         return PartialEmbedding({})
     data = json.loads(text)
-    return PartialEmbedding({int(k): int(v) for k, v in data.items()})
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"--partial must be a JSON object, got {text!r}")
+    try:
+        mapping = {int(k): v for k, v in data.items()}
+    except ValueError:
+        raise InvalidInputError(f"--partial keys must be integers, got {text!r}") from None
+    if not all(type(v) is int for v in mapping.values()):
+        raise InvalidInputError(f"--partial values must be integers, got {text!r}")
+    return PartialEmbedding(mapping)
 
 
 def _cmd_oracle(args) -> int:

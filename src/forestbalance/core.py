@@ -1,12 +1,11 @@
 """Core types: +/-1 edge-coloured complete graphs, forests, and embeddings.
 
-All quantities are exact integers.  Edge colours are stored as one bit per
-unordered pair (packed lower triangle), with a set bit meaning +1 (red).
+All quantities are exact integers.  Edge colours are stored as one read-only
+n x n int8 matrix: +1 (red) or -1 (blue) off the diagonal, 0 on it.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -18,6 +17,13 @@ class InvalidInputError(ValueError):
 
 class ParityError(InvalidInputError):
     """Raised when an edge count cannot be split evenly between two colours."""
+
+
+class CertificateError(AssertionError):
+    """A guarantee the construction proves did not hold: a defect in the program.
+
+    Raised explicitly so the check also runs under ``python -O``.
+    """
 
 
 class PreconditionError(InvalidInputError):
@@ -32,52 +38,19 @@ RED = 1
 BLUE = -1
 
 
-def _pair_index(i: int, j: int) -> int:
-    # lower-triangle index for i > j
-    return i * (i - 1) // 2 + j
-
-
 class ColouredCompleteGraph:
-    """A symmetric {-1,+1} colouring of the edges of K_n with cached colour degrees.
+    """A symmetric {-1,+1} colouring of the edges of K_n.
 
-    Immutable after construction; safe to share across threads for reading.
+    The colouring is one read-only n x n int8 ``matrix`` with the colour of
+    edge ij at [i, j] and [j, i] and 0 on the diagonal; build it with
+    ``from_red_matrix``.  Immutable; safe to share across threads for reading.
     """
 
-    __slots__ = ("n", "_bits", "_red_degree", "_blue_degree", "red_edge_count", "_dense")
+    __slots__ = ("matrix", "_rows")
 
-    def __init__(self, n: int, bits: bytes, red_degree: tuple[int, ...]):
-        if n < 2:
-            raise InvalidInputError(f"need at least 2 vertices, got n={n}")
-        npairs = n * (n - 1) // 2
-        if len(bits) != (npairs + 7) // 8:
-            raise InvalidInputError("bit buffer has the wrong length")
-        self.n = n
-        self._bits = bytes(bits)
-        self._red_degree = tuple(red_degree)
-        self._blue_degree = tuple(n - 1 - d for d in red_degree)
-        self.red_edge_count = sum(red_degree) // 2
-        self._dense = None
-        if 2 * self.red_edge_count != sum(red_degree):
-            raise InvalidInputError("inconsistent degree cache")
-
-    @classmethod
-    def from_pair_function(cls, n: int, colour_fn: Callable[[int, int], int]) -> "ColouredCompleteGraph":
-        """Build from a function (i, j) -> {-1, +1} on pairs i > j."""
-        npairs = n * (n - 1) // 2
-        bits = bytearray((npairs + 7) // 8)
-        red_degree = [0] * n
-        for i in range(1, n):
-            base = i * (i - 1) // 2
-            for j in range(i):
-                c = colour_fn(i, j)
-                if c == RED:
-                    k = base + j
-                    bits[k >> 3] |= 1 << (k & 7)
-                    red_degree[i] += 1
-                    red_degree[j] += 1
-                elif c != BLUE:
-                    raise InvalidInputError(f"colour_fn({i},{j}) returned {c}, expected -1 or +1")
-        return cls(n, bytes(bits), tuple(red_degree))
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self._rows = None
 
     @classmethod
     def from_red_matrix(cls, red: np.ndarray) -> "ColouredCompleteGraph":
@@ -85,14 +58,34 @@ class ColouredCompleteGraph:
         n = red.shape[0]
         if red.shape != (n, n):
             raise InvalidInputError("matrix must be square")
+        if n < 2:
+            raise InvalidInputError(f"need at least 2 vertices, got n={n}")
         red = red.astype(bool)
         if not np.array_equal(red, red.T):
             raise InvalidInputError("red matrix must be symmetric")
-        mask = ~np.eye(n, dtype=bool)
-        degs = (red & mask).sum(axis=0)
-        flat = red[np.tril_indices(n, -1)]
-        bits = np.packbits(flat, bitorder="little").tobytes()
-        return cls(n, bits, tuple(int(d) for d in degs))
+        matrix = np.where(red, np.int8(RED), np.int8(BLUE))
+        np.fill_diagonal(matrix, 0)
+        matrix.flags.writeable = False
+        return cls(matrix)
+
+    @classmethod
+    def from_pair_function(cls, n: int, colour_fn: Callable[[int, int], int]) -> "ColouredCompleteGraph":
+        """Build from a function (i, j) -> {-1, +1} on pairs i > j."""
+        if n < 2:
+            raise InvalidInputError(f"need at least 2 vertices, got n={n}")
+        red = np.zeros((n, n), dtype=bool)
+        for i in range(1, n):
+            for j in range(i):
+                c = colour_fn(i, j)
+                if c == RED:
+                    red[i, j] = True
+                elif c != BLUE:
+                    raise InvalidInputError(f"colour_fn({i},{j}) returned {c}, expected -1 or +1")
+        return cls.from_red_matrix(red | red.T)
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
 
     def colour(self, i: int, j: int) -> int:
         """Colour of edge ij: +1 (red) or -1 (blue)."""
@@ -100,20 +93,35 @@ class ColouredCompleteGraph:
             raise InvalidInputError(f"no self-loop colour for vertex {i}")
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise InvalidInputError(f"vertex out of range: ({i},{j}) with n={self.n}")
-        if i < j:
-            i, j = j, i
-        k = _pair_index(i, j)
-        return RED if self._bits[k >> 3] & (1 << (k & 7)) else BLUE
+        return int(self.matrix[i, j])
+
+    def rows(self) -> list[list[int]]:
+        """The matrix as nested lists of Python ints, built on first use.
+
+        Scalar scoring loops index these rows; they are several times faster
+        to index than the array itself.  Callers must not mutate them.
+        """
+        if self._rows is None:
+            self._rows = self.matrix.tolist()
+        return self._rows
+
+    def red_degrees(self) -> np.ndarray:
+        """Red degree of every vertex, as an int64 vector."""
+        return (self.n - 1 + self.matrix.sum(axis=1, dtype=np.int64)) // 2
 
     def red_degree(self, v: int) -> int:
-        return self._red_degree[v]
+        return (self.n - 1 + self.signed_degree(v)) // 2
 
     def blue_degree(self, v: int) -> int:
-        return self._blue_degree[v]
+        return self.n - 1 - self.red_degree(v)
 
     def signed_degree(self, v: int) -> int:
         """red_degree(v) - blue_degree(v); the colour sum of the star at v."""
-        return self._red_degree[v] - self._blue_degree[v]
+        return int(self.matrix[v].sum(dtype=np.int64))
+
+    @property
+    def red_edge_count(self) -> int:
+        return (self.edge_count + self.total_sum()) // 2
 
     @property
     def edge_count(self) -> int:
@@ -121,45 +129,23 @@ class ColouredCompleteGraph:
 
     def total_sum(self) -> int:
         """Colour sum over all edges of K_n."""
-        return 2 * self.red_edge_count - self.edge_count
-
-    def dense(self) -> tuple[tuple[int, ...], ...]:
-        """Cached n x n matrix of colours (diagonal 0) for tight enumeration loops."""
-        if self._dense is None:
-            n = self.n
-            m = [[0] * n for _ in range(n)]
-            for i in range(1, n):
-                base = i * (i - 1) // 2
-                row_i = m[i]
-                for j in range(i):
-                    k = base + j
-                    c = RED if self._bits[k >> 3] & (1 << (k & 7)) else BLUE
-                    row_i[j] = c
-                    m[j][i] = c
-            self._dense = tuple(tuple(r) for r in m)
-        return self._dense
+        return int(self.matrix.sum(dtype=np.int64)) // 2
 
     def red_neighbours(self, v: int) -> list[int]:
-        return [u for u in range(self.n) if u != v and self.colour(u, v) == RED]
+        return np.flatnonzero(self.matrix[v] == RED).tolist()
 
     def blue_neighbours(self, v: int) -> list[int]:
-        return [u for u in range(self.n) if u != v and self.colour(u, v) == BLUE]
+        return np.flatnonzero(self.matrix[v] == BLUE).tolist()
 
     def negated(self) -> "ColouredCompleteGraph":
         """The colouring with every edge flipped."""
-        return ColouredCompleteGraph.from_pair_function(
-            self.n, lambda i, j: -self.colour(i, j)
-        )
+        return ColouredCompleteGraph.from_red_matrix(self.matrix == BLUE)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ColouredCompleteGraph)
-            and self.n == other.n
-            and self._bits == other._bits
-        )
+        return isinstance(other, ColouredCompleteGraph) and np.array_equal(self.matrix, other.matrix)
 
     def __hash__(self):
-        return hash((self.n, self._bits))
+        return hash((self.n, self.matrix.tobytes()))
 
     def __repr__(self):
         return f"ColouredCompleteGraph(n={self.n}, red={self.red_edge_count}/{self.edge_count})"
@@ -174,7 +160,8 @@ def r_balanced_vertices(g: ColouredCompleteGraph, r: int) -> list[int]:
     """Vertices with at least r incident edges of each colour, ascending."""
     if r < 0:
         raise InvalidInputError(f"r must be non-negative, got {r}")
-    return [v for v in range(g.n) if min(g.red_degree(v), g.blue_degree(v)) >= r]
+    red = g.red_degrees()
+    return np.flatnonzero(np.minimum(red, g.n - 1 - red) >= r).tolist()
 
 
 class Forest:
@@ -245,18 +232,17 @@ class Forest:
 class Embedding:
     """A bijection from forest vertices onto K_n vertices with its cached colour sum."""
 
-    __slots__ = ("forward", "inverse", "colour_sum")
+    __slots__ = ("forward", "colour_sum")
 
     def __init__(self, forward: Iterable[int], colour_sum: int):
         fwd = tuple(forward)
         n = len(fwd)
-        inv = [-1] * n
-        for v, t in enumerate(fwd):
-            if not (0 <= t < n) or inv[t] != -1:
+        hit = [False] * n
+        for t in fwd:
+            if not (0 <= t < n) or hit[t]:
                 raise InvalidInputError("forward map is not a bijection on [n)")
-            inv[t] = v
+            hit[t] = True
         self.forward = fwd
-        self.inverse = tuple(inv)
         self.colour_sum = colour_sum
 
     @classmethod
@@ -281,9 +267,10 @@ class Embedding:
 
 
 def _score(forward: tuple[int, ...], forest: Forest, graph: ColouredCompleteGraph) -> int:
+    rows = graph.rows()
     total = 0
     for u, v in forest.edges:
-        total += graph.colour(forward[u], forward[v])
+        total += rows[forward[u]][forward[v]]
     return total
 
 
@@ -305,18 +292,16 @@ def swap_delta(f: Embedding, u: int, v: int, forest: Forest, g: ColouredComplete
     Only edges incident to u or v are rescored; the edge uv (if present) is
     unaffected because the colouring is symmetric.
     """
-    fu, fv = f.forward[u], f.forward[v]
+    fwd = f.forward
+    rows = g.rows()
+    row_u, row_v = rows[fwd[u]], rows[fwd[v]]
     delta = 0
     for w in forest.neighbours[u]:
-        if w == v:
-            continue
-        fw = f.forward[w]
-        delta += g.colour(fv, fw) - g.colour(fu, fw)
+        if w != v:
+            delta += row_v[fwd[w]] - row_u[fwd[w]]
     for w in forest.neighbours[v]:
-        if w == u:
-            continue
-        fw = f.forward[w]
-        delta += g.colour(fu, fw) - g.colour(fv, fw)
+        if w != u:
+            delta += row_u[fwd[w]] - row_v[fwd[w]]
     return delta
 
 
@@ -327,7 +312,9 @@ def swap_images(f: Embedding, u: int, v: int, forest: Forest, g: ColouredComplet
     delta = swap_delta(f, u, v, forest, g)
     fwd = list(f.forward)
     fwd[u], fwd[v] = fwd[v], fwd[u]
-    out = Embedding(fwd, f.colour_sum + delta)
+    # a transposition of a bijection is a bijection: skip the O(n) Python re-check
+    out = Embedding.__new__(Embedding)
+    out.forward, out.colour_sum = tuple(fwd), f.colour_sum + delta
     return out
 
 
@@ -392,9 +379,8 @@ class PartialEmbedding:
 
 
 def serialize_colouring(g: ColouredCompleteGraph) -> str:
-    lines = [str(g.n)]
-    for i in range(1, g.n):
-        lines.append("".join("R" if g.colour(i, j) == RED else "B" for j in range(i)))
+    letters = np.where(g.matrix == RED, np.uint8(ord("R")), np.uint8(ord("B")))
+    lines = [str(g.n)] + [letters[i, :i].tobytes().decode() for i in range(1, g.n)]
     return "\n".join(lines) + "\n"
 
 
@@ -408,15 +394,15 @@ def parse_colouring(text: str) -> ColouredCompleteGraph:
         raise InvalidInputError(f"bad vertex count line: {lines[0]!r}") from None
     if len(lines) != n:
         raise InvalidInputError(f"expected {n - 1} colour rows, found {len(lines) - 1}")
-    rows = []
     for i in range(1, n):
         row = lines[i]
-        if len(row) != i or any(ch not in "RB" for ch in row):
+        if len(row) != i or not set(row) <= {"R", "B"}:
             raise InvalidInputError(f"row {i} must be {i} characters over RB, got {row!r}")
-        rows.append(row)
-    return ColouredCompleteGraph.from_pair_function(
-        n, lambda i, j: RED if rows[i - 1][j] == "R" else BLUE
-    )
+    flat = np.frombuffer("".join(lines[1:]).encode(), dtype=np.uint8) == ord("R")
+    red = np.zeros((n, n), dtype=bool)
+    # boolean-mask assignment fills the lower triangle row by row, as the file lists it
+    red[np.tri(n, k=-1, dtype=bool)] = flat
+    return ColouredCompleteGraph.from_red_matrix(red | red.T)
 
 
 def serialize_forest(forest: Forest) -> str:
@@ -441,9 +427,11 @@ def parse_forest(text: str) -> Forest:
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2:
-            raise InvalidInputError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, parts)
+        except ValueError:
+            raise InvalidInputError(f"bad edge line: {ln!r}") from None
+        edges.append((u, v))
     return Forest(n, edges)
 
 
@@ -471,7 +459,3 @@ def embedding_from_json(
     if stored is None:
         raise InvalidInputError("embedding JSON missing 'sum' and no context to recompute")
     return Embedding(fwd, stored)
-
-
-def embedding_json_dumps(f: Embedding) -> str:
-    return json.dumps(embedding_to_json(f), sort_keys=True)

@@ -10,8 +10,6 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    BLUE,
-    RED,
     ColouredCompleteGraph,
     Forest,
     InvalidInputError,
@@ -27,8 +25,9 @@ def random_balanced_colouring(n: int, seed: int) -> ColouredCompleteGraph:
     """Uniformly random colouring with exactly half the edges of each colour.
 
     Requires an even number of edges, i.e. n = 0 or 1 (mod 4).  Deterministic
-    for a fixed seed: the edge list is shuffled with a seeded RNG and the
-    first half painted red.
+    for a fixed seed: the pairs (1,0), (2,0), (2,1), (3,0), ... are numbered
+    in that order, the numbers shuffled with a seeded RNG and the first half
+    painted red.
     """
     npairs = n * (n - 1) // 2
     if npairs % 2 != 0:
@@ -36,13 +35,13 @@ def random_balanced_colouring(n: int, seed: int) -> ColouredCompleteGraph:
             f"K_{n} has {npairs} edges, which cannot be split evenly; "
             "a balanced colouring needs n = 0 or 1 (mod 4)"
         )
-    rng = random.Random(seed)
-    edges = [(i, j) for i in range(1, n) for j in range(i)]
-    rng.shuffle(edges)
-    red = set(edges[: npairs // 2])
-    return ColouredCompleteGraph.from_pair_function(
-        n, lambda i, j: RED if (i, j) in red else BLUE
-    )
+    order = list(range(npairs))
+    random.Random(seed).shuffle(order)
+    lower = np.zeros(npairs, dtype=bool)
+    lower[order[: npairs // 2]] = True
+    red = np.zeros((n, n), dtype=bool)
+    red[np.tri(n, k=-1, dtype=bool)] = lower
+    return ColouredCompleteGraph.from_red_matrix(red | red.T)
 
 
 def split_parity_colouring(n: int) -> ColouredCompleteGraph:
@@ -57,20 +56,12 @@ def split_parity_colouring(n: int) -> ColouredCompleteGraph:
     if n % 4 != 0:
         raise InvalidInputError(f"split-parity colouring needs n divisible by 4, got {n}")
     half = n // 2
-
-    def colour(i: int, j: int) -> int:
-        # labels are 1-based within each class
-        a_side = i < half
-        b_side = j < half
-        if a_side and b_side:
-            return BLUE
-        if not a_side and not b_side:
-            return RED
-        li = (i % half) + 1
-        lj = (j % half) + 1
-        return BLUE if (li + lj) % 2 == 1 else RED
-
-    return ColouredCompleteGraph.from_pair_function(n, colour)
+    label = np.arange(n) % half + 1  # 1-based within each class
+    second = np.arange(n) >= half
+    cross = second[:, None] != second[None, :]
+    odd = (label[:, None] + label[None, :]) % 2 == 1
+    red = np.where(cross, ~odd, second[:, None] & second[None, :])
+    return ColouredCompleteGraph.from_red_matrix(red)
 
 
 def degree_interval(epsilon: Fraction) -> tuple[Fraction, Fraction]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
+    CertificateError,
     ColouredCompleteGraph,
     Embedding,
     Forest,
@@ -70,21 +71,6 @@ class InterpolationTrace:
     result: Embedding | None = None
 
 
-def _pick_low_degree_vertex(forest: Forest, exclude: tuple[int, int]) -> int:
-    """Lowest-index vertex of minimum forest degree outside exclude.
-
-    Isolated vertices have degree 0 and therefore always win when present.
-    """
-    target = forest.min_degree
-    for v in range(forest.n):
-        if forest.degree[v] == target and v not in exclude:
-            return v
-    raise InvalidInputError(
-        "no intermediate vertex of minimum degree available; "
-        "forests with fewer than 3 vertices cannot use the three-step swap"
-    )
-
-
 def interpolate_traced(
     pair: SignedPair, forest: Forest, graph: ColouredCompleteGraph
 ) -> tuple[Embedding, InterpolationTrace]:
@@ -103,9 +89,13 @@ def interpolate_traced(
 
     current = pair.h_pos
     trace.steps.append((None, current.colour_sum))
+    holder = [0] * forest.n  # holder[t]: the forest vertex current sends to t
+    for x, t in enumerate(current.forward):
+        holder[t] = x
 
     def apply(u: int, v: int) -> Embedding | None:
         nonlocal current
+        holder[current.forward[u]], holder[current.forward[v]] = v, u
         current = swap_images(current, u, v, forest, graph)
         trace.steps.append(((u, v), current.colour_sum))
         if abs(current.colour_sum) <= bound:
@@ -113,11 +103,14 @@ def interpolate_traced(
         return None
 
     min_deg = forest.min_degree
+    # The three-step swap runs only when neither u nor v has minimum degree,
+    # so the lowest-index minimum-degree vertex is always a free intermediate.
+    w = forest.degree.index(min_deg)
     for v in pair.disagreement:
         target = pair.h_neg.forward[v]
         if current.forward[v] == target:
             continue
-        u = current.inverse[target]
+        u = holder[target]
         # u also disagrees with h_neg, so both swap partners lie in the
         # disagreement set and carry degree <= disagreement_max_degree.
         if forest.degree[u] == min_deg or forest.degree[v] == min_deg:
@@ -126,7 +119,6 @@ def interpolate_traced(
                 trace.result = done
                 return done, trace
         else:
-            w = _pick_low_degree_vertex(forest, (u, v))
             for a, b in ((u, w), (v, w), (u, w)):
                 done = apply(a, b)
                 if done is not None:
@@ -140,7 +132,10 @@ def interpolate_traced(
 def interpolate(pair: SignedPair, forest: Forest, graph: ColouredCompleteGraph) -> Embedding:
     """Embedding with |colour sum| <= disagreement max degree + forest min degree."""
     result, _ = interpolate_traced(pair, forest, graph)
-    assert abs(result.colour_sum) <= pair.bound(forest)
+    if abs(result.colour_sum) > pair.bound(forest):
+        raise CertificateError(
+            f"interpolation returned |sum| = {abs(result.colour_sum)} above its bound {pair.bound(forest)}"
+        )
     return result
 
 

@@ -82,7 +82,7 @@ def exact_min_imbalance(
         )
 
     floor = m % 2
-    dense = graph.dense()
+    rows = graph.rows()
     edges = forest.edges
     path_ends = _detect_path_endpoints(forest)
 
@@ -93,7 +93,7 @@ def exact_min_imbalance(
             continue
         s = 0
         for u, v in edges:
-            s += dense[perm[u]][perm[v]]
+            s += rows[perm[u]][perm[v]]
         s = abs(s)
         if best is None or s < best:
             best = s
@@ -157,7 +157,7 @@ def exact_sign(
             f"{count} extensions exceed the budget of {budget}"
         )
 
-    dense = graph.dense()
+    rows = graph.rows()
     fixed = dict(partial.mapping)
     base = 0
     fixed_free_edges = []  # (free slot index, fixed target)
@@ -166,7 +166,7 @@ def exact_sign(
     for u, v in forest.edges:
         fu, fv = u in fixed, v in fixed
         if fu and fv:
-            base += dense[fixed[u]][fixed[v]]
+            base += rows[fixed[u]][fixed[v]]
         elif fu:
             fixed_free_edges.append((slot[v], fixed[u]))
         elif fv:
@@ -189,9 +189,9 @@ def exact_sign(
         seen += 1
         s = base
         for i, t in fixed_free_edges:
-            s += dense[assignment[i]][t]
+            s += rows[assignment[i]][t]
         for i, j in free_edges:
-            s += dense[assignment[i]][assignment[j]]
+            s += rows[assignment[i]][assignment[j]]
         if min_sum is None or s < min_sum:
             min_sum, min_assign = s, assignment
         if max_sum is None or s > max_sum:

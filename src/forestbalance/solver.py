@@ -15,8 +15,11 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bounds import BoundReport, fits
 from .core import (
+    CertificateError,
     ColouredCompleteGraph,
     Embedding,
     Forest,
@@ -178,10 +181,10 @@ def balanced_anchor_vertex(graph: ColouredCompleteGraph, epsilon: float) -> int:
     """
     n = graph.n
     r = math.ceil((0.25 - epsilon) * n - 1e-12)
-    for v in range(n):
-        if min(graph.red_degree(v), graph.blue_degree(v)) >= r:
-            return v
-    return max(range(n), key=lambda v: (min(graph.red_degree(v), graph.blue_degree(v)), -v))
+    red = graph.red_degrees()
+    balance = np.minimum(red, n - 1 - red)
+    qualified = np.flatnonzero(balance >= r)
+    return int(qualified[0]) if qualified.size else int(np.argmax(balance))
 
 
 def _top_two_degree_vertices(forest: Forest) -> tuple[int, int]:
@@ -268,7 +271,8 @@ def greedy_star_balance(
     m = forest.edge_count
     blue_min = size_xb + size_yb
     cert = max(m - 2 * blue_min, m - 2 * size_xr)
-    assert abs(emb.colour_sum) <= cert, "construction certificate violated"
+    if abs(emb.colour_sum) > cert:
+        raise CertificateError(f"construction certificate violated: |sum| = {abs(emb.colour_sum)} > {cert}")
     return emb
 
 
@@ -289,13 +293,16 @@ def local_search(
     """First-improvement descent over single image transpositions.
 
     Pairs are scanned in index order and a swap is accepted only when it
-    strictly shrinks |sum|; the budget counts candidate evaluations.
+    strictly shrinks |sum|; the budget counts candidate evaluations.  The
+    search stops at |sum| = |E| mod 2, below which no sum of |E| terms of
+    +/-1 can go.
     """
     emb = start
     evals = 0
     n = forest.n
+    floor = forest.edge_count % 2
     improved = True
-    while improved and evals < budget:
+    while improved and evals < budget and abs(emb.colour_sum) > floor:
         improved = False
         for u in range(n):
             for v in range(u + 1, n):
@@ -360,8 +367,8 @@ def solve(
         trace: InterpolationTrace | None = None,
     ) -> SolveResult:
         achieved = abs(emb.colour_sum)
-        if certified_value is not None:
-            assert fits(achieved, certified_value), "certificate violated"
+        if certified_value is not None and not fits(achieved, certified_value):
+            raise CertificateError(f"certificate violated: |sum| = {achieved} > {certified_value}")
         return SolveResult(
             embedding=emb,
             achieved=achieved,
@@ -458,12 +465,9 @@ def _orient_for_greedy(
         return None, None, None
     r = math.ceil((0.25 - eps) * n - 1e-12)
     for g in (graph, graph.negated()):
-        xs = [
-            v
-            for v in range(n)
-            if min(g.red_degree(v), g.blue_degree(v)) >= r and 2 * g.red_degree(v) >= n - 1
-        ]
-        ys = [v for v in range(n) if 4 * g.red_degree(v) < n]
+        red = g.red_degrees()
+        xs = np.flatnonzero((np.minimum(red, n - 1 - red) >= r) & (2 * red >= n - 1)).tolist()
+        ys = np.flatnonzero(4 * red < n).tolist()
         for x in xs:
             for y in ys:
                 if x != y:

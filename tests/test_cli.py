@@ -140,6 +140,23 @@ class TestOracleCommand:
         out = json.loads(capsys.readouterr().out)
         assert "fixing" in out
 
+    @pytest.mark.parametrize("partial", ['[1]', '3', 'null', '{"a": 1}', '{"0": 1.5}', '{"0": "3"}'])
+    def test_malformed_partial_is_usage_error(self, instance, partial, capsys):
+        cpath, fpath = instance
+        code = main(
+            ["oracle", "--colouring", str(cpath), "--forest", str(fpath),
+             "--mode", "sign", "--partial", partial]
+        )
+        assert code == 1
+        assert "--partial" in capsys.readouterr().err
+
+    def test_non_integer_forest_edge_is_usage_error(self, instance, tmp_path, capsys):
+        cpath, _ = instance
+        fpath = tmp_path / "bad.txt"
+        fpath.write_text("9 1\n0 x\n")
+        assert main(["oracle", "--colouring", str(cpath), "--forest", str(fpath)]) == 1
+        assert "bad edge line" in capsys.readouterr().err
+
     def test_refusal_exit_code(self, tmp_path, capsys):
         g = random_balanced_colouring(12, 1)
         forest = make_forest(ForestSpec("path", 12))

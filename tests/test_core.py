@@ -79,14 +79,23 @@ class TestColouredCompleteGraph:
                 assert ng.colour(i, j) == -g.colour(i, j)
         assert ng.red_edge_count == g.edge_count - g.red_edge_count
 
-    def test_dense_matches_colour(self):
+    def test_matrix_invariants(self):
+        import numpy as np
+
         g = random_colouring(8, 5)
-        d = g.dense()
+        m = g.matrix
+        assert m.dtype == np.int8 and m.shape == (8, 8)
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[1, 0] = 0
+        assert np.array_equal(m, m.T)
+        assert not m.diagonal().any()
+        assert g.rows() == m.tolist()
         for i in range(8):
-            assert d[i][i] == 0
             for j in range(8):
                 if i != j:
-                    assert d[i][j] == g.colour(i, j)
+                    assert g.colour(i, j) in (RED, BLUE)
+                    assert m[i, j] == g.colour(i, j)
 
     def test_from_red_matrix_matches_pair_function(self):
         import numpy as np
@@ -209,6 +218,15 @@ class TestSwap:
         twice = swap_images(once, 2, 5, forest, g)
         assert twice == emb and twice.colour_sum == emb.colour_sum
 
+    def test_swap_equals_rebuilt_embedding(self):
+        g, forest, emb = random_instance(11, 5)
+        out = swap_images(emb, 1, 7, forest, g)
+        fwd = list(emb.forward)
+        fwd[1], fwd[7] = fwd[7], fwd[1]
+        rebuilt = Embedding.build(fwd, forest, g)
+        assert out == rebuilt and out.colour_sum == rebuilt.colour_sum
+        assert sorted(out.forward) == list(range(11))
+
     def test_swap_same_vertex_rejected(self):
         g, forest, emb = random_instance(6, 3)
         with pytest.raises(InvalidInputError):
@@ -253,6 +271,15 @@ class TestFormats:
         g = random_colouring(9, 42)
         assert parse_colouring(serialize_colouring(g)) == g
 
+    def test_colouring_file_layout(self):
+        # row i lists edges (i, 0), ..., (i, i-1)
+        text = "4\nR\nBR\nRRB\n"
+        g = parse_colouring(text)
+        assert [[g.colour(i, j) for j in range(i)] for i in range(1, 4)] == [
+            [RED], [BLUE, RED], [RED, RED, BLUE]
+        ]
+        assert serialize_colouring(g) == text
+
     def test_forest_round_trip(self):
         f = make_forest(ForestSpec("random", 12, max_degree=4, seed=5))
         assert parse_forest(serialize_forest(f)) == f
@@ -281,6 +308,8 @@ class TestFormats:
             parse_forest("3 1\n")
         with pytest.raises(InvalidInputError):
             parse_forest("3 1\n0 0\n")
+        with pytest.raises(InvalidInputError, match="bad edge line"):
+            parse_forest("3 1\n0 x\n")
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from forestbalance.core import (
     BLUE,
     RED,
+    ColouredCompleteGraph,
     InvalidInputError,
     ParityError,
     is_balanced,
@@ -43,6 +45,18 @@ class TestRandomBalanced:
         assert a != c
         assert is_balanced(a)
 
+    @pytest.mark.parametrize("n,seed", [(4, 0), (5, 3), (8, 11), (9, 123), (16, 7), (17, 2), (32, 5)])
+    def test_matches_edge_shuffle_reference(self, n, seed):
+        # reference construction: shuffle the edge tuples, paint the first half red
+        rng = random.Random(seed)
+        edges = [(i, j) for i in range(1, n) for j in range(i)]
+        rng.shuffle(edges)
+        red = set(edges[: len(edges) // 2])
+        expected = ColouredCompleteGraph.from_pair_function(
+            n, lambda i, j: RED if (i, j) in red else BLUE
+        )
+        assert random_balanced_colouring(n, seed) == expected
+
     @pytest.mark.parametrize("n", [4, 5, 8, 9, 12, 13, 16, 17])
     def test_balanced_for_valid_n(self, n):
         assert is_balanced(random_balanced_colouring(n, 7))
@@ -68,8 +82,11 @@ class TestSplitParity:
     def test_first_class_edges_are_blue(self):
         for n in (4, 8, 12):
             g = split_parity_colouring(n)
-            assert g.colour(0, 1) == BLUE
-            assert g.colour(n - 1, n - 2) == RED
+            half = n // 2
+            for i in range(half):
+                for j in range(i):
+                    assert g.colour(i, j) == BLUE
+                    assert g.colour(half + i, half + j) == RED
 
     def test_cross_rule(self):
         n = 8

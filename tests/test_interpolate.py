@@ -102,6 +102,28 @@ class TestInterpolate:
             prev = recorded
         assert current == out
 
+    def test_three_step_swaps_use_lowest_minimum_degree_vertex(self):
+        # a path has two leaves; pairing the extreme samples forces a long walk
+        g = random_balanced_colouring(40, 3)
+        forest = make_forest(ForestSpec("path", 40, seed=5))
+        rng = random.Random(0)
+        samples = []
+        for _ in range(300):
+            fwd = list(range(40))
+            rng.shuffle(fwd)
+            samples.append(Embedding.build(fwd, forest, g))
+        low = min(samples, key=lambda e: e.colour_sum)
+        high = max(samples, key=lambda e: e.colour_sum)
+        pair = SignedPair.of(low, high, forest)
+        out, trace = interpolate_traced(pair, forest, g)
+        assert abs(out.colour_sum) <= pair.bound(forest) < min(-low.colour_sum, high.colour_sum)
+        w = forest.degree.index(forest.min_degree)
+        steps = [swap for swap, _ in trace.steps[1:]]
+        assert len(steps) > 3
+        # every step moves a minimum-degree vertex; the three-step swaps all use w
+        assert all(forest.min_degree in (forest.degree[u], forest.degree[v]) for u, v in steps)
+        assert sum(w in swap for swap in steps) > len(steps) // 2
+
     def test_isolated_vertex_strengthens_bound(self):
         # forest with an isolated vertex has min degree 0: certified at
         # disagreement max degree alone

@@ -338,6 +338,102 @@ class TestLocalSearch:
         assert abs(out.colour_sum) == best
 
 
+    def test_start_at_parity_floor_is_returned_unsearched(self):
+        g = random_balanced_colouring(12, 9)
+        path = make_forest(ForestSpec("path", 12))
+        rng = random.Random(0)
+        start = sample_extension(rng, path, g)
+        while abs(start.colour_sum) != path.edge_count % 2:
+            start = sample_extension(rng, path, g)
+        out, evals = local_search(path, g, start, budget=5000)
+        assert evals == 0
+        assert out == start and out.colour_sum == start.colour_sum
+
+
+# Runs under ``python -O``; each forged violation must still raise.
+_FORGED_CERTIFICATES = """
+import importlib
+import sys
+
+import forestbalance.solver as solver
+from forestbalance.core import CertificateError, Embedding, parse_colouring, parse_forest
+from forestbalance.generators import ForestSpec, make_forest, random_balanced_colouring
+
+if __debug__:
+    sys.exit("not running under -O")
+
+
+def forged(fwd):
+    return Embedding(fwd, 10**6)
+
+
+def expect(name, call):
+    try:
+        call()
+    except CertificateError:
+        print(name, "raised")
+    else:
+        print(name, "passed silently")
+
+
+# the package rebinds the name ``interpolate`` to the function
+interpolate_mod = importlib.import_module("forestbalance.interpolate")
+g = random_balanced_colouring(16, 1)
+path = make_forest(ForestSpec("path", 16))
+pair = solver.find_signed_pair(path, g)
+real_walk = interpolate_mod.interpolate_traced
+interpolate_mod.interpolate_traced = lambda pair, forest, graph: (forged(pair.h_pos.forward), None)
+expect("interpolate", lambda: interpolate_mod.interpolate(pair, path, g))
+interpolate_mod.interpolate_traced = real_walk
+
+solver.local_search = lambda forest, graph, start, budget: (forged(start.forward), 0)
+expect("finish", lambda: solver.solve(path, g))
+
+
+class ForgedBuild(Embedding):
+    @classmethod
+    def build(cls, forward, forest, graph):
+        return forged(forward)
+
+
+adversary = parse_colouring(open(sys.argv[1]).read())
+double = parse_forest(open(sys.argv[2]).read())
+solver.Embedding = ForgedBuild
+expect("greedy", lambda: solver.greedy_star_balance(double, adversary, int(sys.argv[3]), 0))
+"""
+
+
+class TestCertificateChecks:
+    def test_forged_violations_raise_under_optimisation(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import forestbalance
+        from forestbalance.core import serialize_colouring, serialize_forest
+
+        n = 32
+        g = red_poor_adversary(n)
+        x = next(
+            v
+            for v in range(n)
+            if min(g.red_degree(v), g.blue_degree(v)) >= math.ceil(n / 4 - 1)
+            and 2 * g.red_degree(v) >= n - 1
+        )
+        cpath, fpath = tmp_path / "c.txt", tmp_path / "f.txt"
+        cpath.write_text(serialize_colouring(g))
+        fpath.write_text(serialize_forest(double_star(n)))
+        src = str(Path(forestbalance.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _FORGED_CERTIFICATES, str(cpath), str(fpath), str(x)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:3] == ["interpolate raised", "finish raised", "greedy raised"]
+
+
 class TestBalancedAnchor:
     def test_picks_lowest_qualifying(self):
         g = random_balanced_colouring(16, 2)
