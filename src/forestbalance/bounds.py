@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-from .core import InvalidInputError
+from .core import CertificateError, InvalidInputError
 
 
 def universal_bound(delta: int) -> Fraction:
@@ -57,12 +57,13 @@ def optimized_midrange_bound(n: int, offset: float) -> float:
 def crossing_epsilon(n: int, offset: float) -> float:
     """The epsilon where the two branches of the midrange bound meet.
 
-    Always lies in [1/n, 1/8] on the admissible offset domain; asserted.
+    Always lies in [1/n, 1/8] on the admissible offset domain; checked.
     """
     _check_offset_domain(n, offset)
     t = offset * n
     eps = (-1 - t + math.sqrt((1 + t) ** 2 + 16 * n)) / (4 * n)
-    assert 1.0 / n - 1e-12 <= eps <= 0.125 + 1e-12, f"crossing epsilon {eps} out of range"
+    if not 1.0 / n - 1e-12 <= eps <= 0.125 + 1e-12:
+        raise CertificateError(f"crossing epsilon {eps} out of range")
     return eps
 
 
@@ -121,7 +122,8 @@ class BoundReport:
         uni = universal_bound(delta)
         ref = refined_bound(n, delta)
         off = degree_offset(n, delta)
-        assert ref <= float(uni) + 1 + 1e-9, "refined bound exceeds universal + 1"
+        if ref > float(uni) + 1 + 1e-9:
+            raise CertificateError("refined bound exceeds universal + 1")
         mid = ce = None
         if n >= 32 and -0.25 + 16.0 / n <= off <= 0.25:
             mid = optimized_midrange_bound(n, off)

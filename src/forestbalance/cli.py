@@ -33,6 +33,8 @@ from .generators import (
     split_parity_colouring,
 )
 from .oracle import (
+    DEFAULT_BUDGET,
+    DEFAULT_MAX_N,
     BudgetExceededError,
     exact_min_imbalance,
     exact_sign,
@@ -116,8 +118,8 @@ def build_parser() -> _Parser:
                    help='JSON object of fixed images, e.g. \'{"0": 3}\'')
     p.add_argument("--l-set", type=_int_list, default=None)
     p.add_argument("--u-set", type=_int_list, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=10)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--json", dest="json_out", default=None)
 
     p = sub.add_parser("bounds", help="print every guarantee for (n, delta)")
@@ -225,14 +227,16 @@ def _parse_partial(text: str | None) -> PartialEmbedding:
 
 
 def _cmd_oracle(args) -> int:
+    for flag, value in (("--budget", args.budget), ("--max-n", args.max_n)):
+        if value < 1:
+            raise InvalidInputError(f"{flag} must be at least 1, got {value}")
     forest, graph = _load_instance(args)
     out: dict
     if args.mode == "min":
         value, witness = exact_min_imbalance(forest, graph, max_n=args.max_n)
         out = {"mode": "min", "min_imbalance": value, "witness": embedding_to_json(witness)}
     elif args.mode == "sign":
-        kwargs = {"budget": args.budget} if args.budget else {}
-        verdict = exact_sign(forest, graph, _parse_partial(args.partial), **kwargs)
+        verdict = exact_sign(forest, graph, _parse_partial(args.partial), budget=args.budget)
         out = {
             "mode": "sign",
             "kind": verdict.kind,
@@ -243,8 +247,7 @@ def _cmd_oracle(args) -> int:
     else:
         if args.l_set is None or args.u_set is None:
             raise InvalidInputError("sign-fixing mode needs --l-set and --u-set")
-        kwargs = {"budget": args.budget} if args.budget else {}
-        res = is_sign_fixing(forest, graph, args.l_set, args.u_set, **kwargs)
+        res = is_sign_fixing(forest, graph, args.l_set, args.u_set, budget=args.budget)
         out = {
             "mode": "sign-fixing",
             "fixing": res.fixing,

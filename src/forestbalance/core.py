@@ -252,10 +252,6 @@ class Embedding:
         emb.colour_sum = _score(fwd, forest, graph)
         return emb
 
-    @classmethod
-    def identity(cls, forest: Forest, graph: ColouredCompleteGraph) -> "Embedding":
-        return cls.build(range(forest.n), forest, graph)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Embedding) and self.forward == other.forward
 

@@ -158,11 +158,6 @@ class PerturbedParams:
         size_a = _round_half_up((Fraction(1, 2) - e) * n)
         return cls(n, e, d, range(0, size_a), range(size_a, n))
 
-    def is_admissible(self) -> bool:
-        lo1, hi1 = degree_interval(self.epsilon)
-        lo2, hi2 = density_interval(self.epsilon)
-        return lo1 < self.d < hi1 and lo2 < self.d < hi2
-
 
 def mod_to_one_based(value: int, y: int) -> int:
     """The representative of value mod y within {1, ..., y}."""

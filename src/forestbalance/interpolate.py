@@ -201,6 +201,8 @@ def partial_interpolation_sequence(
             current[parked] = before[vi]
         seq.append(PartialEmbedding(current))
 
-    assert len(seq) == 3 * r + 1
-    assert seq[-1].mapping == {v: target[v] for v in dom}
+    if len(seq) != 3 * r + 1:
+        raise CertificateError(f"sequence has {len(seq)} maps, expected {3 * r + 1}")
+    if seq[-1].mapping != {v: target[v] for v in dom}:
+        raise CertificateError("sequence does not end at the target map")
     return seq

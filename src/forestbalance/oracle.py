@@ -1,16 +1,23 @@
 """Exact ground truth at small n: full enumeration of embeddings and extensions.
 
-Enumeration is lexicographic over the image tuple.  Budgets count extensions,
-and exceeding one raises instead of silently skipping work.
+Both exact oracles read one enumerator, ``_extensions``, which scores the
+extensions of a partial map with numpy in lexicographic order, in chunks of
+at most 8! rows.  Budgets count extensions, and exceeding one raises instead
+of silently skipping work.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cache
+from itertools import chain, permutations
+
+import numpy as np
 
 from .core import (
+    CertificateError,
     ColouredCompleteGraph,
     Embedding,
     Forest,
@@ -25,9 +32,48 @@ DEFAULT_BUDGET = 2_000_000
 #: default vertex-count guard for whole-embedding enumeration
 DEFAULT_MAX_N = 10
 
+#: free positions filled from one permutation table, so a chunk has at most 8! rows
+_TAIL = 8
+
 
 class BudgetExceededError(RuntimeError):
     """The requested enumeration would exceed its extension budget."""
+
+
+@cache
+def _permutation_table(width: int) -> np.ndarray:
+    """Every permutation of range(width) in lexicographic order, as a read-only int8 array."""
+    flat = np.fromiter(chain.from_iterable(permutations(range(width))), np.int8)
+    table = flat.reshape(math.factorial(width), width)
+    table.flags.writeable = False
+    return table
+
+
+def _extensions(
+    forest: Forest, graph: ColouredCompleteGraph, fixed: Mapping[int, int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every bijection extending fixed, as ``(images, sums)`` chunks of at most _TAIL! rows.
+
+    ``images`` is an int32 (rows, n) array of full maps, ``sums`` their colour
+    sums.  The free vertices, ascending, take the free targets in the order of
+    ``itertools.permutations``; the last _TAIL come from the table, any
+    earlier ones are fixed per chunk.
+    """
+    n = forest.n
+    free_vs = [v for v in range(n) if v not in fixed]
+    free_ts = sorted(set(range(n)).difference(fixed.values()))
+    lead = max(len(free_vs) - _TAIL, 0)
+    table = _permutation_table(len(free_vs) - lead)
+    flat = graph.matrix.ravel()
+    for prefix in permutations(free_ts, lead):
+        rest = np.array([t for t in free_ts if t not in prefix], np.int32)
+        images = np.empty((len(table), n), np.int32)
+        images[:, [*fixed, *free_vs[:lead]]] = [*fixed.values(), *prefix]
+        images[:, free_vs[lead:]] = rest[table]
+        sums = np.zeros(len(table), np.int32)
+        for u, v in forest.edges:
+            sums += flat[images[:, u] * n + images[:, v]]
+        yield images, sums
 
 
 def _detect_star_centre(forest: Forest) -> int | None:
@@ -39,10 +85,8 @@ def _detect_star_centre(forest: Forest) -> int | None:
 def _detect_path_endpoints(forest: Forest) -> tuple[int, int] | None:
     if forest.n < 3 or forest.edge_count != forest.n - 1 or forest.max_degree != 2:
         return None
-    ends = [v for v in range(forest.n) if forest.degree[v] == 1]
-    if len(ends) != 2:
-        return None
-    return ends[0], ends[1]
+    # a tree with maximum degree 2 on at least 3 vertices has exactly two leaves
+    return tuple(v for v in range(forest.n) if forest.degree[v] == 1)
 
 
 def exact_min_imbalance(
@@ -77,31 +121,22 @@ def exact_min_imbalance(
         return abs(emb.colour_sum), emb
 
     if n > max_n:
-        raise BudgetExceededError(
-            f"refusing to enumerate {n}! embeddings (guard max_n={max_n})"
-        )
+        raise BudgetExceededError(f"refusing to enumerate {n}! embeddings (guard max_n={max_n})")
 
     floor = m % 2
-    rows = graph.rows()
-    edges = forest.edges
-    path_ends = _detect_path_endpoints(forest)
-
-    best = None
-    best_emb = None
-    for perm in permutations(range(n)):
-        if path_ends is not None and perm[path_ends[0]] > perm[path_ends[1]]:
-            continue
-        s = 0
-        for u, v in edges:
-            s += rows[perm[u]][perm[v]]
-        s = abs(s)
-        if best is None or s < best:
-            best = s
-            best_emb = perm
+    ends = _detect_path_endpoints(forest)
+    best, best_map = m + 1, None
+    for images, sums in _extensions(forest, graph, {}):
+        score = np.abs(sums)
+        if ends is not None:
+            # a path and its reversal score alike: keep the one with ends[0] mapped lower
+            score[images[:, ends[0]] > images[:, ends[1]]] = m + 1
+        i = int(score.argmin())
+        if score[i] < best:
+            best, best_map = int(score[i]), images[i].tolist()
             if best == floor:
                 break
-    emb = Embedding.build(best_emb, forest, graph)
-    return best, emb
+    return best, Embedding.build(best_map, forest, graph)
 
 
 @dataclass(frozen=True)
@@ -115,7 +150,8 @@ class SignVerdict:
     extensions: int
 
     def __post_init__(self):
-        assert self.min_sum <= self.max_sum
+        if self.min_sum > self.max_sum:
+            raise CertificateError(f"min_sum {self.min_sum} exceeds max_sum {self.max_sum}")
 
     @property
     def is_red(self) -> bool:
@@ -149,58 +185,24 @@ def exact_sign(
     for v in partial:
         if v >= n or partial[v] >= n:
             raise InvalidInputError("partial embedding out of range")
-    free_vs = [v for v in range(n) if v not in partial]
-    free_ts = sorted(set(range(n)) - partial.image())
-    count = math.factorial(len(free_vs))
+    count = math.factorial(n - len(partial))
     if count > budget:
-        raise BudgetExceededError(
-            f"{count} extensions exceed the budget of {budget}"
-        )
+        raise BudgetExceededError(f"{count} extensions exceed the budget of {budget}")
 
-    rows = graph.rows()
-    fixed = dict(partial.mapping)
-    base = 0
-    fixed_free_edges = []  # (free slot index, fixed target)
-    free_edges = []  # (slot index, slot index)
-    slot = {v: i for i, v in enumerate(free_vs)}
-    for u, v in forest.edges:
-        fu, fv = u in fixed, v in fixed
-        if fu and fv:
-            base += rows[fixed[u]][fixed[v]]
-        elif fu:
-            fixed_free_edges.append((slot[v], fixed[u]))
-        elif fv:
-            fixed_free_edges.append((slot[u], fixed[v]))
-        else:
-            free_edges.append((slot[u], slot[v]))
-
-    def build(assignment: tuple[int, ...]) -> Embedding:
-        fwd = [0] * n
-        for v, t in fixed.items():
-            fwd[v] = t
-        for i, v in enumerate(free_vs):
-            fwd[v] = assignment[i]
-        return Embedding.build(fwd, forest, graph)
-
-    min_sum = max_sum = None
-    min_assign = max_assign = None
-    seen = 0
-    for assignment in permutations(free_ts):
-        seen += 1
-        s = base
-        for i, t in fixed_free_edges:
-            s += rows[assignment[i]][t]
-        for i, j in free_edges:
-            s += rows[assignment[i]][assignment[j]]
-        if min_sum is None or s < min_sum:
-            min_sum, min_assign = s, assignment
-        if max_sum is None or s > max_sum:
-            max_sum, max_assign = s, assignment
+    m = forest.edge_count
+    min_sum, max_sum, seen = m + 1, -m - 1, 0
+    for images, sums in _extensions(forest, graph, partial.mapping):
+        seen += len(sums)
+        lo, hi = int(sums.argmin()), int(sums.argmax())
+        if sums[lo] < min_sum:
+            min_sum, min_map = int(sums[lo]), images[lo].tolist()
+        if sums[hi] > max_sum:
+            max_sum, max_map = int(sums[hi]), images[hi].tolist()
     return SignVerdict(
         min_sum=min_sum,
         max_sum=max_sum,
-        min_witness=build(min_assign),
-        max_witness=build(max_assign),
+        min_witness=Embedding.build(min_map, forest, graph),
+        max_witness=Embedding.build(max_map, forest, graph),
         extensions=seen,
     )
 
@@ -223,11 +225,6 @@ class SignFixingResult:
         return self.fixing
 
 
-def _injections(l_set: list[int], u_set: list[int]):
-    for image in permutations(u_set, len(l_set)):
-        yield PartialEmbedding(dict(zip(l_set, image)))
-
-
 def is_sign_fixing(
     forest: Forest,
     graph: ColouredCompleteGraph,
@@ -247,14 +244,12 @@ def is_sign_fixing(
         raise InvalidInputError("l_set or u_set out of range")
     if len(l_list) > len(u_list):
         return SignFixingResult(fixing=True, placements_checked=0)
-    per_placement = math.factorial(n - len(l_list))
-    total = per_placement * math.perm(len(u_list), len(l_list))
+    total = math.factorial(n - len(l_list)) * math.perm(len(u_list), len(l_list))
     if total > budget:
-        raise BudgetExceededError(
-            f"{total} total extensions exceed the budget of {budget}"
-        )
+        raise BudgetExceededError(f"{total} total extensions exceed the budget of {budget}")
     checked = 0
-    for placement in _injections(l_list, u_list):
+    for image in permutations(u_list, len(l_list)):
+        placement = PartialEmbedding(dict(zip(l_list, image)))
         verdict = exact_sign(forest, graph, placement, budget=budget)
         checked += 1
         if verdict.kind == "mixed":
@@ -290,11 +285,7 @@ def minimal_sign_fixing_subset(
         if is_sign_fixing(forest, graph, candidate, u_set, budget=budget):
             m_set = candidate
     members = set(m_set)
-    n_set = [
-        v
-        for v in m_set
-        if sum(1 for w in forest.neighbours[v] if w in members) >= 2
-    ]
-    if m_set:
-        assert set(n_set) < set(m_set), "high-degree core must be a proper subset"
+    n_set = [v for v in m_set if len(members.intersection(forest.neighbours[v])) >= 2]
+    if m_set and not set(n_set) < set(m_set):
+        raise CertificateError("high-degree core must be a proper subset")
     return m_set, n_set

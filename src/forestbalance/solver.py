@@ -169,7 +169,8 @@ def large_degree_set(forest: Forest, epsilon: float) -> list[int]:
         raise InvalidInputError(f"epsilon {epsilon} outside [1/{n}, 1/8]")
     threshold = 2.0 / epsilon
     out = [v for v in range(n) if forest.degree[v] >= threshold]
-    assert len(out) <= epsilon * n + 1e-9, "large-degree set bigger than epsilon*n"
+    if len(out) > epsilon * n + 1e-9:
+        raise CertificateError(f"large-degree set has {len(out)} > epsilon*n vertices")
     return out
 
 
@@ -238,8 +239,10 @@ def greedy_star_balance(
     if len(nbr2) < size_yb:
         raise PreconditionError("not enough private neighbours of the second vertex")
     y_b = nbr2[:size_yb]
-    assert not (set(x_r) & set(x_b)) and not (set(x_r) | set(x_b)) & set(y_b)
-    assert len(x_r) == size_xr and len(x_b) == size_xb and len(y_b) == size_yb
+    if set(x_r) & set(x_b) or (set(x_r) | set(x_b)) & set(y_b):
+        raise CertificateError("greedy blocks overlap")
+    if (len(x_r), len(x_b), len(y_b)) != (size_xr, size_xb, size_yb):
+        raise CertificateError("greedy blocks have the wrong sizes")
 
     used = {x, y}
     t_xr = [t for t in graph.red_neighbours(x) if t not in used][:size_xr]
@@ -337,8 +340,9 @@ def solve(
     Dispatch (strategy "auto"): the exact oracle below the size threshold;
     anchored search when the top forest degree reaches n/2, with the explicit
     two-anchor construction when the second degree also reaches n/4 and a
-    red-poor host vertex exists; otherwise both-sign sampling, interpolation,
-    and a polish pass of strictly improving swaps.
+    red-poor host vertex exists; otherwise both-sign sampling and
+    interpolation.  Every interpolation result, anchored or not, then gets a
+    polish pass of strictly improving swaps, which certifies nothing.
     """
     cfg = cfg or SolverConfig()
     n = forest.n
@@ -431,7 +435,7 @@ def solve(
         try:
             pair = find_signed_pair(forest, graph, anchor, cfg, rng=rng, stats=stats)
             emb, trace = interpolate_traced(pair, forest, graph)
-            if cfg.strategy == "auto" and not anchored:
+            if cfg.strategy == "auto":
                 emb, _ = local_search(forest, graph, emb, cfg.sample_budget)
             return finish(emb, CERT_INTERPOLATION, float(pair.bound(forest)), trace)
         except SignSearchFailure as failure:

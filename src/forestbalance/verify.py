@@ -416,7 +416,8 @@ BENCH_COLUMNS = (
     "seed",
     "achieved",
     "bound",
-    "certified_bound",
+    "mechanism",
+    "certified_value",
     "millis",
 )
 
@@ -441,7 +442,8 @@ def _bench_cell(args: tuple) -> dict:
         "seed": seed,
         "achieved": result.achieved,
         "bound": f"{result.bound_report.refined:.6f}",
-        "certified_bound": result.certified,
+        "mechanism": result.certified,
+        "certified_value": "" if result.certified_value is None else f"{result.certified_value:.6f}",
         "millis": millis,
     }
 

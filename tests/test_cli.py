@@ -150,6 +150,17 @@ class TestOracleCommand:
         assert code == 1
         assert "--partial" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, flag, value", [
+        ("sign", "--budget", "0"), ("sign", "--budget", "-5"), ("sign-fixing", "--budget", "0"),
+        ("min", "--max-n", "0"), ("min", "--max-n", "-1"),
+    ])
+    def test_limit_below_one_is_usage_error(self, instance, mode, flag, value, capsys):
+        cpath, fpath = instance
+        code = main(["oracle", "--colouring", str(cpath), "--forest", str(fpath), "--mode", mode,
+                     "--l-set", "0", "--u-set", "0,1", flag, value])
+        assert code == 1
+        assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+
     def test_non_integer_forest_edge_is_usage_error(self, instance, tmp_path, capsys):
         cpath, _ = instance
         fpath = tmp_path / "bad.txt"
@@ -200,8 +211,11 @@ class TestBenchCommand:
         assert main([*base, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         lines = out1.read_text().strip().splitlines()
-        assert lines[0] == "n,delta,family,seed,achieved,bound,certified_bound,millis"
+        assert lines[0] == "n,delta,family,seed,achieved,bound,mechanism,certified_value,millis"
         assert len(lines) == 1 + 4
         for line in lines[1:]:
             cells = line.split(",")
             assert int(cells[4]) <= float(cells[5])
+            assert cells[6] in ("exact", "interpolation", "greedy-star", "heuristic")
+            if cells[7]:
+                assert int(cells[4]) <= float(cells[7])

@@ -1,8 +1,11 @@
+import math
 import random
-from itertools import permutations
+from itertools import islice, permutations
 
+import numpy as np
 import pytest
 
+from forestbalance import oracle
 from forestbalance.core import (
     BLUE,
     RED,
@@ -38,14 +41,76 @@ def random_colouring(n, seed):
     )
 
 
+def biased_colouring(n, seed, red=0.85):
+    rng = random.Random(seed)
+    return ColouredCompleteGraph.from_pair_function(
+        n, lambda i, j: RED if rng.random() < red else BLUE
+    )
+
+
+def scalar_sum(rows, forest, fwd):
+    return sum(rows[fwd[u]][fwd[v]] for u, v in forest.edges)
+
+
 def brute_min(forest, graph):
-    """Independent full-permutation scan, no shortcuts, no early exit."""
-    best = None
+    """Independent scalar scan of every permutation, no early exit.
+
+    Returns the minimum |sum| and the first permutation in lexicographic
+    order that reaches it.  A spanning path's reversal has the same sum, so
+    only the orientation with the smaller image at the lower endpoint counts.
+    """
+    rows = graph.matrix.tolist()
+    ends = [v for v in range(forest.n) if forest.degree[v] == 1]
+    is_path = forest.max_degree == 2 and forest.edge_count == forest.n - 1
+    best = best_perm = None
     for perm in permutations(range(forest.n)):
-        s = abs(sum(graph.colour(perm[u], perm[v]) for u, v in forest.edges))
+        if is_path and perm[ends[0]] > perm[ends[1]]:
+            continue
+        s = abs(scalar_sum(rows, forest, perm))
         if best is None or s < best:
-            best = s
-    return best
+            best, best_perm = s, perm
+    return best, best_perm
+
+
+def brute_sign(forest, graph, partial):
+    """Independent scalar scan of every extension of partial.
+
+    Free vertices in ascending order take the free targets in the order of
+    itertools.permutations.  Returns (min, max, first argmin map, first
+    argmax map, number of extensions).
+    """
+    rows = graph.matrix.tolist()
+    free_vs = [v for v in range(forest.n) if v not in partial]
+    free_ts = sorted(set(range(forest.n)) - partial.image())
+    lo = hi = None
+    count = 0
+    for assignment in permutations(free_ts):
+        fwd = dict(partial.mapping)
+        fwd.update(zip(free_vs, assignment))
+        fwd = tuple(fwd[v] for v in range(forest.n))
+        s = scalar_sum(rows, forest, fwd)
+        count += 1
+        if lo is None or s < lo[0]:
+            lo = (s, fwd)
+        if hi is None or s > hi[0]:
+            hi = (s, fwd)
+    return lo[0], hi[0], lo[1], hi[1], count
+
+
+def forest_of(kind, n):
+    if kind == "random":
+        return make_forest(ForestSpec("random", n, max_degree=3, seed=n))
+    return make_forest(ForestSpec(kind, n))
+
+
+def partials(n):
+    """Partial maps with 0, 1, 2 and n - 1 fixed vertices."""
+    return [
+        {},
+        {0: n - 1},
+        {1: 0, n - 1: 2},
+        {v: (5 * v + 1) % n for v in range(n - 1)},
+    ]
 
 
 class TestExactMinImbalance:
@@ -76,8 +141,47 @@ class TestExactMinImbalance:
             else:
                 forest = make_forest(ForestSpec(kind, 6))
             value, witness = exact_min_imbalance(forest, g)
-            assert value == brute_min(forest, g)
+            assert value == brute_min(forest, g)[0]
             assert abs(subgraph_sum(g, witness, forest)) == value
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("kind", ["path", "star", "random"])
+    def test_witness_is_first_lexicographic_optimum(self, kind, n):
+        forest = forest_of(kind, n)
+        for g in (random_colouring(n, 300 + n), biased_colouring(n, 400 + n)):
+            value, witness = exact_min_imbalance(forest, g)
+            assert (value, witness.forward) == brute_min(forest, g)
+            assert witness.colour_sum == subgraph_sum(g, witness, forest)
+
+    def test_parity_floor_stops_the_scan_inside_a_later_chunk(self, monkeypatch):
+        # Target 0 is all red, so with the broom's hub (5 of the 8 edges) on
+        # it the sum is at least 2: the first zero sum lies past the first
+        # chunk, at a row in the middle of its chunk.
+        n = 9
+        forest = make_forest(ForestSpec("broom", n, max_degree=5))
+        rng = random.Random(7)
+        g = ColouredCompleteGraph.from_pair_function(
+            n, lambda i, j: RED if i == 0 or rng.random() < 0.5 else BLUE
+        )
+        rows = g.matrix.tolist()
+        rank, first = next(
+            (i, p) for i, p in enumerate(permutations(range(n))) if scalar_sum(rows, forest, p) == 0
+        )
+        chunk, row = divmod(rank, math.factorial(oracle._TAIL))
+        assert chunk >= 1 and 0 < row < math.factorial(oracle._TAIL) - 1
+
+        yielded = []
+        real = oracle._extensions
+
+        def counting(*args):
+            for images, sums in real(*args):
+                yielded.append(len(sums))
+                yield images, sums
+
+        monkeypatch.setattr(oracle, "_extensions", counting)
+        value, witness = exact_min_imbalance(forest, g)
+        assert value == 0 and witness.forward == first
+        assert len(yielded) == chunk + 1 < n
 
     def test_refuses_large_n(self):
         g = random_colouring(11, 2)
@@ -131,6 +235,39 @@ class TestExactSign:
         forest = make_forest(ForestSpec("path", 9))
         with pytest.raises(BudgetExceededError):
             exact_sign(forest, g, PartialEmbedding({}), budget=1000)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("kind", ["path", "star", "random"])
+    def test_matches_scalar_reference(self, kind, n):
+        forest = forest_of(kind, n)
+        g = random_colouring(n, 500 + n)
+        for mapping in partials(n):
+            partial = PartialEmbedding(mapping)
+            v = exact_sign(forest, g, partial)
+            got = (v.min_sum, v.max_sum, v.min_witness.forward, v.max_witness.forward, v.extensions)
+            assert got == brute_sign(forest, g, partial), mapping
+            assert v.min_witness.colour_sum == v.min_sum
+            assert v.max_witness.colour_sum == v.max_sum
+
+
+class TestExtensionChunks:
+    @pytest.mark.parametrize("fixed", [{}, {4: 7}, {0: 9, 5: 0}])
+    def test_chunks_are_capped_and_continue_lexicographic_order(self, fixed):
+        n = 10
+        g = random_colouring(n, 11)
+        forest = make_forest(ForestSpec("random", n, max_degree=3, seed=5))
+        rows = g.matrix.tolist()
+        free_vs = [v for v in range(n) if v not in fixed]
+        expected = permutations(sorted(set(range(n)) - set(fixed.values())))
+        cap = math.factorial(oracle._TAIL)
+        for images, sums in islice(oracle._extensions(forest, g, fixed), 3):
+            assert images.dtype == np.int32 and images.shape == (len(sums), n)
+            assert 0 < len(sums) <= cap
+            assert np.array_equal(images[:, free_vs], np.array(list(islice(expected, len(sums)))))
+            for v, t in fixed.items():
+                assert (images[:, v] == t).all()
+            for i in range(0, len(sums), 499):
+                assert sums[i] == scalar_sum(rows, forest, images[i].tolist())
 
 
 def _full_embedding(partial, forest, graph):

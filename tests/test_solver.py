@@ -350,13 +350,36 @@ class TestLocalSearch:
         assert out == start and out.colour_sum == start.colour_sum
 
 
+class TestAnchoredPolish:
+    def test_anchored_interpolation_result_is_polished(self):
+        # Centres of degree 71 and 55 on a plain balanced colouring: no host
+        # vertex is red-poor, so greedy-star does not apply and anchored
+        # interpolation runs.  Its walk crosses zero at |sum| = 45, above the
+        # refined bound 44.5; only the polish pass brings it within.
+        n = 128
+        a, b = n // 2 + 7, n // 2 - 9
+        edges = [(0, 1)] + [(0, v) for v in range(2, a + 1)] + [(1, v) for v in range(a + 1, a + b)]
+        edges += [(v - 1, v) for v in range(a + b, n)]
+        perm = list(range(n))
+        random.Random(25334).shuffle(perm)
+        forest = Forest(n, [(perm[u], perm[v]) for u, v in edges])
+        g = random_balanced_colouring(n, 844)
+        result = solve(forest, g, SolverConfig(seed=25334))
+        assert result.certified == CERT_INTERPOLATION
+        assert result.achieved <= result.certified_value
+        assert result.within_bound
+
+
 # Runs under ``python -O``; each forged violation must still raise.
 _FORGED_CERTIFICATES = """
 import importlib
 import sys
+from types import SimpleNamespace
 
+import forestbalance.bounds as bounds
+import forestbalance.oracle as oracle
 import forestbalance.solver as solver
-from forestbalance.core import CertificateError, Embedding, parse_colouring, parse_forest
+from forestbalance.core import CertificateError, Embedding, PartialEmbedding, parse_colouring, parse_forest
 from forestbalance.generators import ForestSpec, make_forest, random_balanced_colouring
 
 if __debug__:
@@ -398,8 +421,42 @@ class ForgedBuild(Embedding):
 
 adversary = parse_colouring(open(sys.argv[1]).read())
 double = parse_forest(open(sys.argv[2]).read())
+x = int(sys.argv[3])
 solver.Embedding = ForgedBuild
-expect("greedy", lambda: solver.greedy_star_balance(double, adversary, int(sys.argv[3]), 0))
+expect("greedy", lambda: solver.greedy_star_balance(double, adversary, x, 0))
+
+# the top vertex lists one neighbour twice, across the red/blue block border
+v1, v2 = solver._top_two_degree_vertices(double)
+top = [v for v in double.neighbours[v1] if v != v2]
+cut = (3 * double.n) // 8
+neighbours = list(double.neighbours)
+neighbours[v1] = (*top[:cut], top[cut - 1], *top[cut:])
+repeated = SimpleNamespace(n=double.n, degree=double.degree, neighbours=tuple(neighbours))
+expect("greedy blocks", lambda: solver.greedy_star_balance(repeated, adversary, x, 0))
+
+expect("large-degree set", lambda: solver.large_degree_set(SimpleNamespace(n=32, degree=(20,) * 32), 1 / 8))
+
+expect("sign verdict", lambda: oracle.SignVerdict(1, 0, None, None, 1))
+
+# once the sign-fixing test is forged, a triangle has no leaf to drop
+oracle.is_sign_fixing = lambda forest, graph, l_set, u_set, budget: oracle.SignFixingResult(len(l_set) == 3)
+triangle = SimpleNamespace(neighbours=((1, 2), (0, 2), (0, 1)))
+expect("sign-fixing core", lambda: oracle.minimal_sign_fixing_subset(triangle, g, [0, 1, 2], [0, 1, 2]))
+
+
+class Shifted(PartialEmbedding):
+    def __init__(self, mapping):
+        super().__init__({v: t + 100 for v, t in mapping.items()})
+
+
+interpolate_mod.PartialEmbedding = Shifted
+source, target = PartialEmbedding({0: 1, 5: 2}), PartialEmbedding({0: 1, 5: 3})
+expect("partial sequence", lambda: interpolate_mod.partial_interpolation_sequence(target, source, [0, 5], [0], 9))
+
+bounds._check_offset_domain = lambda n, offset: None
+expect("crossing epsilon", lambda: bounds.crossing_epsilon(32, 10.0))
+bounds.refined_bound = lambda n, delta: 1e9
+expect("bound report", lambda: bounds.BoundReport.compute(64, 8))
 """
 
 
@@ -431,7 +488,9 @@ class TestCertificateChecks:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:3] == ["interpolate raised", "finish raised", "greedy raised"]
+        checks = ["interpolate", "finish", "greedy", "greedy blocks", "large-degree set", "sign verdict",
+                  "sign-fixing core", "partial sequence", "crossing epsilon", "bound report"]
+        assert proc.stdout.splitlines() == [f"{name} raised" for name in checks]
 
 
 class TestBalancedAnchor:

@@ -65,6 +65,9 @@ class TestBench:
         assert rows == sorted(rows, key=lambda r: (r["n"], r["family"], r["seed"]))
         for row in rows:
             assert row["achieved"] <= float(row["bound"])
+            assert row["mechanism"] in ("exact", "interpolation", "greedy-star", "heuristic")
+            if row["certified_value"]:
+                assert row["achieved"] <= float(row["certified_value"])
             assert row["millis"] == 0
 
     def test_deterministic_with_redacted_millis(self):
