@@ -284,6 +284,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    for flag, value in (("--seeds", args.seeds), ("--threads", args.threads)):
+        if value < 1:
+            raise InvalidInputError(f"{flag} must be at least 1, got {value}")
     families = tuple(f.strip() for f in args.families.split(",") if f.strip())
     rows = run_bench(
         n_list=args.n_list,

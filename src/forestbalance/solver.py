@@ -7,6 +7,14 @@ them, which certifies |sum| <= disagreement max degree + forest min degree.
 Deciding the sign of a partial embedding exactly is exponential, so the
 search relies on both-sign sampling instead; when sampling fails the result
 degrades to a budgeted local search and says so.
+
+Sampling works in blocks: ExtensionSampler draws a block of uniform
+extensions of the anchor at once (one argsort of random 64-bit keys per row,
+taken from the caller's random.Random) and scores the whole block with one
+gather from the int8 colour matrix.  Blocks start small and double, so a
+search that succeeds early draws little more than it uses, while an anchored
+star, whose every extension has the same sum, spends its whole budget in
+a run of numpy blocks instead of one Python shuffle per sample.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -94,6 +103,68 @@ def _sub_seed(seed: int, k: int) -> int:
     return seed * 1_000_003 + k
 
 
+# A block holds at most this many image cells (rows x n), so each intp array
+# a block makes stays within 64 KB at any n and peak memory stays flat.  The
+# first block has _FIRST_BLOCK rows and each later one doubles up to the cap,
+# so a search that succeeds within a few samples draws almost nothing extra.
+_BLOCK_CELLS = 1 << 13
+_FIRST_BLOCK = 4
+
+
+class ExtensionSampler:
+    """Uniform random extensions of a partial embedding, drawn and scored in blocks.
+
+    A block of ``size`` samples takes ``size * k`` 64-bit keys from the
+    caller's ``random.Random`` (k = number of free vertices) and argsorts them
+    per row, which gives ``size`` independent uniform permutations of the free
+    targets; the free vertices, in ascending order, take them.  Each row's
+    colour sum is one gather from the flat int8 colour matrix.
+    """
+
+    __slots__ = ("stride", "base", "free_vs", "free_ts", "us", "vs", "flat", "cap")
+
+    def __init__(self, forest: Forest, graph: ColouredCompleteGraph, anchor: PartialEmbedding | None = None):
+        n = forest.n
+        fixed = anchor.mapping if anchor is not None else {}
+        if any(v >= n or t >= n for v, t in fixed.items()):
+            raise InvalidInputError("anchor out of range")
+        vs = np.fromiter(fixed, dtype=np.intp, count=len(fixed))
+        ts = np.fromiter(fixed.values(), dtype=np.intp, count=len(fixed))
+        self.stride = graph.n
+        self.base = np.zeros(n, dtype=np.intp)
+        self.base[vs] = ts
+        free = np.ones((2, n), dtype=bool)
+        free[0, vs] = free[1, ts] = False
+        self.free_vs, self.free_ts = np.flatnonzero(free[0]), np.flatnonzero(free[1])
+        m = forest.edge_count
+        edges = np.fromiter(chain.from_iterable(forest.edges), dtype=np.intp, count=2 * m).reshape(m, 2)
+        self.us, self.vs = edges[:, 0], edges[:, 1]
+        self.flat = graph.matrix.reshape(-1)
+        self.cap = max(1, _BLOCK_CELLS // n)
+
+    def draw(self, rng: random.Random, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """``size`` samples: an intp (size, n) array of forward maps and their int64 sums."""
+        k = len(self.free_ts)
+        keys = np.frombuffer(rng.randbytes(8 * size * k), dtype=np.uint64).reshape(size, k)
+        images = np.empty((size, len(self.base)), dtype=np.intp)
+        images[:] = self.base
+        images[:, self.free_vs] = self.free_ts[keys.argsort(axis=1)]
+        del keys  # frees the key bytes before the gather below allocates
+        cells = images[:, self.us]
+        cells *= self.stride
+        cells += images[:, self.vs]
+        return images, self.flat[cells].sum(axis=1, dtype=np.int64)
+
+    def blocks(self, rng: random.Random, total: int):
+        """Yield (images, sums) blocks of exactly ``total`` samples in all, doubling in size."""
+        size = _FIRST_BLOCK
+        while total > 0:
+            rows = min(size, self.cap, total)
+            yield self.draw(rng, rows)
+            total -= rows
+            size *= 2
+
+
 def sample_extension(
     rng: random.Random,
     forest: Forest,
@@ -101,20 +172,8 @@ def sample_extension(
     anchor: PartialEmbedding | None = None,
 ) -> Embedding:
     """Uniformly random embedding extending the anchor (empty anchor = uniform)."""
-    n = forest.n
-    if anchor is None or len(anchor) == 0:
-        fwd = list(range(n))
-        rng.shuffle(fwd)
-        return Embedding.build(fwd, forest, graph)
-    free_vs = [v for v in range(n) if v not in anchor]
-    free_ts = sorted(set(range(n)) - anchor.image())
-    rng.shuffle(free_ts)
-    fwd = [0] * n
-    for v in anchor:
-        fwd[v] = anchor[v]
-    for v, t in zip(free_vs, free_ts):
-        fwd[v] = t
-    return Embedding.build(fwd, forest, graph)
+    images, sums = ExtensionSampler(forest, graph, anchor).draw(rng, 1)
+    return _row(images, sums, 0)
 
 
 def find_signed_pair(
@@ -128,31 +187,31 @@ def find_signed_pair(
     """Sample embeddings extending the anchor until both signs are seen.
 
     On a balanced colouring the sum of a uniform unanchored embedding has mean
-    zero, so both signs exist and are found quickly.  Raises SignSearchFailure
-    (with the best sample attached) once the budget is spent.
+    zero, so both signs exist and are found quickly.  Samples are drawn in
+    blocks (see ExtensionSampler); the pair is the first sample with sum >= 0
+    and the first with sum <= 0 in stream order, and ``samples_drawn`` counts
+    samples up to the later of the two.  Raises SignSearchFailure (with the
+    first sample of least |sum| attached) once the budget is spent.
     """
     cfg = cfg or SolverConfig()
-    if anchor is not None:
-        for v in anchor:
-            if v >= forest.n or anchor[v] >= graph.n:
-                raise InvalidInputError("anchor out of range")
+    sampler = ExtensionSampler(forest, graph, anchor)
     if rng is None:
         rng = random.Random(cfg.seed)
-    non_neg = non_pos = None
-    best = None
-    for k in range(cfg.sample_budget):
-        emb = sample_extension(rng, forest, graph, anchor)
-        s = emb.colour_sum
-        if s >= 0 and non_neg is None:
-            non_neg = emb
-        if s <= 0 and non_pos is None:
-            non_pos = emb
-        if best is None or abs(s) < abs(best.colour_sum):
-            best = emb
+    non_neg = non_pos = best = None
+    drawn = 0
+    for images, sums in sampler.blocks(rng, cfg.sample_budget):
+        if non_neg is None:
+            non_neg = _first(images, sums, sums >= 0, drawn)
+        if non_pos is None:
+            non_pos = _first(images, sums, sums <= 0, drawn)
         if non_neg is not None and non_pos is not None:
             if stats is not None:
-                stats["samples_drawn"] = stats.get("samples_drawn", 0) + k + 1
-            return SignedPair.of(non_pos, non_neg, forest)
+                stats["samples_drawn"] = stats.get("samples_drawn", 0) + max(non_neg[0], non_pos[0]) + 1
+            return SignedPair.of(non_pos[1], non_neg[1], forest)
+        r = int(np.argmin(np.abs(sums)))
+        if best is None or abs(sums[r]) < abs(best.colour_sum):
+            best = _row(images, sums, r)
+        drawn += len(sums)
     if stats is not None:
         stats["samples_drawn"] = stats.get("samples_drawn", 0) + cfg.sample_budget
     raise SignSearchFailure(
@@ -160,6 +219,19 @@ def find_signed_pair(
         best=best,
         samples=cfg.sample_budget,
     )
+
+
+def _row(images: np.ndarray, sums: np.ndarray, r: int) -> Embedding:
+    return Embedding(images[r].tolist(), int(sums[r]))
+
+
+def _first(images: np.ndarray, sums: np.ndarray, mask: np.ndarray, offset: int):
+    """(stream index, embedding) of the block's first row in the mask, or None."""
+    hits = np.flatnonzero(mask)
+    if not hits.size:
+        return None
+    r = int(hits[0])
+    return offset + r, _row(images, sums, r)
 
 
 def large_degree_set(forest: Forest, epsilon: float) -> list[int]:

@@ -47,10 +47,10 @@ from .interpolate import (
 )
 from .oracle import exact_min_imbalance
 from .solver import (
+    ExtensionSampler,
     SolverConfig,
     balanced_anchor_vertex,
     find_signed_pair,
-    sample_extension,
     solve,
 )
 
@@ -364,9 +364,8 @@ def suite_anchored_expectation(n=64, trials=10_000, seed=0, delta=40) -> dict:
     v1 = max(range(n), key=lambda v: (forest.degree[v], -v))
     anchor = PartialEmbedding({v1: x})
     rng = random.Random(_sub_seed(seed, 78))
-    sums = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        sums[t] = abs(sample_extension(rng, forest, g, anchor).colour_sum)
+    blocks = ExtensionSampler(forest, g, anchor).blocks(rng, trials)
+    sums = np.abs(np.concatenate([block_sums for _, block_sums in blocks]))
     mean = float(sums.mean())
     se = float(sums.std(ddof=1) / math.sqrt(trials))
     limit = 0.5 * delta + 4 + 3 * se

@@ -219,3 +219,17 @@ class TestBenchCommand:
             assert cells[6] in ("exact", "interpolation", "greedy-star", "heuristic")
             if cells[7]:
                 assert int(cells[4]) <= float(cells[7])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seeds", "0"), ("--seeds", "-1"), ("--threads", "0"), ("--threads", "-1"),
+    ])
+    def test_count_below_one_is_usage_error(self, tmp_path, monkeypatch, flag, value, capsys):
+        def unreachable(**kwargs):
+            raise AssertionError("bench ran despite an invalid count")
+
+        monkeypatch.setattr("forestbalance.cli.run_bench", unreachable)
+        out = tmp_path / "b.csv"
+        code = main(["bench", "--n-list", "16", "--families", "path", flag, value, "--out", str(out)])
+        assert code == 1
+        assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()

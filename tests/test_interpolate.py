@@ -24,6 +24,37 @@ def signed_pair_by_search(forest, graph, seed, budget=3000):
     return find_signed_pair(forest, graph, cfg=SolverConfig(sample_budget=budget), rng=rng)
 
 
+def trace_branch(pair, forest, graph):
+    """Check one interpolation trace and name the branch that produced it."""
+    out, trace = interpolate_traced(pair, forest, graph)
+    bound = pair.bound(forest)
+    assert trace.achieved_bound == bound
+    assert abs(out.colour_sum) <= bound
+    assert trace.result == out
+    # an end of the pair already within the bound is returned unwalked, h_pos first
+    for name, end in (("h_pos", pair.h_pos), ("h_neg", pair.h_neg)):
+        if abs(end.colour_sum) <= bound:
+            assert out == end
+            assert trace.steps == [(None, end.colour_sum)]
+            return name
+    # otherwise the walk starts at h_pos; replay it: each step is one
+    # transposition and sums are exact
+    current = pair.h_pos
+    assert trace.steps[0] == (None, pair.h_pos.colour_sum)
+    assert len(trace.steps) > 1
+    prev = trace.steps[0][1]
+    for swap, recorded in trace.steps[1:]:
+        u, v = swap
+        fwd = list(current.forward)
+        fwd[u], fwd[v] = fwd[v], fwd[u]
+        current = Embedding.build(fwd, forest, graph)
+        assert current.colour_sum == recorded
+        assert abs(recorded - prev) <= 2 * bound
+        prev = recorded
+    assert current == out
+    return "walk"
+
+
 class TestSignedPair:
     def test_orders_by_sign(self):
         g = random_balanced_colouring(8, 1)
@@ -54,8 +85,10 @@ class TestInterpolate:
     def test_early_exit_returns_h_pos_unchanged(self):
         g = random_balanced_colouring(9, 3)
         forest = make_forest(ForestSpec("path", 9))
-        pair = signed_pair_by_search(forest, g, 11)
-        if abs(pair.h_pos.colour_sum) <= pair.bound(forest):
+        pairs = [signed_pair_by_search(forest, g, seed) for seed in range(11, 21)]
+        early = [pair for pair in pairs if abs(pair.h_pos.colour_sum) <= pair.bound(forest)]
+        assert early  # the seeds include an early exit, so the check below runs
+        for pair in early:
             assert interpolate(pair, forest, g) == pair.h_pos
 
     def test_identical_embeddings_mean_zero_sum(self):
@@ -82,25 +115,9 @@ class TestInterpolate:
     def test_trace_structure(self):
         g = random_balanced_colouring(12, 9)
         forest = make_forest(ForestSpec("random", 12, max_degree=4, seed=2))
-        pair = signed_pair_by_search(forest, g, 77)
-        out, trace = interpolate_traced(pair, forest, g)
-        bound = pair.bound(forest)
-        assert trace.achieved_bound == bound
-        assert abs(out.colour_sum) <= bound
-        assert trace.result == out
-        # replay: each step is one transposition and sums are exact
-        current = pair.h_pos
-        assert trace.steps[0] == (None, pair.h_pos.colour_sum)
-        prev = trace.steps[0][1]
-        for swap, recorded in trace.steps[1:]:
-            u, v = swap
-            fwd = list(current.forward)
-            fwd[u], fwd[v] = fwd[v], fwd[u]
-            current = Embedding.build(fwd, forest, g)
-            assert current.colour_sum == recorded
-            assert abs(recorded - prev) <= 2 * bound
-            prev = recorded
-        assert current == out
+        branches = {trace_branch(signed_pair_by_search(forest, g, seed), forest, g) for seed in range(70, 80)}
+        # the seeds cover every branch, so each one's checks ran
+        assert branches == {"h_pos", "h_neg", "walk"}
 
     def test_three_step_swaps_use_lowest_minimum_degree_vertex(self):
         # a path has two leaves; pairing the extreme samples forces a long walk

@@ -8,6 +8,7 @@ from forestbalance.core import (
     BLUE,
     RED,
     ColouredCompleteGraph,
+    Embedding,
     Forest,
     InvalidInputError,
     PartialEmbedding,
@@ -22,6 +23,7 @@ from forestbalance.solver import (
     CERT_GREEDY_STAR,
     CERT_HEURISTIC,
     CERT_INTERPOLATION,
+    ExtensionSampler,
     SignSearchFailure,
     SolverConfig,
     balanced_anchor_vertex,
@@ -139,6 +141,97 @@ class TestFindSignedPair:
         stats = {}
         find_signed_pair(forest, g, cfg=SolverConfig(sample_budget=100), stats=stats)
         assert stats["samples_drawn"] >= 1
+
+
+class TestExtensionSampler:
+    def test_rows_are_bijections_extending_the_anchor(self):
+        g = random_balanced_colouring(12, 3)
+        forest = make_forest(ForestSpec("random", 12, max_degree=4, seed=1))
+        anchor = PartialEmbedding({2: 7, 5: 0})
+        for images, sums in ExtensionSampler(forest, g, anchor).blocks(random.Random(4), 100):
+            assert images.shape == (len(sums), 12)
+            for row in images.tolist():
+                assert sorted(row) == list(range(12))
+                assert row[2] == 7 and row[5] == 0
+
+    def test_block_sums_equal_subgraph_sum(self):
+        g = random_balanced_colouring(16, 5)
+        for forest, anchor in ((make_forest(ForestSpec("path", 16)), None),
+                               (make_forest(ForestSpec("star", 16)), PartialEmbedding({0: 9})),
+                               (Forest(16, []), None)):
+            for images, sums in ExtensionSampler(forest, g, anchor).blocks(random.Random(6), 60):
+                for row, s in zip(images.tolist(), sums.tolist()):
+                    assert s == subgraph_sum(g, Embedding(row, s), forest)
+
+    @pytest.mark.parametrize("total", [1, 4, 5, 50, 5000])
+    def test_blocks_draw_exactly_the_total(self, total):
+        g = random_balanced_colouring(16, 1)
+        sizes = [len(s) for _, s in ExtensionSampler(make_forest(ForestSpec("path", 16)), g).blocks(
+            random.Random(0), total)]
+        assert sum(sizes) == total
+        assert sizes[0] == min(4, total) and max(sizes) <= 8192 // 16
+
+    def test_permutations_are_uniform(self):
+        g = random_balanced_colouring(4, 0)
+        forest = make_forest(ForestSpec("path", 4))
+        counts = {}
+        for images, _ in ExtensionSampler(forest, g).blocks(random.Random(8), 24_000):
+            for row in map(tuple, images.tolist()):
+                counts[row] = counts.get(row, 0) + 1
+        assert len(counts) == 24
+        assert all(800 < c < 1200 for c in counts.values())  # mean 1000, sd ~31
+
+    def test_pair_is_first_of_each_sign_in_stream_order(self):
+        forest = make_forest(ForestSpec("path", 9))
+        for seed in range(20):
+            g = random_balanced_colouring(9, seed)
+            stats = {}
+            pair = find_signed_pair(forest, g, cfg=SolverConfig(sample_budget=5000),
+                                    rng=random.Random(seed), stats=stats)
+            # scalar replay of the same blocks, one row at a time
+            rows = (
+                (row, s)
+                for images, sums in ExtensionSampler(forest, g).blocks(random.Random(seed), 5000)
+                for row, s in zip(images.tolist(), sums.tolist())
+            )
+            non_neg = non_pos = None
+            for k, (row, s) in enumerate(rows):
+                if s >= 0 and non_neg is None:
+                    non_neg = row
+                if s <= 0 and non_pos is None:
+                    non_pos = row
+                if non_neg is not None and non_pos is not None:
+                    break
+            assert list(pair.h_pos.forward) == non_neg
+            assert list(pair.h_neg.forward) == non_pos
+            assert stats["samples_drawn"] == k + 1
+
+    @pytest.mark.parametrize("budget", [5, 50, 5000])
+    def test_anchored_star_spends_the_exact_budget(self, budget):
+        # with its centre anchored, every extension of a star sums to the
+        # host's signed degree, which is odd at even n
+        g = random_balanced_colouring(16, 2)
+        star = make_forest(ForestSpec("star", 16))
+        anchor = PartialEmbedding({0: 3})
+        stats = {}
+        with pytest.raises(SignSearchFailure) as err:
+            find_signed_pair(star, g, anchor, SolverConfig(sample_budget=budget), stats=stats)
+        assert err.value.samples == budget == stats["samples_drawn"]
+        assert err.value.best.colour_sum == g.signed_degree(3)
+        assert err.value.best.forward[0] == 3
+
+    def test_same_seed_same_pair(self):
+        g = random_balanced_colouring(32, 3)
+        forest = make_forest(ForestSpec("random", 32, max_degree=6, seed=3))
+        pairs = [find_signed_pair(forest, g, rng=random.Random(12)) for _ in range(2)]
+        assert pairs[0].h_pos == pairs[1].h_pos and pairs[0].h_neg == pairs[1].h_neg
+
+    def test_anchor_out_of_range_rejected(self):
+        g = random_balanced_colouring(8, 1)
+        forest = make_forest(ForestSpec("path", 8))
+        for anchor in (PartialEmbedding({0: 8}), PartialEmbedding({8: 0})):
+            with pytest.raises(InvalidInputError):
+                find_signed_pair(forest, g, anchor)
 
 
 class TestLargeDegreeSet:
@@ -351,11 +444,12 @@ class TestLocalSearch:
 
 
 class TestAnchoredPolish:
-    def test_anchored_interpolation_result_is_polished(self):
+    def test_anchored_interpolation_result_is_polished(self, monkeypatch):
         # Centres of degree 71 and 55 on a plain balanced colouring: no host
         # vertex is red-poor, so greedy-star does not apply and anchored
-        # interpolation runs.  Its walk crosses zero at |sum| = 45, above the
-        # refined bound 44.5; only the polish pass brings it within.
+        # interpolation runs.  Its walk can stop above the refined bound (at
+        # |sum| = 45 > 44.5 on one earlier sampling stream), so the walk's
+        # result, whatever its sum, must go through the polish pass.
         n = 128
         a, b = n // 2 + 7, n // 2 - 9
         edges = [(0, 1)] + [(0, v) for v in range(2, a + 1)] + [(1, v) for v in range(a + 1, a + b)]
@@ -364,9 +458,17 @@ class TestAnchoredPolish:
         random.Random(25334).shuffle(perm)
         forest = Forest(n, [(perm[u], perm[v]) for u, v in edges])
         g = random_balanced_colouring(n, 844)
+        starts = []
+
+        def recording(forest, graph, start, budget):
+            starts.append(start)
+            return local_search(forest, graph, start, budget)
+
+        monkeypatch.setattr("forestbalance.solver.local_search", recording)
         result = solve(forest, g, SolverConfig(seed=25334))
         assert result.certified == CERT_INTERPOLATION
-        assert result.achieved <= result.certified_value
+        assert starts == [result.trace.result]
+        assert result.achieved <= min(abs(result.trace.result.colour_sum), result.certified_value)
         assert result.within_bound
 
 
