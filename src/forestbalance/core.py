@@ -1,7 +1,8 @@
 """Core types: +/-1 edge-coloured complete graphs, forests, and embeddings.
 
 All quantities are exact integers.  Edge colours are stored as one read-only
-n x n int8 matrix: +1 (red) or -1 (blue) off the diagonal, 0 on it.
+n x n int8 matrix: +1 (red) or -1 (blue) off the diagonal, 0 on it.  Scalar
+scoring loops index ``rows()``, read-only memoryview slices of that matrix.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ class ColouredCompleteGraph:
 
     The colouring is one read-only n x n int8 ``matrix`` with the colour of
     edge ij at [i, j] and [j, i] and 0 on the diagonal; build it with
-    ``from_red_matrix``.  Immutable; safe to share across threads for reading.
+    ``from_red_matrix``, which checks its input.  The constructor takes a
+    matrix as is: ``parse_colouring`` and ``negated`` pass ones that hold
+    these invariants by construction.  Immutable; safe to share across
+    threads for reading.
     """
 
     __slots__ = ("matrix", "_rows")
@@ -95,14 +99,17 @@ class ColouredCompleteGraph:
             raise InvalidInputError(f"vertex out of range: ({i},{j}) with n={self.n}")
         return int(self.matrix[i, j])
 
-    def rows(self) -> list[list[int]]:
-        """The matrix as nested lists of Python ints, built on first use.
+    def rows(self) -> list[memoryview]:
+        """One read-only memoryview (format ``b``) per matrix row, built on first use.
 
-        Scalar scoring loops index these rows; they are several times faster
-        to index than the array itself.  Callers must not mutate them.
+        Indexing a row gives a Python int as fast as indexing a list, and
+        several times faster than indexing the array; the rows share the
+        matrix's memory, so building them copies nothing.
         """
         if self._rows is None:
-            self._rows = self.matrix.tolist()
+            n = self.n
+            flat = memoryview(self.matrix.ravel()).toreadonly()
+            self._rows = [flat[i * n:(i + 1) * n] for i in range(n)]
         return self._rows
 
     def red_degrees(self) -> np.ndarray:
@@ -139,7 +146,13 @@ class ColouredCompleteGraph:
 
     def negated(self) -> "ColouredCompleteGraph":
         """The colouring with every edge flipped."""
-        return ColouredCompleteGraph.from_red_matrix(self.matrix == BLUE)
+        matrix = -self.matrix  # still symmetric, +/-1 off a zero diagonal
+        matrix.flags.writeable = False
+        return ColouredCompleteGraph(matrix)
+
+    def __reduce__(self):
+        # the memoryview rows cannot be pickled or copied; rebuild them lazily
+        return ColouredCompleteGraph, (self.matrix,)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ColouredCompleteGraph) and np.array_equal(self.matrix, other.matrix)
@@ -380,8 +393,13 @@ def serialize_colouring(g: ColouredCompleteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _content_lines(text: str) -> list[str]:
+    """The stripped non-blank lines of a text file."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln]
+
+
 def parse_colouring(text: str) -> ColouredCompleteGraph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = _content_lines(text)
     if not lines:
         raise InvalidInputError("empty colouring file")
     try:
@@ -390,15 +408,26 @@ def parse_colouring(text: str) -> ColouredCompleteGraph:
         raise InvalidInputError(f"bad vertex count line: {lines[0]!r}") from None
     if len(lines) != n:
         raise InvalidInputError(f"expected {n - 1} colour rows, found {len(lines) - 1}")
-    for i in range(1, n):
-        row = lines[i]
-        if len(row) != i or not set(row) <= {"R", "B"}:
-            raise InvalidInputError(f"row {i} must be {i} characters over RB, got {row!r}")
-    flat = np.frombuffer("".join(lines[1:]).encode(), dtype=np.uint8) == ord("R")
-    red = np.zeros((n, n), dtype=bool)
+    if n < 2:
+        raise InvalidInputError(f"need at least 2 vertices, got n={n}")
+    rows = lines[1:]
+    # "replace" turns each non-ASCII character into one "?" byte, so the
+    # bytes line up with the characters and a file passes only if all are R or B
+    body = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
+    red = body == ord("R")
+    if (
+        list(map(len, rows)) != list(range(1, n))
+        or np.count_nonzero(red) + np.count_nonzero(body == ord("B")) != body.size
+    ):
+        for i, row in enumerate(rows, 1):
+            if len(row) != i or not set(row) <= {"R", "B"}:
+                raise InvalidInputError(f"row {i} must be {i} characters over RB, got {row!r}")
+    lower = np.zeros((n, n), dtype=np.int8)
     # boolean-mask assignment fills the lower triangle row by row, as the file lists it
-    red[np.tri(n, k=-1, dtype=bool)] = flat
-    return ColouredCompleteGraph.from_red_matrix(red | red.T)
+    lower[np.tri(n, k=-1, dtype=bool)] = red.view(np.int8) * np.int8(2) - np.int8(1)  # R -> +1, B -> -1
+    matrix = lower + lower.T  # symmetric with a zero diagonal by construction
+    matrix.flags.writeable = False
+    return ColouredCompleteGraph(matrix)
 
 
 def serialize_forest(forest: Forest) -> str:
@@ -408,7 +437,7 @@ def serialize_forest(forest: Forest) -> str:
 
 
 def parse_forest(text: str) -> Forest:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = _content_lines(text)
     if not lines:
         raise InvalidInputError("empty forest file")
     head = lines[0].split()

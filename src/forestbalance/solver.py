@@ -75,6 +75,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_restarts < 1 or self.sample_budget < 1:
             raise InvalidInputError("budgets must be positive")
+        if self.exact_threshold < 0:
+            raise InvalidInputError(f"exact_threshold must be non-negative, got {self.exact_threshold}")
         if self.strategy not in STRATEGIES:
             raise InvalidInputError(f"unknown strategy {self.strategy!r}")
 
@@ -540,7 +542,8 @@ def _orient_for_greedy(
     if 2 * forest.degree[v1] < n or 4 * forest.degree[v2] < n:
         return None, None, None
     r = math.ceil((0.25 - eps) * n - 1e-12)
-    for g in (graph, graph.negated()):
+    for flip in (False, True):
+        g = graph.negated() if flip else graph
         red = g.red_degrees()
         xs = np.flatnonzero((np.minimum(red, n - 1 - red) >= r) & (2 * red >= n - 1)).tolist()
         ys = np.flatnonzero(4 * red < n).tolist()

@@ -257,6 +257,9 @@ def suite_partial_interpolation(trials=100, seed=0) -> dict:
 
 
 def suite_bounds(n_list=(100, 1000), trials=100, seed=0, grid_points=10_000) -> dict:
+    for n in n_list:
+        if n < 32:
+            raise InvalidInputError(f"need n >= 32, got {n}")
     violations = []
     checks = 0
     for n in n_list:

@@ -91,6 +91,28 @@ class TestSolveCommand:
         assert main([*base, "--json", str(j2)]) == 0
         assert j1.read_text() == j2.read_text()
 
+    def test_negative_exact_threshold_is_usage_error(self, instance, tmp_path, capsys):
+        cpath, fpath = instance
+        jpath = tmp_path / "result.json"
+        code = main(["solve", "--colouring", str(cpath), "--forest", str(fpath),
+                     "--exact-threshold", "-3", "--json", str(jpath)])
+        assert code == 1
+        assert "exact_threshold must be non-negative, got -3" in capsys.readouterr().err
+        assert not jpath.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("4\nR\nBR\nRBx\n", "row 3 must be 3 characters over RB, got 'RBx'"),
+        ("4\nRR\nB\nRRB\n", "row 1 must be 1 characters over RB, got 'RR'"),
+        ("0\n", "expected -1 colour rows, found 0"),
+        ("1\n", "need at least 2 vertices, got n=1"),
+    ])
+    def test_malformed_colouring_is_usage_error(self, instance, tmp_path, text, message, capsys):
+        _, fpath = instance
+        cpath = tmp_path / "bad.txt"
+        cpath.write_text(text)
+        assert main(["solve", "--colouring", str(cpath), "--forest", str(fpath)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bound_violation_exit_code(self, instance, monkeypatch, capsys):
         cpath, fpath = instance
         import forestbalance.cli as cli_mod
@@ -192,6 +214,13 @@ class TestVerifyCommand:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
+
+    @pytest.mark.parametrize("n", ["0", "1", "-5"])
+    def test_bounds_suite_small_n_is_usage_error(self, n, capsys):
+        assert main(["verify", "--suite", "bounds", "--n", n]) == 1
+        err = capsys.readouterr().err
+        assert f"need n >= 32, got {n}" in err
+        assert "Traceback" not in err
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 1

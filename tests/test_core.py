@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,10 +81,18 @@ class TestColouredCompleteGraph:
             for j in range(i):
                 assert ng.colour(i, j) == -g.colour(i, j)
         assert ng.red_edge_count == g.edge_count - g.red_edge_count
+        assert ng.matrix.dtype == np.int8 and not ng.matrix.flags.writeable
+        assert ng == ColouredCompleteGraph.from_red_matrix(g.matrix == BLUE)
+        assert ng.negated() == g
+
+    def test_pickle_and_copy_after_rows(self):
+        g = random_colouring(6, 2)
+        g.rows()
+        for back in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert back == g
+            assert [list(r) for r in back.rows()] == g.matrix.tolist()
 
     def test_matrix_invariants(self):
-        import numpy as np
-
         g = random_colouring(8, 5)
         m = g.matrix
         assert m.dtype == np.int8 and m.shape == (8, 8)
@@ -90,7 +101,11 @@ class TestColouredCompleteGraph:
             m[1, 0] = 0
         assert np.array_equal(m, m.T)
         assert not m.diagonal().any()
-        assert g.rows() == m.tolist()
+        rows = g.rows()
+        assert [list(r) for r in rows] == m.tolist()
+        assert all(len(r) == 8 for r in rows)
+        with pytest.raises(TypeError):
+            rows[1][0] = 0
         for i in range(8):
             for j in range(8):
                 if i != j:
@@ -98,8 +113,6 @@ class TestColouredCompleteGraph:
                     assert m[i, j] == g.colour(i, j)
 
     def test_from_red_matrix_matches_pair_function(self):
-        import numpy as np
-
         rng = random.Random(13)
         n = 11
         red = np.zeros((n, n), dtype=bool)
@@ -317,3 +330,148 @@ class TestFormats:
         n = (4, 5, 8, 9)[seed % 4]
         g = random_balanced_colouring(n, seed)
         assert parse_colouring(serialize_colouring(g)) == g
+
+
+def reference_parse_colouring(text):
+    """Row-by-row parser: every row checked and copied in file order, then from_red_matrix."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise InvalidInputError("empty colouring file")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise InvalidInputError(f"bad vertex count line: {lines[0]!r}") from None
+    if len(lines) != n:
+        raise InvalidInputError(f"expected {n - 1} colour rows, found {len(lines) - 1}")
+    red = np.zeros((n, n), dtype=bool)
+    for i in range(1, n):
+        row = lines[i]
+        if len(row) != i or not set(row) <= {"R", "B"}:
+            raise InvalidInputError(f"row {i} must be {i} characters over RB, got {row!r}")
+        for j, c in enumerate(row):
+            red[i, j] = red[j, i] = c == "R"
+    return ColouredCompleteGraph.from_red_matrix(red)
+
+
+def reference_parse_forest(text):
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise InvalidInputError("empty forest file")
+    head = lines[0].split()
+    try:
+        n, m = map(int, head)
+    except ValueError:
+        raise InvalidInputError(f"bad header line: {lines[0]!r}") from None
+    if len(lines) - 1 != m:
+        raise InvalidInputError(f"expected {m} edge lines, found {len(lines) - 1}")
+    edges = []
+    for ln in lines[1:]:
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise InvalidInputError(f"bad edge line: {ln!r}") from None
+        edges.append((u, v))
+    return Forest(n, edges)
+
+
+def outcome(parse, text):
+    """The parsed value, or the message of the InvalidInputError; anything else propagates."""
+    try:
+        return parse(text)
+    except InvalidInputError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def mutate(text, pos, char, kind):
+    pos %= len(text) + 1
+    if kind == "insert":
+        return text[:pos] + char + text[pos:]
+    return text[:pos] + (char if kind == "replace" else "") + text[pos + 1:]
+
+
+class TestColouringParser:
+    @given(st.integers(2, 64), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_row_by_row_reference(self, n, seed):
+        rng = random.Random(seed)
+
+        def pad():
+            return rng.choice(["", " ", "\t", " \t "])
+
+        lines = [str(n)] + ["".join(rng.choice("RB") for _ in range(i)) for i in range(1, n)]
+        eol = rng.choice(["\n", "\r\n"])
+        text = "".join(rng.choice(["", eol, f" {eol}\t{eol}"]) + pad() + ln + pad() + eol for ln in lines)
+        g = parse_colouring(text + rng.choice(["", eol, "  "]))
+        assert g == reference_parse_colouring(text)
+        assert g.matrix.dtype == np.int8 and not g.matrix.flags.writeable
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty colouring file"),
+        (" \n\t\n", "empty colouring file"),
+        ("4\nR\nB\nRRB\n", "row 2 must be 2 characters over RB, got 'B'"),
+        ("4\nR\nBRR\nRRB\n", "row 2 must be 2 characters over RB, got 'BRR'"),
+        ("4\nR\nBR\nRRX\n", "row 3 must be 3 characters over RB, got 'RRX'"),
+        ("4\nR\nBR\nRBÉ\n", "row 3 must be 3 characters over RB, got 'RBÉ'"),
+        ("4\nX\nBR\nRRX\n", "row 1 must be 1 characters over RB, got 'X'"),
+        ("4\nRR\nB\nRRB\n", "row 1 must be 1 characters over RB, got 'RR'"),
+        ("4\nR\nR B\nRRB\n", "row 2 must be 2 characters over RB, got 'R B'"),
+        ("4\nR\nBR\n", "expected 3 colour rows, found 2"),
+        ("3\nR\nBR\nRRB\n", "expected 2 colour rows, found 3"),
+        ("0\n", "expected -1 colour rows, found 0"),
+        ("1\n", "need at least 2 vertices, got n=1"),
+        ("three\nR\n", "bad vertex count line: 'three'"),
+        ("2.0\nR\n", "bad vertex count line: '2.0'"),
+    ])
+    def test_malformed_text_message(self, text, message):
+        with pytest.raises(InvalidInputError) as err:
+            parse_colouring(text)
+        assert str(err.value) == message
+        assert outcome(reference_parse_colouring, text) == f"InvalidInputError: {message}"
+
+    @pytest.mark.parametrize("n", [2, 3, 512])
+    def test_serialize_round_trip(self, n):
+        g = random_balanced_colouring(n, 5) if n % 4 in (0, 1) else random_colouring(n, 5)
+        text = serialize_colouring(g)
+        back = parse_colouring(text)
+        assert back == g
+        assert serialize_colouring(back) == text
+
+    @given(
+        st.lists(st.sampled_from(["R", "B", "RB", "BR", "X", "É", " ", "2", "3", "\n", "\n\n", "\t"]), max_size=24)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_text_matches_reference(self, tokens):
+        text = "".join(tokens)
+        assert outcome(parse_colouring, text) == outcome(reference_parse_colouring, text)
+
+    @given(
+        st.integers(2, 12), st.integers(0, 2**32 - 1), st.integers(0, 200),
+        st.sampled_from(["R", "B", "X", "É", " ", "\n", "1"]), st.sampled_from(["replace", "insert", "delete"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_text_matches_reference(self, n, seed, pos, char, kind):
+        text = mutate(serialize_colouring(random_colouring(n, seed)), pos, char, kind)
+        assert outcome(parse_colouring, text) == outcome(reference_parse_colouring, text)
+
+
+class TestForestParser:
+    @given(
+        st.lists(
+            st.sampled_from(["0", "1", "2", "3", "5", "12", "-1", "x", "1.5", " ", "  ", "\n", "\n\n", "\t"]),
+            max_size=24,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_text_matches_reference(self, tokens):
+        text = "".join(tokens)
+        assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
+
+    @given(
+        st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(0, 200),
+        st.sampled_from(["0", "7", "x", " ", "\n", "-"]), st.sampled_from(["replace", "insert", "delete"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_text_matches_reference(self, n, seed, pos, char, kind):
+        forest = make_forest(ForestSpec("random", n, max_degree=max(1, n // 2), seed=seed))
+        text = mutate(serialize_forest(forest), pos, char, kind)
+        assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)

@@ -373,6 +373,18 @@ class TestSolve:
         assert result.certified == CERT_GREEDY_STAR
         assert result.achieved <= n / 4 + 4
 
+    def test_negation_built_only_when_first_orientation_fails(self, monkeypatch):
+        n = 32
+        g = red_poor_adversary(n)
+        flipped = g.negated()
+        calls = []
+        real = ColouredCompleteGraph.negated
+        monkeypatch.setattr(ColouredCompleteGraph, "negated", lambda self: calls.append(self) or real(self))
+        assert solve(double_star(n), g, SolverConfig(seed=0)).certified == CERT_GREEDY_STAR
+        assert calls == []
+        assert solve(double_star(n), flipped, SolverConfig(seed=0)).certified == CERT_GREEDY_STAR
+        assert calls == [flipped]
+
     def test_forced_greedy_strategy_raises_without_preconditions(self):
         g = random_balanced_colouring(16, 3)
         path = make_forest(ForestSpec("path", 16))
@@ -407,6 +419,13 @@ class TestSolve:
         forest = make_forest(ForestSpec("path", 9))
         with pytest.raises(InvalidInputError):
             solve(forest, g)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("threshold", [-1, -3])
+    def test_negative_exact_threshold_rejected(self, threshold):
+        with pytest.raises(InvalidInputError, match=f"exact_threshold must be non-negative, got {threshold}"):
+            SolverConfig(exact_threshold=threshold)
 
 
 class TestLocalSearch:
