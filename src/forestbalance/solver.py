@@ -1,12 +1,18 @@
 """End-to-end embedding search with certified guarantees where the pipeline allows.
 
-Strategy outline: tiny instances go to the exact oracle; forests with a
-dominant vertex anchor it at a colour-balanced host vertex before sampling;
-everything else samples embeddings of both signs and interpolates between
-them, which certifies |sum| <= disagreement max degree + forest min degree.
-Deciding the sign of a partial embedding exactly is exponential, so the
-search relies on both-sign sampling instead; when sampling fails the result
-degrades to a budgeted local search and says so.
+Strategy outline: tiny instances go to the exact oracle; everything else
+samples embeddings of both signs and interpolates between them, which
+certifies |sum| <= disagreement max degree + forest min degree.  One argument
+covers all three degree regimes.  The large-degree set L (forest vertices of
+degree >= 2/eps, with eps the bound report's crossing epsilon, or 1/8 where
+there is none) is pinned to the host vertices of least |signed degree| before
+sampling, so two extensions can disagree only on vertices of degree < 2/eps
+and the certificate stays below 2/eps + min degree: the refined bound.  Below
+max degree 16 no admissible eps leaves L non-empty, and sampling is
+unanchored.  Deciding the sign of a partial embedding exactly is exponential,
+so the search relies on both-sign sampling instead; when sampling fails the
+result degrades to a budgeted local search and says so.  The explicit
+two-anchor block construction runs only when asked for by name.
 
 Sampling works in blocks: ExtensionSampler draws a block of uniform
 extensions of the anchor at once (one argsort of random 64-bit keys per row,
@@ -19,7 +25,6 @@ a run of numpy blocks instead of one Python shuffle per sample.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from itertools import chain
@@ -68,7 +73,6 @@ class SolverConfig:
     seed: int = 0
     max_restarts: int = 200
     sample_budget: int = 5000
-    epsilon: float | None = None  # None = 1/n anchor-balance threshold
     strategy: str = "auto"
     exact_threshold: int = 8
 
@@ -79,14 +83,6 @@ class SolverConfig:
             raise InvalidInputError(f"exact_threshold must be non-negative, got {self.exact_threshold}")
         if self.strategy not in STRATEGIES:
             raise InvalidInputError(f"unknown strategy {self.strategy!r}")
-
-    def effective_epsilon(self, n: int) -> float:
-        if self.epsilon is not None:
-            eps = self.epsilon
-            if not 1.0 / n - 1e-12 <= eps <= 0.125 + 1e-12:
-                raise InvalidInputError(f"fixed epsilon {eps} outside [1/{n}, 1/8]")
-            return eps
-        return 1.0 / n
 
 
 @dataclass
@@ -248,18 +244,26 @@ def large_degree_set(forest: Forest, epsilon: float) -> list[int]:
     return out
 
 
-def balanced_anchor_vertex(graph: ColouredCompleteGraph, epsilon: float) -> int:
-    """Lowest-index vertex that is ceil((1/4 - epsilon) n)-balanced.
+def large_degree_anchor(
+    forest: Forest, graph: ColouredCompleteGraph, report: BoundReport
+) -> PartialEmbedding | None:
+    """Pin the large-degree set to the host vertices of least |signed degree|.
 
-    Falls back to the vertex with the best min colour degree when no vertex
-    qualifies (possible on unbalanced colourings).
+    L = large_degree_set(forest, eps) with eps = report.crossing_eps, or 1/8
+    where there is none, in descending degree (ties by index); its vertices
+    go in that order onto the hosts ranked by |signed degree| (ties by
+    index).  None when L is empty, which always holds below max degree 16,
+    since no admissible eps has 2/eps below 16.
     """
-    n = graph.n
-    r = math.ceil((0.25 - epsilon) * n - 1e-12)
-    red = graph.red_degrees()
-    balance = np.minimum(red, n - 1 - red)
-    qualified = np.flatnonzero(balance >= r)
-    return int(qualified[0]) if qualified.size else int(np.argmax(balance))
+    if forest.max_degree < 16:
+        return None
+    eps = report.crossing_eps if report.crossing_eps is not None else 0.125
+    large = sorted(large_degree_set(forest, eps), key=lambda v: (-forest.degree[v], v))
+    if not large:
+        return None
+    balance = np.abs(graph.matrix.sum(axis=1, dtype=np.int32))
+    hosts = np.argsort(balance, kind="stable")[: len(large)].tolist()
+    return PartialEmbedding(dict(zip(large, hosts)))
 
 
 def _top_two_degree_vertices(forest: Forest) -> tuple[int, int]:
@@ -345,9 +349,7 @@ def greedy_star_balance(
         fwd[v] = t
     emb = Embedding.build(fwd, forest, graph)
 
-    m = forest.edge_count
-    blue_min = size_xb + size_yb
-    cert = max(m - 2 * blue_min, m - 2 * size_xr)
+    cert = greedy_star_certificate(forest)
     if abs(emb.colour_sum) > cert:
         raise CertificateError(f"construction certificate violated: |sum| = {abs(emb.colour_sum)} > {cert}")
     return emb
@@ -412,11 +414,12 @@ def solve(
     """Find an embedding with a small colour sum and report what it certifies.
 
     Dispatch (strategy "auto"): the exact oracle below the size threshold;
-    anchored search when the top forest degree reaches n/2, with the explicit
-    two-anchor construction when the second degree also reaches n/4 and a
-    red-poor host vertex exists; otherwise both-sign sampling and
-    interpolation.  Every interpolation result, anchored or not, then gets a
-    polish pass of strictly improving swaps, which certifies nothing.
+    otherwise both-sign sampling with the large-degree set anchored (see
+    large_degree_anchor) and interpolation, in every degree regime.  Every
+    interpolation result then gets a polish pass of strictly improving swaps,
+    which certifies nothing.  "interpolate-only" is the same search without
+    the oracle or the polish; "greedy-star" runs only the explicit two-anchor
+    block construction; "local-search" only the heuristic descent.
     """
     cfg = cfg or SolverConfig()
     n = forest.n
@@ -474,33 +477,20 @@ def solve(
             stats["restarts_used"] += 1
         return finish(best, CERT_HEURISTIC, None)
 
-    eps = cfg.effective_epsilon(n)
-    anchored = cfg.strategy == "auto" and 2 * forest.max_degree >= n
+    if cfg.strategy == "greedy-star":
+        oriented, x, y = _orient_for_greedy(forest, graph)
+        if oriented is None:
+            raise PreconditionError(
+                "greedy-star needs two dominant forest vertices, a balanced "
+                "red-rich anchor, and a red-poor vertex"
+            )
+        emb = greedy_star_balance(forest, oriented, x, y, seed=cfg.seed)
+        if oriented is not graph:
+            emb = Embedding.build(emb.forward, forest, graph)
+        stats["restarts_used"] = 1
+        return finish(emb, CERT_GREEDY_STAR, float(greedy_star_certificate(forest)))
 
-    if cfg.strategy == "greedy-star" or (anchored and n >= 16):
-        oriented, x, y = _orient_for_greedy(forest, graph, eps)
-        if cfg.strategy == "greedy-star":
-            if oriented is None:
-                raise PreconditionError(
-                    "greedy-star needs two dominant forest vertices, a balanced "
-                    "red-rich anchor, and a red-poor vertex"
-                )
-            emb = _run_greedy(forest, graph, oriented, x, y, cfg.seed)
-            stats["restarts_used"] = 1
-            return finish(emb, CERT_GREEDY_STAR, float(greedy_star_certificate(forest)))
-        if oriented is not None:
-            try:
-                emb = _run_greedy(forest, graph, oriented, x, y, cfg.seed)
-                stats["restarts_used"] = 1
-                return finish(emb, CERT_GREEDY_STAR, float(greedy_star_certificate(forest)))
-            except PreconditionError:
-                pass  # fall through to the anchored interpolation path
-
-    anchor = None
-    if anchored:
-        v1, _ = _top_two_degree_vertices(forest)
-        anchor = PartialEmbedding({v1: balanced_anchor_vertex(graph, eps)})
-
+    anchor = large_degree_anchor(forest, graph, report)
     rng = random.Random(_sub_seed(cfg.seed, 0))
     last_failure = None
     retryable = anchor is None and is_balanced(graph)
@@ -528,20 +518,19 @@ def solve(
     return finish(emb, CERT_HEURISTIC, None)
 
 
-def _orient_for_greedy(
-    forest: Forest, graph: ColouredCompleteGraph, eps: float
-):
+def _orient_for_greedy(forest: Forest, graph: ColouredCompleteGraph):
     """Find an orientation (graph or its negation) where greedy preconditions hold.
 
     Returns (oriented graph, x, y) or (None, None, None).  Flipping every
     colour leaves |sum| unchanged, so the red-rich/red-poor roles can be
-    sought in either orientation.
+    sought in either orientation.  The anchor x needs ceil(n/4 - 1) edges of
+    each colour.
     """
     n = forest.n
     v1, v2 = _top_two_degree_vertices(forest)
     if 2 * forest.degree[v1] < n or 4 * forest.degree[v2] < n:
         return None, None, None
-    r = math.ceil((0.25 - eps) * n - 1e-12)
+    r = -(-n // 4) - 1
     for flip in (False, True):
         g = graph.negated() if flip else graph
         red = g.red_degrees()
@@ -552,17 +541,3 @@ def _orient_for_greedy(
                 if x != y:
                     return g, x, y
     return None, None, None
-
-
-def _run_greedy(
-    forest: Forest,
-    graph: ColouredCompleteGraph,
-    oriented: ColouredCompleteGraph,
-    x: int,
-    y: int,
-    seed: int,
-) -> Embedding:
-    emb = greedy_star_balance(forest, oriented, x, y, seed=seed)
-    if oriented is graph:
-        return emb
-    return Embedding.build(emb.forward, forest, graph)

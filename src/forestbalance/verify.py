@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import (
+    BoundReport,
     crossing_epsilon,
     optimized_midrange_bound,
     refined_bound,
@@ -49,16 +50,11 @@ from .oracle import exact_min_imbalance
 from .solver import (
     ExtensionSampler,
     SolverConfig,
-    balanced_anchor_vertex,
+    _sub_seed,
     find_signed_pair,
+    large_degree_anchor,
     solve,
 )
-
-_SEED_STRIDE = 1_000_003
-
-
-def _sub_seed(seed: int, k: int) -> int:
-    return seed * _SEED_STRIDE + k
 
 
 @dataclass(frozen=True)
@@ -359,13 +355,17 @@ def suite_perturbed(n=2000, epsilon=Fraction(1, 10), trials=0, seed=0) -> dict:
 
 
 def suite_anchored_expectation(n=64, trials=10_000, seed=0, delta=40) -> dict:
+    """Mean |sum| of uniform extensions of the anchor the solver itself uses."""
+    if trials < 2:
+        raise InvalidInputError(f"anchored-expectation needs at least 2 trials, got {trials}")
     violations = []
     forest = make_forest(ForestSpec("broom", n, max_degree=delta))
     g = random_balanced_colouring(n, _sub_seed(seed, 77))
-    eps = 1.0 / n
-    x = balanced_anchor_vertex(g, eps)
-    v1 = max(range(n), key=lambda v: (forest.degree[v], -v))
-    anchor = PartialEmbedding({v1: x})
+    anchor = large_degree_anchor(forest, g, BoundReport.compute(n, forest.max_degree))
+    if anchor is None:
+        raise InvalidInputError(
+            f"a broom on {n} vertices with max degree {delta} has no large-degree vertex to anchor"
+        )
     rng = random.Random(_sub_seed(seed, 78))
     blocks = ExtensionSampler(forest, g, anchor).blocks(rng, trials)
     sums = np.abs(np.concatenate([block_sums for _, block_sums in blocks]))
@@ -432,6 +432,8 @@ def _bench_cell(args: tuple) -> dict:
         forest = make_forest(
             ForestSpec("random", n, max_degree=max(2, n // 8), seed=colour_seed + 1)
         )
+    elif family == "broom":
+        forest = make_forest(ForestSpec("broom", n, max_degree=3 * n // 4))
     else:
         forest = make_forest(ForestSpec(family, n))
     started = time.perf_counter()

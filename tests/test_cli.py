@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -225,6 +226,18 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 1
 
+    def test_anchored_expectation_single_trial_is_usage_error(self, capsys):
+        # one sample has no standard error, so the check it feeds cannot fail
+        assert main(["verify", "--suite", "anchored-expectation", "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "anchored-expectation needs at least 2 trials, got 1" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_anchored_expectation_passes_with_two_trials(self, capsys):
+        assert main(["verify", "--suite", "anchored-expectation", "--trials", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] and math.isfinite(out["details"]["limit"])
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["solve"])  # missing required arguments
@@ -248,6 +261,15 @@ class TestBenchCommand:
             assert cells[6] in ("exact", "interpolation", "greedy-star", "heuristic")
             if cells[7]:
                 assert int(cells[4]) <= float(cells[7])
+
+    def test_broom_family_gets_a_dominant_max_degree(self, tmp_path):
+        out = tmp_path / "broom.csv"
+        assert main(["bench", "--n-list", "32,64", "--families", "broom", "--seeds", "2",
+                     "--redact-millis", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [(r[0], r[1], r[2]) for r in rows] == [("32", "24", "broom")] * 2 + [("64", "48", "broom")] * 2
+        for r in rows:
+            assert r[6] == "interpolation" and float(r[7]) <= float(r[5])
 
     @pytest.mark.parametrize("flag, value", [
         ("--seeds", "0"), ("--seeds", "-1"), ("--threads", "0"), ("--threads", "-1"),

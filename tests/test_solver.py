@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from forestbalance.bounds import refined_bound
+from forestbalance.bounds import BoundReport, refined_bound
 from forestbalance.core import (
     BLUE,
     RED,
@@ -26,10 +26,10 @@ from forestbalance.solver import (
     ExtensionSampler,
     SignSearchFailure,
     SolverConfig,
-    balanced_anchor_vertex,
     find_signed_pair,
     greedy_star_balance,
     greedy_star_certificate,
+    large_degree_anchor,
     large_degree_set,
     local_search,
     sample_extension,
@@ -41,9 +41,9 @@ def all_red(n):
     return ColouredCompleteGraph.from_pair_function(n, lambda i, j: RED)
 
 
-def double_star(n):
-    """Two adjacent centres of degree ceil(n/2) and floor(n/2)."""
-    k = (n + 1) // 2
+def double_star(n, k=None):
+    """Two adjacent centres of degree k and n - k; by default ceil(n/2) and floor(n/2)."""
+    k = (n + 1) // 2 if k is None else k
     edges = [(0, 1)]
     edges.extend((0, i) for i in range(2, k + 1))
     edges.extend((1, i) for i in range(k + 1, n))
@@ -360,7 +360,7 @@ class TestSolve:
         n = 32
         g = red_poor_adversary(n)
         forest = double_star(n)
-        result = solve(forest, g, SolverConfig(seed=0))
+        result = solve(forest, g, SolverConfig(seed=0, strategy="greedy-star"))
         assert result.certified == CERT_GREEDY_STAR
         assert result.achieved <= n / 4 + 4
         assert result.within_bound
@@ -369,7 +369,7 @@ class TestSolve:
         n = 32
         g = red_poor_adversary(n).negated()
         forest = double_star(n)
-        result = solve(forest, g, SolverConfig(seed=0))
+        result = solve(forest, g, SolverConfig(seed=0, strategy="greedy-star"))
         assert result.certified == CERT_GREEDY_STAR
         assert result.achieved <= n / 4 + 4
 
@@ -380,10 +380,22 @@ class TestSolve:
         calls = []
         real = ColouredCompleteGraph.negated
         monkeypatch.setattr(ColouredCompleteGraph, "negated", lambda self: calls.append(self) or real(self))
-        assert solve(double_star(n), g, SolverConfig(seed=0)).certified == CERT_GREEDY_STAR
+        cfg = SolverConfig(seed=0, strategy="greedy-star")
+        assert solve(double_star(n), g, cfg).certified == CERT_GREEDY_STAR
         assert calls == []
-        assert solve(double_star(n), flipped, SolverConfig(seed=0)).certified == CERT_GREEDY_STAR
+        assert solve(double_star(n), flipped, cfg).certified == CERT_GREEDY_STAR
         assert calls == [flipped]
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_auto_certifies_the_red_poor_adversary(self, n):
+        # greedy-star's preconditions hold here, but auto never runs it:
+        # the sign search (L-anchored at n = 64 and 128) certifies the refined bound
+        g = red_poor_adversary(n)
+        for graph in (g, g.negated()):
+            result = solve(double_star(n), graph, SolverConfig(seed=0))
+            assert result.certified == CERT_INTERPOLATION
+            assert result.certified_value <= result.bound_report.refined
+            assert result.stats["strategy"] == "auto"
 
     def test_forced_greedy_strategy_raises_without_preconditions(self):
         g = random_balanced_colouring(16, 3)
@@ -464,11 +476,9 @@ class TestLocalSearch:
 
 class TestAnchoredPolish:
     def test_anchored_interpolation_result_is_polished(self, monkeypatch):
-        # Centres of degree 71 and 55 on a plain balanced colouring: no host
-        # vertex is red-poor, so greedy-star does not apply and anchored
-        # interpolation runs.  Its walk can stop above the refined bound (at
-        # |sum| = 45 > 44.5 on one earlier sampling stream), so the walk's
-        # result, whatever its sum, must go through the polish pass.
+        # Centres of degree 71 and 55 on a plain balanced colouring: both
+        # are in the large-degree set, so anchored interpolation runs.  The
+        # walk's result, whatever its sum, must go through the polish pass.
         n = 128
         a, b = n // 2 + 7, n // 2 - 9
         edges = [(0, 1)] + [(0, v) for v in range(2, a + 1)] + [(1, v) for v in range(a + 1, a + b)]
@@ -614,17 +624,76 @@ class TestCertificateChecks:
         assert proc.stdout.splitlines() == [f"{name} raised" for name in checks]
 
 
-class TestBalancedAnchor:
-    def test_picks_lowest_qualifying(self):
-        g = random_balanced_colouring(16, 2)
-        eps = 1 / 16
-        r = math.ceil((0.25 - eps) * 16)
-        x = balanced_anchor_vertex(g, eps)
-        assert min(g.red_degree(x), g.blue_degree(x)) >= r
-        for v in range(x):
-            assert min(g.red_degree(v), g.blue_degree(v)) < r
+def spider(n, hubs):
+    """A path of ``hubs`` hub vertices; every other vertex is a leaf of hub v % hubs."""
+    edges = [(h, h + 1) for h in range(hubs - 1)]
+    edges += [(v % hubs, v) for v in range(hubs, n)]
+    return Forest(n, edges)
 
-    def test_fallback_on_all_red(self):
-        g = all_red(8)
-        x = balanced_anchor_vertex(g, 1 / 8)
-        assert x == 0  # all vertices tie at min degree 0; lowest index wins
+
+class TestLargeDegreeAnchor:
+    def test_none_below_max_degree_16(self):
+        g = random_balanced_colouring(33, 1)
+        for forest in (make_forest(ForestSpec("path", 33)), make_forest(ForestSpec("broom", 33, 15))):
+            assert large_degree_anchor(forest, g, BoundReport.compute(33, forest.max_degree)) is None
+        star16 = make_forest(ForestSpec("star", 16))
+        assert large_degree_anchor(star16, random_balanced_colouring(16, 1), BoundReport.compute(16, 15)) is None
+
+    def test_large_vertices_in_degree_order_on_least_signed_hosts(self):
+        n = 128
+        g = random_balanced_colouring(n, 7)
+        # centres of degree 71 and 55, relabelled so the larger has the larger index
+        edges = [(1, 0)] + [(1, v) for v in range(2, 72)] + [(0, v) for v in range(72, 126)]
+        edges += [(126, 127), (125, 126)]
+        forest = Forest(n, edges)
+        report = BoundReport.compute(n, forest.max_degree)
+        anchor = large_degree_anchor(forest, g, report)
+        assert report.crossing_eps is None
+        assert large_degree_set(forest, 1 / 8) == [0, 1]
+        ranked = sorted(range(n), key=lambda v: (abs(g.signed_degree(v)), v))
+        assert [anchor[1], anchor[0]] == ranked[:2]
+
+    def test_ties_broken_by_index(self):
+        n = 64
+        g = random_balanced_colouring(n, 3)
+        forest = spider(n, 2)  # two hubs of degree 32
+        anchor = large_degree_anchor(forest, g, BoundReport.compute(n, forest.max_degree))
+        assert list(anchor.domain) == [0, 1]
+        hosts = [anchor[0], anchor[1]]
+        ranked = sorted(range(n), key=lambda v: (abs(g.signed_degree(v)), v))
+        assert hosts == ranked[:2]
+        # both hosts tie at the least |signed degree|, so index order decides
+        assert abs(g.signed_degree(hosts[0])) == abs(g.signed_degree(hosts[1])) == 1
+        assert hosts[0] < hosts[1]
+
+    def test_uses_crossing_epsilon_in_the_middle_regime(self):
+        n = 256
+        g = random_balanced_colouring(n, 5)
+        forest = spider(n, 8)  # eight hubs of degree 33 or 32
+        report = BoundReport.compute(n, forest.max_degree)
+        anchor = large_degree_anchor(forest, g, report)
+        assert report.crossing_eps is not None
+        assert set(anchor.domain) == set(large_degree_set(forest, report.crossing_eps))
+        assert len(anchor) == 8
+
+
+def _refined_cases():
+    for n in (33, 64, 65, 128, 256):
+        for d in sorted({16, 17, n // 4, n // 2 - 1, n // 2, n // 2 + 1, 3 * n // 4, n - 2}):
+            yield f"broom{d}", make_forest(ForestSpec("broom", n, d))
+        for k in ((n + 1) // 2, n // 2 + 7):
+            yield f"double-star{k}", double_star(n, k)
+        for hubs in range(2, 9):
+            yield f"spider{hubs}", spider(n, hubs)
+
+
+class TestRefinedCertificate:
+    def test_every_regime_certifies_the_refined_bound(self):
+        failures = []
+        for k, (name, forest) in enumerate(_refined_cases()):
+            n = forest.n
+            g = random_balanced_colouring(n, 500 + k)
+            result = solve(forest, g, SolverConfig(seed=k))
+            if result.certified_value is None or not result.certified_value <= result.bound_report.refined:
+                failures.append((n, name, result.certified, result.certified_value))
+        assert failures == []

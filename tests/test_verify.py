@@ -48,6 +48,15 @@ class TestSuitesSmall:
         report = suite_anchored_expectation(n=32, trials=800, seed=4, delta=20)
         assert report["passed"], report["violations"]
 
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_anchored_expectation_needs_two_trials(self, trials):
+        with pytest.raises(InvalidInputError, match=f"at least 2 trials, got {trials}"):
+            suite_anchored_expectation(n=32, trials=trials, delta=20)
+
+    def test_anchored_expectation_needs_a_large_degree_vertex(self):
+        with pytest.raises(InvalidInputError, match="no large-degree vertex"):
+            suite_anchored_expectation(n=32, trials=10, delta=15)
+
     def test_run_verify_dispatch(self):
         report = run_verify(VerifySuiteSpec("split-parity-star", n_list=(8,)))
         assert report["suite"] == "split-parity-star" and report["passed"]
