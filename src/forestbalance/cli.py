@@ -214,13 +214,18 @@ def _cmd_solve(args) -> int:
 def _parse_partial(text: str | None) -> PartialEmbedding:
     if not text:
         return PartialEmbedding({})
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too-long digit strings and deep nesting
+        raise InvalidInputError(f"--partial is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidInputError(f"--partial must be a JSON object, got {text!r}")
     try:
         mapping = {int(k): v for k, v in data.items()}
     except ValueError:
         raise InvalidInputError(f"--partial keys must be integers, got {text!r}") from None
+    if len(mapping) != len(data):
+        raise InvalidInputError(f"--partial names a vertex twice, got {text!r}")
     if not all(type(v) is int for v in mapping.values()):
         raise InvalidInputError(f"--partial values must be integers, got {text!r}")
     return PartialEmbedding(mapping)

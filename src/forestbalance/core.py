@@ -112,9 +112,13 @@ class ColouredCompleteGraph:
             self._rows = [flat[i * n:(i + 1) * n] for i in range(n)]
         return self._rows
 
+    def signed_degrees(self) -> np.ndarray:
+        """Signed degree of every vertex (see signed_degree), as an int64 vector."""
+        return self.matrix.sum(axis=1, dtype=np.int64)
+
     def red_degrees(self) -> np.ndarray:
         """Red degree of every vertex, as an int64 vector."""
-        return (self.n - 1 + self.matrix.sum(axis=1, dtype=np.int64)) // 2
+        return (self.n - 1 + self.signed_degrees()) // 2
 
     def red_degree(self, v: int) -> int:
         return (self.n - 1 + self.signed_degree(v)) // 2
@@ -470,11 +474,22 @@ def embedding_from_json(
     graph: ColouredCompleteGraph | None = None,
 ) -> Embedding:
     """Load an embedding; when forest and graph are given, the stored sum is checked."""
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"embedding JSON must be an object, got {type(data).__name__}")
     if "map" not in data:
         raise InvalidInputError("embedding JSON missing 'map'")
     fwd = data["map"]
+    if not isinstance(fwd, list):
+        raise InvalidInputError(f"embedding JSON 'map' must be a list, got {type(fwd).__name__}")
+    # bool is an int subclass, and 1.0 == 1, so test the exact type
+    if not all(type(t) is int for t in fwd):
+        raise InvalidInputError("embedding JSON 'map' entries must be integers")
     stored = data.get("sum")
+    if stored is not None and type(stored) is not int:
+        raise InvalidInputError(f"embedding JSON 'sum' must be an integer, got {stored!r}")
     if forest is not None and graph is not None:
+        if not len(fwd) == forest.n == graph.n:
+            raise InvalidInputError(f"embedding JSON 'map' has {len(fwd)} entries, expected {forest.n}")
         emb = Embedding.build(fwd, forest, graph)
         if stored is not None and stored != emb.colour_sum:
             raise InvalidInputError(

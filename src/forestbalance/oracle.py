@@ -76,9 +76,15 @@ def _extensions(
         yield images, sums
 
 
-def _detect_star_centre(forest: Forest) -> int | None:
-    if forest.n >= 2 and forest.max_degree == forest.n - 1:
-        return forest.degree.index(forest.n - 1)
+def star_centre(forest: Forest) -> int | None:
+    """The centre of a star forest (every edge meets it), or None.
+
+    A forest is a star when its edge count equals its maximum degree >= 1;
+    with one edge the lower endpoint is the centre.
+    """
+    d = forest.max_degree
+    if d >= 1 and forest.edge_count == d:
+        return forest.degree.index(d)
     return None
 
 
@@ -96,10 +102,11 @@ def exact_min_imbalance(
 ) -> tuple[int, Embedding]:
     """Minimum |colour sum| over all embeddings, with a witness.
 
-    Spanning stars and paths use their obvious symmetry (interchangeable
-    leaves, reversal); everything else is a full factorial scan with an early
-    exit once the parity floor |E| mod 2 is reached.  Raise max_n to enumerate
-    past 10 vertices at your own expense.
+    Stars, isolated vertices included, are solved in closed form at any n
+    (see _star_min_imbalance); spanning paths use their reversal symmetry;
+    everything else is a full factorial scan with an early exit once the
+    parity floor |E| mod 2 is reached.  Raise max_n to enumerate past 10
+    vertices at your own expense.
     """
     n = forest.n
     if n != graph.n:
@@ -108,17 +115,9 @@ def exact_min_imbalance(
     if m == 0:
         return 0, Embedding.build(range(n), forest, graph)
 
-    centre = _detect_star_centre(forest)
+    centre = star_centre(forest)
     if centre is not None:
-        best_x = min(range(n), key=lambda x: (abs(graph.signed_degree(x)), x))
-        rest = [x for x in range(n) if x != best_x]
-        fwd = [0] * n
-        fwd[centre] = best_x
-        others = [v for v in range(n) if v != centre]
-        for v, t in zip(others, rest):
-            fwd[v] = t
-        emb = Embedding.build(fwd, forest, graph)
-        return abs(emb.colour_sum), emb
+        return _star_min_imbalance(forest, graph, centre)
 
     if n > max_n:
         raise BudgetExceededError(f"refusing to enumerate {n}! embeddings (guard max_n={max_n})")
@@ -137,6 +136,32 @@ def exact_min_imbalance(
             if best == floor:
                 break
     return best, Embedding.build(best_map, forest, graph)
+
+
+def _star_min_imbalance(forest: Forest, graph: ColouredCompleteGraph, centre: int) -> tuple[int, Embedding]:
+    """Closed-form optimum of a star whose centre has degree d, in one pass over the hosts.
+
+    With the centre on a host with r red and b blue edges, k of the d leaves
+    on red neighbours give the sum 2k - d, for any k in
+    [max(0, d - b), min(d, r)]; the k nearest d/2 is best.  The host of least
+    reachable |sum| wins, ties to the lowest index.  The witness puts the
+    leaves, ascending, on the first k red and d - k blue neighbours in
+    ascending order, and the isolated vertices on the remaining hosts.  A
+    spanning star has k = r, so its value is the host's |signed degree|.
+    """
+    n, d = forest.n, forest.max_degree
+    red = graph.red_degrees()
+    k = np.clip(d // 2, np.maximum(0, d - (n - 1 - red)), np.minimum(d, red))
+    x = int(np.abs(2 * k - d).argmin())
+    row = graph.matrix[x]
+    leaf_hosts = np.sort(np.concatenate([np.flatnonzero(row > 0)[: k[x]], np.flatnonzero(row < 0)[: d - k[x]]]))
+    hosts = np.concatenate([[x], leaf_hosts])
+    fwd = np.empty(n, dtype=np.intp)
+    fwd[[centre, *forest.neighbours[centre], *forest.isolated_vertices()]] = np.concatenate(
+        [hosts, np.setdiff1d(np.arange(n), hosts)]
+    )
+    emb = Embedding.build(fwd.tolist(), forest, graph)
+    return abs(emb.colour_sum), emb
 
 
 @dataclass(frozen=True)

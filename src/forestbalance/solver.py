@@ -1,6 +1,8 @@
 """End-to-end embedding search with certified guarantees where the pipeline allows.
 
-Strategy outline: tiny instances go to the exact oracle; everything else
+Strategy outline: tiny instances and stars (every edge meets one vertex, so
+the sum is set by the centre's host and the leaves' colours there) go to the
+exact oracle, which solves stars in closed form at any n; everything else
 samples embeddings of both signs and interpolates between them, which
 certifies |sum| <= disagreement max degree + forest min degree.  One argument
 covers all three degree regimes.  The large-degree set L (forest vertices of
@@ -18,9 +20,9 @@ Sampling works in blocks: ExtensionSampler draws a block of uniform
 extensions of the anchor at once (one argsort of random 64-bit keys per row,
 taken from the caller's random.Random) and scores the whole block with one
 gather from the int8 colour matrix.  Blocks start small and double, so a
-search that succeeds early draws little more than it uses, while an anchored
-star, whose every extension has the same sum, spends its whole budget in
-a run of numpy blocks instead of one Python shuffle per sample.
+search that succeeds early draws little more than it uses, and a search that
+fails spends its budget in a run of numpy blocks instead of one Python
+shuffle per sample.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .core import (
     swap_images,
 )
 from .interpolate import InterpolationTrace, SignedPair, interpolate_traced
-from .oracle import exact_min_imbalance
+from .oracle import exact_min_imbalance, star_centre
 
 CERT_EXACT = "exact"
 CERT_INTERPOLATION = "interpolation"
@@ -261,7 +263,7 @@ def large_degree_anchor(
     large = sorted(large_degree_set(forest, eps), key=lambda v: (-forest.degree[v], v))
     if not large:
         return None
-    balance = np.abs(graph.matrix.sum(axis=1, dtype=np.int32))
+    balance = np.abs(graph.signed_degrees())
     hosts = np.argsort(balance, kind="stable")[: len(large)].tolist()
     return PartialEmbedding(dict(zip(large, hosts)))
 
@@ -413,13 +415,15 @@ def solve(
 ) -> SolveResult:
     """Find an embedding with a small colour sum and report what it certifies.
 
-    Dispatch (strategy "auto"): the exact oracle below the size threshold;
-    otherwise both-sign sampling with the large-degree set anchored (see
-    large_degree_anchor) and interpolation, in every degree regime.  Every
-    interpolation result then gets a polish pass of strictly improving swaps,
-    which certifies nothing.  "interpolate-only" is the same search without
-    the oracle or the polish; "greedy-star" runs only the explicit two-anchor
-    block construction; "local-search" only the heuristic descent.
+    Dispatch (strategy "auto"): the exact oracle below the size threshold
+    and for every star forest at any size (the oracle's closed form, which
+    draws no sample); otherwise both-sign sampling with the large-degree set
+    anchored (see large_degree_anchor) and interpolation, in every degree
+    regime.  Every interpolation result then gets a polish pass of strictly
+    improving swaps, which certifies nothing.  "interpolate-only" is the same
+    search without the oracle or the polish; "greedy-star" runs only the
+    explicit two-anchor block construction; "local-search" only the
+    heuristic descent.
     """
     cfg = cfg or SolverConfig()
     n = forest.n
@@ -461,7 +465,7 @@ def solve(
             trace=trace,
         )
 
-    if cfg.strategy == "auto" and n <= cfg.exact_threshold:
+    if cfg.strategy == "auto" and (n <= cfg.exact_threshold or star_centre(forest) is not None):
         value, emb = exact_min_imbalance(forest, graph, max_n=max(cfg.exact_threshold, 10))
         stats["restarts_used"] = 1
         return finish(emb, CERT_EXACT, float(value))

@@ -354,10 +354,16 @@ def suite_perturbed(n=2000, epsilon=Fraction(1, 10), trials=0, seed=0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def suite_anchored_expectation(n=64, trials=10_000, seed=0, delta=40) -> dict:
-    """Mean |sum| of uniform extensions of the anchor the solver itself uses."""
+def suite_anchored_expectation(n=64, trials=10_000, seed=0, delta=None) -> dict:
+    """Mean |sum| of uniform extensions of the anchor the solver itself uses.
+
+    The broom's max degree defaults to min(40, 3n/4), so any n with a
+    large-degree vertex works.
+    """
     if trials < 2:
         raise InvalidInputError(f"anchored-expectation needs at least 2 trials, got {trials}")
+    if delta is None:
+        delta = min(40, 3 * n // 4)
     violations = []
     forest = make_forest(ForestSpec("broom", n, max_degree=delta))
     g = random_balanced_colouring(n, _sub_seed(seed, 77))

@@ -1,7 +1,11 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestbalance.bounds import BoundReport
 from forestbalance.cli import main
@@ -131,6 +135,21 @@ class TestSolveCommand:
         assert "BOUND VIOLATION" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def small_instance(tmp_path_factory):
+    """A balanced colouring and a random forest on 5 vertices: every sign query is instant."""
+    tmp = tmp_path_factory.mktemp("small")
+    cpath, fpath = tmp / "c.txt", tmp / "f.txt"
+    cpath.write_text(serialize_colouring(random_balanced_colouring(5, 2)))
+    fpath.write_text(serialize_forest(make_forest(ForestSpec("random", 5, max_degree=3, seed=1))))
+    return cpath, fpath
+
+
+#: tokens of --partial texts for fuzzing: JSON punctuation, keys and values, valid or not
+_PARTIAL_TOKENS = ['{', '}', '[', ']', ':', ',', ' ', '"0"', '"1"', '"4"', '"01"', '"-1"', '"a"', '"9"',
+                   '0', '1', '3', '4', '5', '-1', '1.5', '1e400', 'true', 'null', '"3"']
+
+
 class TestOracleCommand:
     def test_min_mode(self, instance, capsys):
         cpath, fpath = instance
@@ -172,6 +191,34 @@ class TestOracleCommand:
         )
         assert code == 1
         assert "--partial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("partial, message", [
+        ('{"0": 1', "--partial is not valid JSON"),
+        ('{"0": 1' + "0" * 5000 + "}", "--partial is not valid JSON"),
+        ("[" * 100_000, "--partial is not valid JSON"),
+        ('{"1": 0, "01": 2}', "--partial names a vertex twice"),
+        ('{"0": 1e400}', "--partial values must be integers"),
+    ], ids=["truncated", "5001-digit-value", "deep-nesting", "duplicate-vertex", "infinite-value"])
+    def test_partial_json_that_python_cannot_load_is_usage_error(self, instance, partial, message, capsys):
+        cpath, fpath = instance
+        code = main(["oracle", "--colouring", str(cpath), "--forest", str(fpath),
+                     "--mode", "sign", "--partial", partial])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @given(st.lists(st.sampled_from(_PARTIAL_TOKENS), max_size=12).map("".join))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_partial_exits_zero_or_one_with_a_message(self, small_instance, partial):
+        cpath, fpath = small_instance
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["oracle", "--colouring", str(cpath), "--forest", str(fpath),
+                         "--mode", "sign", f"--partial={partial}"])
+        if code == 0:
+            assert json.loads(out.getvalue())["mode"] == "sign"
+        else:
+            assert code == 1 and err.getvalue().startswith("error: ") and out.getvalue() == ""
 
     @pytest.mark.parametrize("mode, flag, value", [
         ("sign", "--budget", "0"), ("sign", "--budget", "-5"), ("sign-fixing", "--budget", "0"),
@@ -237,6 +284,19 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "anchored-expectation", "--trials", "2"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] and math.isfinite(out["details"]["limit"])
+
+    def test_anchored_expectation_below_n41_derives_the_broom_degree(self, capsys):
+        assert main(["verify", "--suite", "anchored-expectation", "--n", "32", "--trials", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] and out["details"]["delta"] == 24
+        assert math.isfinite(out["details"]["limit"])
+
+    def test_anchored_expectation_without_a_large_vertex_is_usage_error(self, capsys):
+        # 3n/4 = 15 at n = 20, below the max degree 16 that any large-degree set needs
+        assert main(["verify", "--suite", "anchored-expectation", "--n", "20", "--trials", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "a broom on 20 vertices with max degree 15 has no large-degree vertex" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

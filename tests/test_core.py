@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 
@@ -60,6 +61,13 @@ class TestColouredCompleteGraph:
             red = sum(1 for u in range(9) if u != v and g.colour(u, v) == RED)
             assert g.red_degree(v) == red
             assert g.red_degree(v) + g.blue_degree(v) == 8
+
+    def test_signed_degrees_vector(self):
+        g = random_colouring(11, 5)
+        sd = g.signed_degrees()
+        assert sd.dtype == np.int64
+        assert sd.tolist() == [g.signed_degree(v) for v in range(11)]
+        assert g.red_degrees().tolist() == [g.red_degree(v) for v in range(11)]
 
     def test_degree_sum_counts_red_edges_twice(self):
         g = random_colouring(10, 7)
@@ -475,3 +483,62 @@ class TestForestParser:
         forest = make_forest(ForestSpec("random", n, max_degree=max(1, n // 2), seed=seed))
         text = mutate(serialize_forest(forest), pos, char, kind)
         assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
+
+
+#: JSON values for the embedding loader fuzz: ints, bools, floats, strings, lists and objects
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=8) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestEmbeddingJson:
+    @pytest.mark.parametrize("data, message", [
+        ([0, 1], "must be an object, got list"),
+        ("map", "must be an object, got str"),
+        (None, "must be an object, got NoneType"),
+        ({}, "missing 'map'"),
+        ({"map": 5, "sum": 0}, "'map' must be a list, got int"),
+        ({"map": {"0": 1}, "sum": 0}, "'map' must be a list, got dict"),
+        ({"map": [0, "1"], "sum": 0}, "'map' entries must be integers"),
+        ({"map": [0, 1.0], "sum": 0}, "'map' entries must be integers"),
+        ({"map": [0, True], "sum": 0}, "'map' entries must be integers"),
+        ({"map": [0, 1], "sum": "x"}, "'sum' must be an integer, got 'x'"),
+        ({"map": [0, 1], "sum": 1.0}, "'sum' must be an integer, got 1.0"),
+        ({"map": [0, 1], "sum": False}, "'sum' must be an integer, got False"),
+        ({"map": [0, 0], "sum": 0}, "not a bijection"),
+        ({"map": [0, 1]}, "missing 'sum'"),
+    ])
+    def test_malformed_rejected_with_message(self, data, message):
+        with pytest.raises(InvalidInputError, match=message):
+            embedding_from_json(data)
+
+    @pytest.mark.parametrize("fwd", [[], [0, 1], list(range(6)), list(range(8))])
+    def test_map_of_the_wrong_length_rejected_in_context(self, fwd):
+        g, forest, _ = random_instance(7, 33)
+        with pytest.raises(InvalidInputError, match=f"has {len(fwd)} entries, expected 7"):
+            embedding_from_json({"map": fwd}, forest, g)
+
+    @given(
+        st.dictionaries(
+            st.sampled_from(["map", "sum", "other"]),
+            st.one_of(st.permutations(range(7)).map(list), st.lists(st.integers(-1, 8), max_size=9), _json_values),
+        )
+        | _json_values
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_json_loads_or_raises_invalid_input(self, data):
+        data = json.loads(json.dumps(data))
+        g, forest, _ = random_instance(7, 34)
+        for context in ((), (forest, g)):
+            try:
+                emb = embedding_from_json(data, *context)
+            except InvalidInputError as exc:
+                assert str(exc)
+                continue
+            assert isinstance(emb, Embedding) and sorted(emb.forward) == list(range(len(emb.forward)))
+            assert type(emb.colour_sum) is int
+            if context:
+                assert emb.colour_sum == subgraph_sum(g, emb, forest)

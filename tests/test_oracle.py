@@ -195,6 +195,29 @@ class TestExactMinImbalance:
         value, _ = exact_min_imbalance(star, g, max_n=10)
         assert value == 7
 
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_star_with_isolated_vertices_matches_enumeration(self, n):
+        # max_n=2 forbids enumeration: the closed form must answer every d < n - 1
+        perms = np.array(list(permutations(range(n))), dtype=np.intp)
+        for k, g in enumerate((random_colouring(n, 500 + n), biased_colouring(n, 600 + n))):
+            rng = random.Random(700 + 10 * n + k)
+            for d in range(1, n - 1):
+                centre = rng.randrange(n)
+                leaves = rng.sample([v for v in range(n) if v != centre], d)
+                forest = Forest(n, [(centre, v) for v in leaves])
+                sums = sum(g.matrix[perms[:, centre], perms[:, v]].astype(np.int64) for v in leaves)
+                value, witness = exact_min_imbalance(forest, g, max_n=2)
+                assert value == int(np.abs(sums).min()), (n, d)
+                assert abs(witness.colour_sum) == abs(subgraph_sum(g, witness, forest)) == value
+
+    def test_star_centre(self):
+        assert oracle.star_centre(make_forest(ForestSpec("star", 7))) == 0
+        assert oracle.star_centre(Forest(7, [(4, 1), (4, 6)])) == 4
+        assert oracle.star_centre(Forest(7, [(5, 2)])) == 2
+        assert oracle.star_centre(make_forest(ForestSpec("path", 3))) == 1
+        for forest in (Forest(7, []), Forest(7, [(0, 1), (2, 3)]), make_forest(ForestSpec("path", 4))):
+            assert oracle.star_centre(forest) is None
+
 
 class TestExactSign:
     def test_full_embedding_is_degenerate(self):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from forestbalance.bounds import BoundReport, refined_bound
@@ -431,6 +432,91 @@ class TestSolve:
         forest = make_forest(ForestSpec("path", 9))
         with pytest.raises(InvalidInputError):
             solve(forest, g)
+
+
+def red_poor_colouring(n, seed):
+    """Balanced colouring in which vertex 0 keeps only n // 8 red edges.
+
+    The red edges dropped at vertex 0 are re-added at random among the blue
+    edges that avoid it, so the colouring stays balanced.
+    """
+    red = random_balanced_colouring(n, seed).matrix > 0
+    drop = np.flatnonzero(red[0])[n // 8:]
+    red[0, drop] = red[drop, 0] = False
+    iu, ju = np.triu_indices(n, 1)
+    blue = np.flatnonzero(~red[iu, ju] & (iu > 0))
+    add = np.random.default_rng(seed).choice(blue, len(drop), replace=False)
+    red[iu[add], ju[add]] = red[ju[add], iu[add]] = True
+    g = ColouredCompleteGraph.from_red_matrix(red)
+    assert is_balanced(g) and g.red_degree(0) == n // 8
+    return g
+
+
+def reference_star_witness(graph, centre):
+    """The spanning-star witness the oracle gives, by its documented rule.
+
+    The centre goes to the lowest-index host of least |signed degree|, and
+    the leaves, ascending, to the other hosts, ascending.
+    """
+    n = graph.n
+    x = min(range(n), key=lambda t: (abs(graph.signed_degree(t)), t))
+    rest = iter(t for t in range(n) if t != x)
+    return tuple(x if v == centre else next(rest) for v in range(n))
+
+
+def scalar_star_optimum(graph, forest):
+    """min over hosts of the reachable |2k - d|, by a loop over every k."""
+    n, d = forest.n, forest.max_degree
+    return min(
+        abs(2 * k - d)
+        for x in range(n)
+        for k in range(d + 1)
+        if k <= graph.red_degree(x) and d - k <= graph.blue_degree(x)
+    )
+
+
+class TestStarExact:
+    @pytest.mark.parametrize("n", [16, 33, 64, 128, 257])
+    @pytest.mark.parametrize("colouring", ["balanced", "red-poor"])
+    def test_spanning_star_is_solved_exactly(self, n, colouring):
+        g = random_balanced_colouring(n, n) if colouring == "balanced" else red_poor_colouring(n, n)
+        result = solve(make_forest(ForestSpec("star", n)), g, SolverConfig(seed=n))
+        best = min(abs(g.signed_degree(x)) for x in range(n))
+        assert result.certified == CERT_EXACT
+        assert result.certified_value == result.achieved == best
+        assert result.stats["samples_drawn"] == 0 and result.trace is None
+        assert result.within_bound
+
+    def test_star_path_draws_no_sample(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a star solve must not sample")
+
+        monkeypatch.setattr("forestbalance.solver.find_signed_pair", refuse)
+        monkeypatch.setattr(ExtensionSampler, "draw", refuse)
+        for n, centre, leaves in ((33, 0, 32), (64, 17, 63), (64, 5, 20), (128, 127, 1)):
+            forest = Forest(n, [(centre, v) for v in range(n) if v != centre][:leaves])
+            g = random_balanced_colouring(n, leaves)
+            result = solve(forest, g, SolverConfig(seed=3))
+            assert result.certified == CERT_EXACT, (n, leaves)
+            assert result.certified_value == result.achieved == scalar_star_optimum(g, forest)
+
+    @pytest.mark.parametrize("n, centre", [(33, 0), (33, 7), (64, 63), (128, 40)])
+    def test_spanning_star_witness_is_unchanged(self, n, centre):
+        g = random_balanced_colouring(n, 3 * n + centre)
+        star = Forest(n, [(centre, v) for v in range(n) if v != centre])
+        expected = reference_star_witness(g, centre)
+        assert exact_min_imbalance(star, g)[1].forward == expected
+        assert solve(star, g, SolverConfig(seed=1)).embedding.forward == expected
+
+    def test_other_strategies_still_sample_stars(self):
+        # at even n every signed degree is odd, so the anchored sign search must fail
+        g = random_balanced_colouring(32, 4)
+        star = make_forest(ForestSpec("star", 32))
+        cfg = SolverConfig(seed=1, strategy="interpolate-only", sample_budget=50)
+        result = solve(star, g, cfg)
+        assert result.certified == CERT_HEURISTIC and result.stats["samples_drawn"] == 50
+        cfg = SolverConfig(seed=1, strategy="local-search", max_restarts=2, sample_budget=50)
+        assert solve(star, g, cfg).certified == CERT_HEURISTIC
 
 
 class TestSolverConfig:
