@@ -74,7 +74,7 @@ def _read(path: str) -> str:
 
 def _load_instance(args):
     graph = parse_colouring(_read(args.colouring))
-    forest = parse_forest(_read(args.forest))
+    forest = parse_forest(_read(args.forest), graph.n)
     return forest, graph
 
 

@@ -440,7 +440,8 @@ def serialize_forest(forest: Forest) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_forest(text: str) -> Forest:
+def parse_forest(text: str, graph_n: int | None = None) -> Forest:
+    """Parse a forest file; given graph_n, a header with another n is refused before allocating."""
     lines = _content_lines(text)
     if not lines:
         raise InvalidInputError("empty forest file")
@@ -451,6 +452,8 @@ def parse_forest(text: str) -> Forest:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise InvalidInputError(f"bad header line: {lines[0]!r}") from None
+    if graph_n is not None and n != graph_n:
+        raise InvalidInputError(f"forest has {n} vertices but graph has {graph_n}")
     if len(lines) - 1 != m:
         raise InvalidInputError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

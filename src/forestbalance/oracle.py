@@ -2,8 +2,9 @@
 
 Both exact oracles read one enumerator, ``_extensions``, which scores the
 extensions of a partial map with numpy in lexicographic order, in chunks of
-at most 8! rows.  Budgets count extensions, and exceeding one raises instead
-of silently skipping work.
+at most 8! rows, each scored by one gather through per-call slot and edge
+code tables.  Budgets count extensions, and exceeding one raises instead of
+silently skipping work.
 """
 
 from __future__ import annotations
@@ -51,29 +52,36 @@ def _permutation_table(width: int) -> np.ndarray:
 
 def _extensions(
     forest: Forest, graph: ColouredCompleteGraph, fixed: Mapping[int, int]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every bijection extending fixed, as ``(images, sums)`` chunks of at most _TAIL! rows.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every bijection extending fixed, as ``(order, slots, sums)`` chunks of at most _TAIL! rows.
 
-    ``images`` is an int32 (rows, n) array of full maps, ``sums`` their colour
-    sums.  The free vertices, ascending, take the free targets in the order of
-    ``itertools.permutations``; the last _TAIL come from the table, any
-    earlier ones are fixed per chunk.
+    Row i maps vertex v to ``order[slots[i, v]]`` and has colour sum
+    ``sums[i]``.  The free vertices, ascending, take the free targets in the
+    order of ``itertools.permutations``; the last _TAIL come from the table,
+    any earlier ones are fixed per chunk.  ``slots`` is built once per call:
+    the head (fixed, then leading free vertices) takes the slots 0..k-1, the
+    tail k plus its table entry.  Per chunk, ``order`` lists the head's
+    targets, then the other free targets ascending.  Each edge's slot pair is
+    coded once as ``slot_u * n + slot_v``, in the smallest unsigned dtype
+    holding n², so a chunk costs one gather from the colour matrix reindexed
+    by ``order`` and one sum; full maps are never materialised.
     """
     n = forest.n
     free_vs = [v for v in range(n) if v not in fixed]
     free_ts = sorted(set(range(n)).difference(fixed.values()))
     lead = max(len(free_vs) - _TAIL, 0)
     table = _permutation_table(len(free_vs) - lead)
-    flat = graph.matrix.ravel()
+    head = [*fixed, *free_vs[:lead]]
+    dtype = np.min_scalar_type(n * n - 1)
+    slots = np.empty((len(table), n), dtype)
+    slots[:, head] = np.arange(len(head))
+    slots[:, free_vs[lead:]] = table.astype(dtype) + len(head)
+    pairs = np.array(forest.edges, np.intp).reshape(-1, 2)
+    codes = slots.T[pairs[:, 0]] * n + slots.T[pairs[:, 1]]
     for prefix in permutations(free_ts, lead):
-        rest = np.array([t for t in free_ts if t not in prefix], np.int32)
-        images = np.empty((len(table), n), np.int32)
-        images[:, [*fixed, *free_vs[:lead]]] = [*fixed.values(), *prefix]
-        images[:, free_vs[lead:]] = rest[table]
-        sums = np.zeros(len(table), np.int32)
-        for u, v in forest.edges:
-            sums += flat[images[:, u] * n + images[:, v]]
-        yield images, sums
+        order = np.array([*fixed.values(), *prefix, *(t for t in free_ts if t not in prefix)], np.intp)
+        local = graph.matrix[np.ix_(order, order)].ravel()
+        yield order, slots, local.take(codes).sum(axis=0, dtype=np.int32)
 
 
 def star_centre(forest: Forest) -> int | None:
@@ -125,14 +133,14 @@ def exact_min_imbalance(
     floor = m % 2
     ends = _detect_path_endpoints(forest)
     best, best_map = m + 1, None
-    for images, sums in _extensions(forest, graph, {}):
+    for order, slots, sums in _extensions(forest, graph, {}):
         score = np.abs(sums)
         if ends is not None:
             # a path and its reversal score alike: keep the one with ends[0] mapped lower
-            score[images[:, ends[0]] > images[:, ends[1]]] = m + 1
+            score[order[slots[:, ends[0]]] > order[slots[:, ends[1]]]] = m + 1
         i = int(score.argmin())
         if score[i] < best:
-            best, best_map = int(score[i]), images[i].tolist()
+            best, best_map = int(score[i]), order[slots[i]].tolist()
             if best == floor:
                 break
     return best, Embedding.build(best_map, forest, graph)
@@ -216,13 +224,13 @@ def exact_sign(
 
     m = forest.edge_count
     min_sum, max_sum, seen = m + 1, -m - 1, 0
-    for images, sums in _extensions(forest, graph, partial.mapping):
+    for order, slots, sums in _extensions(forest, graph, partial.mapping):
         seen += len(sums)
         lo, hi = int(sums.argmin()), int(sums.argmax())
         if sums[lo] < min_sum:
-            min_sum, min_map = int(sums[lo]), images[lo].tolist()
+            min_sum, min_map = int(sums[lo]), order[slots[lo]].tolist()
         if sums[hi] > max_sum:
-            max_sum, max_map = int(sums[hi]), images[hi].tolist()
+            max_sum, max_map = int(sums[hi]), order[slots[hi]].tolist()
     return SignVerdict(
         min_sum=min_sum,
         max_sum=max_sum,

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -117,6 +118,15 @@ class TestSolveCommand:
         cpath.write_text(text)
         assert main(["solve", "--colouring", str(cpath), "--forest", str(fpath)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_oversized_forest_header_is_refused_before_allocating(self, instance, tmp_path, capsys):
+        cpath, _ = instance
+        fpath = tmp_path / "huge.txt"
+        fpath.write_text("100000000 0\n")
+        start = time.perf_counter()
+        assert main(["solve", "--colouring", str(cpath), "--forest", str(fpath)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "error: forest has 100000000 vertices but graph has 9\n"
 
     def test_bound_violation_exit_code(self, instance, monkeypatch, capsys):
         cpath, fpath = instance

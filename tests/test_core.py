@@ -332,6 +332,11 @@ class TestFormats:
         with pytest.raises(InvalidInputError, match="bad edge line"):
             parse_forest("3 1\n0 x\n")
 
+    def test_forest_header_checked_against_graph_n_before_allocating(self):
+        with pytest.raises(InvalidInputError, match="^forest has 1000000 vertices but graph has 9$"):
+            parse_forest("1000000 0\n", graph_n=9)
+        assert parse_forest("3 1\n0 2\n", graph_n=3) == parse_forest("3 1\n0 2\n")
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_round_trip_random_balanced(self, seed):

@@ -1,6 +1,8 @@
 import math
 import random
-from itertools import islice, permutations
+import tracemalloc
+from functools import cache
+from itertools import chain, islice, permutations
 
 import numpy as np
 import pytest
@@ -174,9 +176,9 @@ class TestExactMinImbalance:
         real = oracle._extensions
 
         def counting(*args):
-            for images, sums in real(*args):
+            for order, slots, sums in real(*args):
                 yielded.append(len(sums))
-                yield images, sums
+                yield order, slots, sums
 
         monkeypatch.setattr(oracle, "_extensions", counting)
         value, witness = exact_min_imbalance(forest, g)
@@ -283,14 +285,106 @@ class TestExtensionChunks:
         free_vs = [v for v in range(n) if v not in fixed]
         expected = permutations(sorted(set(range(n)) - set(fixed.values())))
         cap = math.factorial(oracle._TAIL)
-        for images, sums in islice(oracle._extensions(forest, g, fixed), 3):
-            assert images.dtype == np.int32 and images.shape == (len(sums), n)
+        first_slots = None
+        for order, slots, sums in islice(oracle._extensions(forest, g, fixed), 3):
+            first_slots = slots if first_slots is None else first_slots
+            assert slots is first_slots
+            images = order[slots]
+            assert images.shape == (len(sums), n)
             assert 0 < len(sums) <= cap
             assert np.array_equal(images[:, free_vs], np.array(list(islice(expected, len(sums)))))
             for v, t in fixed.items():
                 assert (images[:, v] == t).all()
             for i in range(0, len(sums), 499):
                 assert sums[i] == scalar_sum(rows, forest, images[i].tolist())
+
+
+@cache
+def lexicographic_permutations(k):
+    return np.fromiter(chain.from_iterable(permutations(range(k))), np.int8).reshape(-1, k)
+
+
+def numpy_extensions(forest, graph, mapping):
+    """Every extension of mapping as full maps, in the order of brute_sign, with their sums."""
+    n = forest.n
+    free_vs = [v for v in range(n) if v not in mapping]
+    free_ts = np.array(sorted(set(range(n)) - set(mapping.values())), np.int8)
+    maps = np.empty((math.factorial(len(free_vs)), n), np.int8)
+    maps[:, free_vs] = free_ts[lexicographic_permutations(len(free_vs))]
+    for v, t in mapping.items():
+        maps[:, v] = t
+    sums = np.zeros(len(maps), np.int32)
+    for u, v in forest.edges:
+        sums += graph.matrix[maps[:, u], maps[:, v]]
+    return maps, sums
+
+
+def hub_red(n):
+    """Target 0's edges red, every other edge blue."""
+    return ColouredCompleteGraph.from_pair_function(n, lambda i, j: RED if 0 in (i, j) else BLUE)
+
+
+# Vertex 3 is fixed and vertex 0 leads, so (0, 3) joins two head vertices.
+HEAD_EDGE_TREE = Forest(10, [(0, 3), (3, 1), (1, 2), (3, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9)])
+
+
+class TestHeadSlots:
+    """Scans of more than _TAIL free vertices, where the head changes target per chunk."""
+
+    @pytest.mark.parametrize(
+        "forest, mapping",
+        [
+            (HEAD_EDGE_TREE, {3: 6}),
+            (make_forest(ForestSpec("path", 10)), {3: 6}),
+            (make_forest(ForestSpec("random", 10, max_degree=3, seed=2)), {0: 4}),
+            (make_forest(ForestSpec("path", 9)), {}),
+            (make_forest(ForestSpec("random", 9, max_degree=3, seed=9)), {}),
+        ],
+        ids=["head-edge-10", "path-10", "random-10", "path-9", "random-9"],
+    )
+    def test_exact_sign_matches_numpy_reference(self, forest, mapping):
+        n = forest.n
+        for g in (random_colouring(n, 800 + n), biased_colouring(n, 900 + n)):
+            maps, sums = numpy_extensions(forest, g, mapping)
+            lo, hi = int(sums.argmin()), int(sums.argmax())
+            v = exact_sign(forest, g, PartialEmbedding(mapping))
+            got = (v.min_sum, v.max_sum, v.min_witness.forward, v.max_witness.forward, v.extensions)
+            assert got == (sums[lo], sums[hi], tuple(maps[lo].tolist()), tuple(maps[hi].tolist()), len(maps))
+
+    @pytest.mark.parametrize("kind", ["path", "random"])
+    def test_exact_min_matches_numpy_reference(self, kind):
+        n = 9
+        forest = forest_of(kind, n)
+        ends = [v for v in range(n) if forest.degree[v] == 1] if kind == "path" else None
+        for g in (hub_red(n), biased_colouring(n, 0, red=0.93), random_colouring(n, 17)):
+            maps, sums = numpy_extensions(forest, g, {})
+            score = np.abs(sums)
+            if ends is not None:
+                score[maps[:, ends[0]] > maps[:, ends[1]]] = forest.edge_count + 1
+            i = int(score.argmin())
+            value, witness = exact_min_imbalance(forest, g)
+            assert (value, witness.forward) == (score[i], tuple(maps[i].tolist()))
+
+    def test_hub_red_path_witness_lies_past_the_first_chunk(self):
+        # the path's end 0 may not sit on the all-red target 0, so the first
+        # optimum puts vertex 0 on target 1: the second chunk
+        value, witness = exact_min_imbalance(make_forest(ForestSpec("path", 9)), hub_red(9))
+        assert value == 4 and witness.forward[:2] == (1, 0)
+
+    def test_min_scan_stays_under_the_int32_images_peak(self):
+        # the scan runs to the end (optimum 4 > parity floor 0); materialising
+        # each chunk's full maps as int32 peaks at 4.59 MB here
+        oracle._permutation_table(8)
+        forest = forest_of("random", 9)
+        g = biased_colouring(9, 0, red=0.93)
+        tracemalloc.start()
+        try:
+            value, _ = exact_min_imbalance(forest, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 4
+        assert peak < 4_500_000
 
 
 def _full_embedding(partial, forest, graph):
