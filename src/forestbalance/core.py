@@ -7,7 +7,7 @@ scoring loops index ``rows()``, read-only memoryview slices of that matrix.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -182,7 +182,11 @@ def r_balanced_vertices(g: ColouredCompleteGraph, r: int) -> list[int]:
 
 
 class Forest:
-    """An acyclic simple graph on n labelled vertices (isolated vertices allowed)."""
+    """An acyclic simple graph on n labelled vertices (isolated vertices allowed).
+
+    ``edges`` lists each edge once as (low, high), ascending; ``neighbours``
+    lists each vertex's neighbours ascending.
+    """
 
     __slots__ = ("n", "edges", "degree", "max_degree", "min_degree", "neighbours")
 
@@ -190,16 +194,7 @@ class Forest:
         if n < 1:
             raise InvalidInputError(f"need at least 1 vertex, got n={n}")
         norm = []
-        seen = set()
         parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        degree = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
@@ -207,27 +202,29 @@ class Forest:
                 raise InvalidInputError(f"self-loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in seen:
-                raise InvalidInputError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            ru, rv = find(u), find(v)
+            ru, rv = u, v
+            while parent[ru] != ru:
+                parent[ru] = ru = parent[parent[ru]]
+            while parent[rv] != rv:
+                parent[rv] = rv = parent[parent[rv]]
             if ru == rv:
+                # a repeated edge also joins two vertices already in one tree
+                if (u, v) in norm:
+                    raise InvalidInputError(f"duplicate edge ({u},{v})")
                 raise InvalidInputError(f"edge ({u},{v}) closes a cycle")
             parent[ru] = rv
-            degree[u] += 1
-            degree[v] += 1
             norm.append((u, v))
         norm.sort()
-        self.n = n
-        self.edges = tuple(norm)
-        self.degree = tuple(degree)
-        self.max_degree = max(degree)
-        self.min_degree = min(degree)
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:
+        for u, v in norm:  # ascending edges append each neighbour list in ascending order
             adj[u].append(v)
             adj[v].append(u)
-        self.neighbours = tuple(tuple(sorted(a)) for a in adj)
+        self.n = n
+        self.edges = tuple(norm)
+        self.neighbours = tuple(map(tuple, adj))
+        self.degree = tuple(map(len, adj))
+        self.max_degree = max(self.degree)
+        self.min_degree = min(self.degree)
 
     @property
     def edge_count(self) -> int:
@@ -261,6 +258,13 @@ class Embedding:
             hit[t] = True
         self.forward = fwd
         self.colour_sum = colour_sum
+
+    @classmethod
+    def of_bijection(cls, forward: tuple[int, ...], colour_sum: int) -> "Embedding":
+        """Wrap a forward tuple known to be a bijection, e.g. a transposition of one, without the O(n) re-check."""
+        emb = cls.__new__(cls)
+        emb.forward, emb.colour_sum = forward, colour_sum
+        return emb
 
     @classmethod
     def build(cls, forward: Iterable[int], forest: Forest, graph: ColouredCompleteGraph) -> "Embedding":
@@ -299,22 +303,22 @@ def subgraph_sum(g: ColouredCompleteGraph, f: Embedding, forest: Forest) -> int:
     return _score(f.forward, forest, g)
 
 
-def swap_delta(f: Embedding, u: int, v: int, forest: Forest, g: ColouredCompleteGraph) -> int:
+def swap_delta(forward: Sequence[int], u: int, v: int, forest: Forest, g: ColouredCompleteGraph) -> int:
     """Change in colour sum if the images of forest vertices u and v are exchanged.
 
-    Only edges incident to u or v are rescored; the edge uv (if present) is
-    unaffected because the colouring is symmetric.
+    forward is the map's forward sequence: an embedding's tuple, or the list
+    an in-place walk swaps.  Only edges incident to u or v are rescored; the
+    edge uv (if present) is unaffected because the colouring is symmetric.
     """
-    fwd = f.forward
     rows = g.rows()
-    row_u, row_v = rows[fwd[u]], rows[fwd[v]]
+    row_u, row_v = rows[forward[u]], rows[forward[v]]
     delta = 0
     for w in forest.neighbours[u]:
         if w != v:
-            delta += row_v[fwd[w]] - row_u[fwd[w]]
+            delta += row_v[forward[w]] - row_u[forward[w]]
     for w in forest.neighbours[v]:
         if w != u:
-            delta += row_u[fwd[w]] - row_v[fwd[w]]
+            delta += row_u[forward[w]] - row_v[forward[w]]
     return delta
 
 
@@ -322,13 +326,10 @@ def swap_images(f: Embedding, u: int, v: int, forest: Forest, g: ColouredComplet
     """New embedding with the images of u and v exchanged; sum updated incrementally."""
     if u == v:
         raise InvalidInputError(f"cannot swap a vertex with itself (u=v={u})")
-    delta = swap_delta(f, u, v, forest, g)
+    delta = swap_delta(f.forward, u, v, forest, g)
     fwd = list(f.forward)
     fwd[u], fwd[v] = fwd[v], fwd[u]
-    # a transposition of a bijection is a bijection: skip the O(n) Python re-check
-    out = Embedding.__new__(Embedding)
-    out.forward, out.colour_sum = tuple(fwd), f.colour_sum + delta
-    return out
+    return Embedding.of_bijection(tuple(fwd), f.colour_sum + delta)
 
 
 class PartialEmbedding:
@@ -456,14 +457,27 @@ def parse_forest(text: str, graph_n: int | None = None) -> Forest:
         raise InvalidInputError(f"forest has {n} vertices but graph has {graph_n}")
     if len(lines) - 1 != m:
         raise InvalidInputError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        try:
-            u, v = map(int, parts)
-        except ValueError:
-            raise InvalidInputError(f"bad edge line: {ln!r}") from None
-        edges.append((u, v))
+    body = lines[1:]
+    # One split with a "|" token between lines: as "|" is no integer, every line
+    # has two tokens exactly when every third token is a "|" and the rest convert.
+    tokens = " | ".join(body).split()
+    separators = tokens[2::3]
+    del tokens[2::3]
+    try:
+        if len(tokens) != 2 * m or separators != ["|"] * (m - 1):
+            raise ValueError("not two tokens on every edge line")
+        # converts each token as int() does; an end beyond int64 raises OverflowError
+        edges = np.array(tokens, dtype=np.int64).reshape(m, 2).tolist()
+    except (ValueError, OverflowError):
+        # line by line, to name the first line without two integers; if there is
+        # none, an end lies beyond int64 and Forest raises its out-of-range error
+        edges = []
+        for ln in body:
+            try:
+                u, v = map(int, ln.split())
+            except ValueError:
+                raise InvalidInputError(f"bad edge line: {ln!r}") from None
+            edges.append((u, v))
     return Forest(n, edges)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import (
     CertificateError,
     ColouredCompleteGraph,
@@ -18,7 +20,8 @@ from .core import (
     Forest,
     InvalidInputError,
     PartialEmbedding,
-    swap_images,
+    swap_delta,
+    swap_images,  # unused here; perfbench's tracer wraps interpolate.swap_images and its tests read it
 )
 
 
@@ -48,11 +51,10 @@ class SignedPair:
                 f"sums {first.colour_sum} and {second.colour_sum} are strictly on "
                 "the same side of zero"
             )
-        dis = tuple(
-            v for v in range(forest.n) if neg.forward[v] != pos.forward[v]
-        )
-        dmax = max((forest.degree[v] for v in dis), default=0)
-        return cls(neg, pos, dis, dmax)
+        n = forest.n
+        dis = np.flatnonzero(np.fromiter(neg.forward, np.intp, n) != np.fromiter(pos.forward, np.intp, n))
+        dmax = int(np.fromiter(forest.degree, np.intp, n)[dis].max(initial=0))
+        return cls(neg, pos, tuple(dis.tolist()), dmax)
 
     def bound(self, forest: Forest) -> int:
         return self.disagreement_max_degree + forest.min_degree
@@ -74,56 +76,52 @@ class InterpolationTrace:
 def interpolate_traced(
     pair: SignedPair, forest: Forest, graph: ColouredCompleteGraph
 ) -> tuple[Embedding, InterpolationTrace]:
-    """Interpolate and return the qualifying embedding together with its trace."""
+    """Interpolate and return the qualifying embedding together with its trace.
+
+    The walk swaps entries of one forward list in place and keeps the sum as
+    a running int; the only Embedding it builds is the one it returns.
+    """
     bound = pair.bound(forest)
     trace = InterpolationTrace(achieved_bound=bound)
+    steps = trace.steps
 
-    if abs(pair.h_pos.colour_sum) <= bound:
-        trace.steps.append((None, pair.h_pos.colour_sum))
-        trace.result = pair.h_pos
-        return pair.h_pos, trace
-    if abs(pair.h_neg.colour_sum) <= bound:
-        trace.steps.append((None, pair.h_neg.colour_sum))
-        trace.result = pair.h_neg
-        return pair.h_neg, trace
+    for end in (pair.h_pos, pair.h_neg):
+        if abs(end.colour_sum) <= bound:
+            steps.append((None, end.colour_sum))
+            trace.result = end
+            return end, trace
 
-    current = pair.h_pos
-    trace.steps.append((None, current.colour_sum))
-    holder = [0] * forest.n  # holder[t]: the forest vertex current sends to t
-    for x, t in enumerate(current.forward):
+    fwd = list(pair.h_pos.forward)
+    total = pair.h_pos.colour_sum
+    steps.append((None, total))
+    holder = [0] * forest.n  # holder[t]: the forest vertex fwd sends to t
+    for x, t in enumerate(fwd):
         holder[t] = x
 
-    def apply(u: int, v: int) -> Embedding | None:
-        nonlocal current
-        holder[current.forward[u]], holder[current.forward[v]] = v, u
-        current = swap_images(current, u, v, forest, graph)
-        trace.steps.append(((u, v), current.colour_sum))
-        if abs(current.colour_sum) <= bound:
-            return current
-        return None
-
+    degree = forest.degree
     min_deg = forest.min_degree
     # The three-step swap runs only when neither u nor v has minimum degree,
     # so the lowest-index minimum-degree vertex is always a free intermediate.
-    w = forest.degree.index(min_deg)
+    w = degree.index(min_deg)
+    goal = pair.h_neg.forward
     for v in pair.disagreement:
-        target = pair.h_neg.forward[v]
-        if current.forward[v] == target:
+        target = goal[v]
+        if fwd[v] == target:
             continue
         u = holder[target]
         # u also disagrees with h_neg, so both swap partners lie in the
         # disagreement set and carry degree <= disagreement_max_degree.
-        if forest.degree[u] == min_deg or forest.degree[v] == min_deg:
-            done = apply(u, v)
-            if done is not None:
-                trace.result = done
-                return done, trace
-        else:
-            for a, b in ((u, w), (v, w), (u, w)):
-                done = apply(a, b)
-                if done is not None:
-                    trace.result = done
-                    return done, trace
+        route = ((u, v),) if degree[u] == min_deg or degree[v] == min_deg else ((u, w), (v, w), (u, w))
+        for a, b in route:
+            total += swap_delta(fwd, a, b, forest, graph)
+            ta, tb = fwd[a], fwd[b]
+            fwd[a], fwd[b] = tb, ta
+            holder[ta], holder[tb] = b, a
+            steps.append(((a, b), total))
+            if abs(total) <= bound:
+                # each step is a transposition, so fwd is still a bijection
+                trace.result = Embedding.of_bijection(tuple(fwd), total)
+                return trace.result, trace
     # Unreachable: the walk ends at h_neg with sum < -bound while it started
     # above +bound, and no step moves the sum by more than 2*bound.
     raise AssertionError("interpolation walk finished without entering the bound window")

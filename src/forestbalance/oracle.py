@@ -61,10 +61,12 @@ def _extensions(
     any earlier ones are fixed per chunk.  ``slots`` is built once per call:
     the head (fixed, then leading free vertices) takes the slots 0..k-1, the
     tail k plus its table entry.  Per chunk, ``order`` lists the head's
-    targets, then the other free targets ascending.  Each edge's slot pair is
-    coded once as ``slot_u * n + slot_v``, in the smallest unsigned dtype
-    holding n², so a chunk costs one gather from the colour matrix reindexed
-    by ``order`` and one sum; full maps are never materialised.
+    targets, then the other free targets ascending.  ``slots`` takes the
+    smallest unsigned dtype holding n; each edge's slot pair is coded once as
+    ``slot_u * n + slot_v`` in intp, the index type ``take`` would otherwise
+    convert the codes to on every chunk.  A chunk then costs one gather from
+    the colour matrix reindexed by ``order`` and one sum; full maps are never
+    materialised.
     """
     n = forest.n
     free_vs = [v for v in range(n) if v not in fixed]
@@ -72,12 +74,12 @@ def _extensions(
     lead = max(len(free_vs) - _TAIL, 0)
     table = _permutation_table(len(free_vs) - lead)
     head = [*fixed, *free_vs[:lead]]
-    dtype = np.min_scalar_type(n * n - 1)
+    dtype = np.min_scalar_type(n - 1)
     slots = np.empty((len(table), n), dtype)
     slots[:, head] = np.arange(len(head))
     slots[:, free_vs[lead:]] = table.astype(dtype) + len(head)
     pairs = np.array(forest.edges, np.intp).reshape(-1, 2)
-    codes = slots.T[pairs[:, 0]] * n + slots.T[pairs[:, 1]]
+    codes = slots.T[pairs[:, 0]].astype(np.intp) * n + slots.T[pairs[:, 1]]
     for prefix in permutations(free_ts, lead):
         order = np.array([*fixed.values(), *prefix, *(t for t in free_ts if t not in prefix)], np.intp)
         local = graph.matrix[np.ix_(order, order)].ravel()

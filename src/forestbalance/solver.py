@@ -390,7 +390,7 @@ def local_search(
                 if evals >= budget:
                     return emb, evals
                 evals += 1
-                delta = swap_delta(emb, u, v, forest, graph)
+                delta = swap_delta(emb.forward, u, v, forest, graph)
                 if abs(emb.colour_sum + delta) < abs(emb.colour_sum):
                     emb = swap_images(emb, u, v, forest, graph)
                     improved = True

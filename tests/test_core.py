@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -180,6 +181,128 @@ class TestForest:
         f = Forest(4, [(0, 1)])
         assert f.min_degree == 0
         assert f.isolated_vertices() == [2, 3]
+
+
+@st.composite
+def forest_edge_lists(draw, max_n=40):
+    """(n, edges): a random forest on range(n), relabelled, each edge in a random orientation and place."""
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    tree = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.85]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u]) for u, v in tree]
+    rng.shuffle(edges)
+    return n, edges
+
+
+def construction(build, n, edges):
+    """All attributes of the built forest, or the type and message of the InvalidInputError."""
+    try:
+        return forest_attrs(build(n, edges))
+    except InvalidInputError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+#: faults for TestForestParity: each takes (n, edges so far, rng) and returns one bad edge, or None
+_FAULTS = {
+    "above n": lambda n, edges, rng: (rng.randrange(n), n + rng.randrange(3)),
+    "above int64": lambda n, edges, rng: (2**63 + rng.randrange(3), rng.randrange(n)),
+    "far above int64": lambda n, edges, rng: (rng.randrange(n), 10**30),
+    "negative": lambda n, edges, rng: (-1 - rng.randrange(3), rng.randrange(n)),
+    "self-loop": lambda n, edges, rng: (lambda x: (x, x))(rng.randrange(n)),
+    "duplicate": lambda n, edges, rng: (lambda e: e if rng.random() < 0.5 else e[::-1])(rng.choice(edges)),
+    "cycle": lambda n, edges, rng: _closing_edge(n, edges, rng),
+}
+
+
+def _closing_edge(n, edges, rng):
+    """An edge between two vertices one tree already joins (a duplicate when they are adjacent)."""
+    comp = list(range(n))
+
+    def find(x):
+        while comp[x] != x:
+            x = comp[x]
+        return x
+
+    for u, v in edges:
+        if 0 <= u < n and 0 <= v < n:
+            comp[find(u)] = find(v)
+    joined = [(u, v) for u in range(n) for v in range(u + 1, n) if find(u) == find(v)]
+    return rng.choice(joined) if joined else None
+
+
+class TestForestParity:
+    @given(forest_edge_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_valid_edge_lists_match_reference(self, case):
+        n, edges = case
+        built = Forest(n, edges)
+        assert forest_attrs(built) == forest_attrs(reference_forest(n, edges))
+        ints = [*chain.from_iterable(built.edges), *chain.from_iterable(built.neighbours), *built.degree]
+        assert all(type(x) is int for x in ints)
+        assert all(type(t) is tuple for t in (built.edges, built.degree, built.neighbours, *built.edges))
+
+    @given(forest_edge_lists(), st.sampled_from(["tuple", "lists", "numpy ints", "iterator", "array"]))
+    @settings(max_examples=100, deadline=None)
+    def test_every_input_kind_matches_reference(self, case, kind):
+        n, edges = case
+        given_edges = {
+            "tuple": lambda: tuple(edges),
+            "lists": lambda: [list(e) for e in edges],
+            "numpy ints": lambda: [(np.int64(u), np.int64(v)) for u, v in edges],
+            "iterator": lambda: iter(edges),
+            "array": lambda: np.array(edges, dtype=np.int64).reshape(-1, 2),
+        }[kind]
+        assert construction(Forest, n, given_edges()) == construction(reference_forest, n, given_edges())
+
+    @given(forest_edge_lists(), st.lists(st.sampled_from(sorted(_FAULTS)), min_size=1, max_size=3),
+           st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_invalid_edge_lists_give_the_reference_message(self, case, faults, seed, numpy_ints):
+        n, edges = case
+        rng = random.Random(seed)
+        edges = list(edges)
+        for fault in faults:
+            if fault == "duplicate" and not edges:
+                continue
+            bad = _FAULTS[fault](n, edges, rng)
+            if bad is not None:
+                edges.insert(rng.randrange(len(edges) + 1), bad)
+        if numpy_ints and all(-2**63 <= x < 2**63 for e in edges for x in e):
+            edges = [(np.int64(u), np.int64(v)) for u, v in edges]
+        assert construction(Forest, n, edges) == construction(reference_forest, n, edges)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (1, 5)], "edge (1,5) out of range for n=4"),
+        ([(0, 2**63)], "edge (0,9223372036854775808) out of range for n=4"),
+        ([(-1, 2)], "edge (-1,2) out of range for n=4"),
+        ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+        ([(0, 1), (1, 0)], "duplicate edge (0,1)"),
+        ([(3, 1), (1, 3)], "duplicate edge (1,3)"),
+        ([(0, 1), (1, 2), (2, 0)], "edge (0,2) closes a cycle"),
+        # the first offending edge wins, whatever kind of fault comes later
+        ([(0, 1), (1, 2), (2, 0), (3, 3), (0, 9)], "edge (0,2) closes a cycle"),
+        ([(0, 1), (3, 3), (1, 0)], "self-loop at vertex 3"),
+        ([(2, 7), (1, 1)], "edge (2,7) out of range for n=4"),
+        ([(np.int64(1), np.int64(1))], "self-loop at vertex 1"),
+    ])
+    def test_message(self, edges, message):
+        with pytest.raises(InvalidInputError) as err:
+            Forest(4, edges)
+        assert str(err.value) == message
+        assert construction(reference_forest, 4, edges) == f"InvalidInputError: {message}"
+
+    def test_malformed_pairs_raise_what_the_edge_checks_raise(self):
+        # not InvalidInputError: the per-edge checks fail on the value itself
+        for edges, error in (([(0, 1), (1, 2, 3)], ValueError), ([(0, 1.0)], TypeError), ([(0, None)], TypeError)):
+            with pytest.raises(error):
+                Forest(4, edges)
+            with pytest.raises(error):
+                reference_forest(4, edges)
+        # an earlier faulty edge is still named first
+        with pytest.raises(InvalidInputError, match=r"^self-loop at vertex 2$"):
+            Forest(4, [(2, 2), (0, 1.5)])
 
 
 class TestSubgraphSum:
@@ -366,6 +489,54 @@ def reference_parse_colouring(text):
     return ColouredCompleteGraph.from_red_matrix(red)
 
 
+def reference_forest(n, edges):
+    """Forest as built edge by edge before the union-find pass: a seen set, a sort, per-vertex sorted()."""
+    if n < 1:
+        raise InvalidInputError(f"need at least 1 vertex, got n={n}")
+    norm = []
+    seen = set()
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    degree = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise InvalidInputError(f"self-loop at vertex {u}")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise InvalidInputError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise InvalidInputError(f"edge ({u},{v}) closes a cycle")
+        parent[ru] = rv
+        degree[u] += 1
+        degree[v] += 1
+        norm.append((u, v))
+    norm.sort()
+    adj = [[] for _ in range(n)]
+    for u, v in norm:
+        adj[u].append(v)
+        adj[v].append(u)
+    f = Forest.__new__(Forest)
+    f.n, f.edges, f.degree = n, tuple(norm), tuple(degree)
+    f.max_degree, f.min_degree = max(degree), min(degree)
+    f.neighbours = tuple(tuple(sorted(a)) for a in adj)
+    return f
+
+
+def forest_attrs(f):
+    return f.n, f.edges, f.degree, f.max_degree, f.min_degree, f.neighbours
+
+
 def reference_parse_forest(text):
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -384,7 +555,7 @@ def reference_parse_forest(text):
         except ValueError:
             raise InvalidInputError(f"bad edge line: {ln!r}") from None
         edges.append((u, v))
-    return Forest(n, edges)
+    return reference_forest(n, edges)
 
 
 def outcome(parse, text):
@@ -480,7 +651,7 @@ class TestForestParser:
         assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
 
     @given(
-        st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(0, 200),
+        st.integers(1, 64), st.integers(0, 2**32 - 1), st.integers(0, 800),
         st.sampled_from(["0", "7", "x", " ", "\n", "-"]), st.sampled_from(["replace", "insert", "delete"]),
     )
     @settings(max_examples=200, deadline=None)
@@ -488,6 +659,53 @@ class TestForestParser:
         forest = make_forest(ForestSpec("random", n, max_degree=max(1, n // 2), seed=seed))
         text = mutate(serialize_forest(forest), pos, char, kind)
         assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
+
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from([
+                    "0", "1", "2", "3", "1_0", "\u0663", "+1", "-0", "|", "1|", "x", "9223372036854775807",
+                    "9223372036854775808", "-9223372036854775809", "99999999999999999999",
+                ]),
+                min_size=1, max_size=3,
+            ),
+            max_size=6,
+        ),
+        st.sampled_from([" ", "\t", "  "]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_edge_tokens_convert_as_int_does(self, lines, gap):
+        # int() accepts "1_0" and non-ASCII digits; "|" is the separator the
+        # lines are joined with before the split; ends past int64 take the
+        # Python-int route to Forest
+        text = f"12 {len(lines)}\n" + "".join(gap.join(tokens) + "\n" for tokens in lines)
+        assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 1\n0 1 |\n", "bad edge line: '0 1 |'"),
+        ("3 2\n0 1\n1 2 |\n", "bad edge line: '1 2 |'"),
+        ("3 2\n0 1 2\n1\n", "bad edge line: '0 1 2'"),
+        ("3 2\n0\n1 2 0\n", "bad edge line: '0'"),
+        ("3 2\n0 |\n1 2\n", "bad edge line: '0 |'"),
+        ("3 2\n| 1\n1 2\n", "bad edge line: '| 1'"),
+        ("3 1\n0 99999999999999999999\n", "edge (0,99999999999999999999) out of range for n=3"),
+        ("3 1\n-9223372036854775809 1\n", "edge (-9223372036854775809,1) out of range for n=3"),
+        ("3 2\n1 1\n0 99999999999999999999\n", "self-loop at vertex 1"),
+        ("3 2\n0 99999999999999999999\n0 x\n", "bad edge line: '0 x'"),
+        ("3 2\n0 9223372036854775807\n0 x\n", "bad edge line: '0 x'"),
+        ("3 2\n2 1\n1 2\n", "duplicate edge (1,2)"),
+        ("3 3\n0 1\n1 2\n2 0\n", "edge (0,2) closes a cycle"),
+    ])
+    def test_malformed_text_message(self, text, message):
+        with pytest.raises(InvalidInputError) as err:
+            parse_forest(text)
+        assert str(err.value) == message
+        assert outcome(reference_parse_forest, text) == f"InvalidInputError: {message}"
+
+    def test_int_spellings_parse_as_int_does(self):
+        f = parse_forest("12 2\n1_0 \u0663\n+0 1_1\n")
+        assert f.edges == ((0, 11), (3, 10))
+        assert all(type(x) is int for edge in f.edges for x in edge)
 
 
 #: JSON values for the embedding loader fuzz: ints, bools, floats, strings, lists and objects

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from forestbalance.core import (
@@ -8,15 +9,17 @@ from forestbalance.core import (
     InvalidInputError,
     PartialEmbedding,
     subgraph_sum,
+    swap_images,
 )
 from forestbalance.generators import ForestSpec, make_forest, random_balanced_colouring
 from forestbalance.interpolate import (
+    InterpolationTrace,
     SignedPair,
     interpolate,
     interpolate_traced,
     partial_interpolation_sequence,
 )
-from forestbalance.solver import SolverConfig, find_signed_pair
+from forestbalance.solver import ExtensionSampler, SolverConfig, find_signed_pair
 
 
 def signed_pair_by_search(forest, graph, seed, budget=3000):
@@ -65,6 +68,15 @@ class TestSignedPair:
             assert pair.h_neg.forward[v] != pair.h_pos.forward[v]
         degs = [p8.degree[v] for v in pair.disagreement]
         assert pair.disagreement_max_degree == max(degs, default=0)
+
+    def test_disagreement_data_skips_agreeing_vertices(self):
+        # the hub 0 (degree 3) has the same image in both maps, so its degree does not count
+        forest = Forest(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
+        pair = SignedPair.of(Embedding([0, 2, 1, 3, 5, 4], 2), Embedding([0, 1, 2, 3, 4, 5], -2), forest)
+        assert pair.h_neg.colour_sum == -2
+        assert pair.disagreement == (1, 2, 4, 5)
+        assert all(type(v) is int for v in pair.disagreement)
+        assert pair.disagreement_max_degree == 2
 
     def test_same_strict_sign_rejected(self):
         g = random_balanced_colouring(8, 2)
@@ -152,6 +164,108 @@ class TestInterpolate:
             pair = signed_pair_by_search(forest, g, 300 + seed)
             out = interpolate(pair, forest, g)
             assert abs(out.colour_sum) <= pair.disagreement_max_degree
+
+
+def reference_interpolate_traced(pair, forest, graph):
+    """The walk as it was before it swapped in place: one new Embedding per step, via swap_images."""
+    bound = pair.bound(forest)
+    trace = InterpolationTrace(achieved_bound=bound)
+
+    if abs(pair.h_pos.colour_sum) <= bound:
+        trace.steps.append((None, pair.h_pos.colour_sum))
+        trace.result = pair.h_pos
+        return pair.h_pos, trace
+    if abs(pair.h_neg.colour_sum) <= bound:
+        trace.steps.append((None, pair.h_neg.colour_sum))
+        trace.result = pair.h_neg
+        return pair.h_neg, trace
+
+    current = pair.h_pos
+    trace.steps.append((None, current.colour_sum))
+    holder = [0] * forest.n
+    for x, t in enumerate(current.forward):
+        holder[t] = x
+
+    def apply(u, v):
+        nonlocal current
+        holder[current.forward[u]], holder[current.forward[v]] = v, u
+        current = swap_images(current, u, v, forest, graph)
+        trace.steps.append(((u, v), current.colour_sum))
+        if abs(current.colour_sum) <= bound:
+            return current
+        return None
+
+    min_deg = forest.min_degree
+    w = forest.degree.index(min_deg)
+    for v in pair.disagreement:
+        target = pair.h_neg.forward[v]
+        if current.forward[v] == target:
+            continue
+        u = holder[target]
+        if forest.degree[u] == min_deg or forest.degree[v] == min_deg:
+            done = apply(u, v)
+            if done is not None:
+                trace.result = done
+                return done, trace
+        else:
+            for a, b in ((u, w), (v, w), (u, w)):
+                done = apply(a, b)
+                if done is not None:
+                    trace.result = done
+                    return done, trace
+    raise AssertionError("interpolation walk finished without entering the bound window")
+
+
+def extreme_pair(forest, graph, anchor, seed, samples=40):
+    """The least and greatest of a few sampled extensions: far apart, so the walk is long."""
+    images, sums = ExtensionSampler(forest, graph, anchor).draw(random.Random(seed), samples)
+    lo, hi = int(np.argmin(sums)), int(np.argmax(sums))
+    return SignedPair.of(
+        Embedding(images[lo].tolist(), int(sums[lo])), Embedding(images[hi].tolist(), int(sums[hi])), forest
+    )
+
+
+def walk_kinds(trace, forest):
+    """{'end'} for an unwalked end; else which swap routes the walk took."""
+    if len(trace.steps) == 1:
+        return {"end"}
+    w = forest.degree.index(forest.min_degree)
+    swaps = [swap for swap, _ in trace.steps[1:]]
+    kinds = set()
+    # every three-step swap has w second, and only that route makes three such swaps in a row
+    if any(b != w for _, b in swaps):
+        kinds.add("direct")
+    for first, second, third in zip(swaps, swaps[1:], swaps[2:]):
+        if first[1] == second[1] == third[1] == w and first == third:
+            kinds.add("three-step")
+    return kinds
+
+
+class TestInPlaceWalk:
+    @pytest.mark.parametrize("n", [16, 64, 256, 512])
+    def test_matches_the_swap_images_walk(self, n):
+        g = random_balanced_colouring(n, n + 1)
+        path = make_forest(ForestSpec("path", n))
+        spider = make_forest(ForestSpec("random", n, max_degree=max(3, n // 8), seed=n))
+        anchor = PartialEmbedding({0: n - 1, n // 2: 0, n - 1: n // 3})
+        pairs = []
+        for forest in (path, spider):
+            for a in (None, anchor):
+                pairs += [(forest, extreme_pair(forest, g, a, seed)) for seed in range(3)]
+                cfg = SolverConfig(sample_budget=5000)
+                pairs += [(forest, find_signed_pair(forest, g, a, cfg, random.Random(seed))) for seed in range(3)]
+        kinds = set()
+        for forest, pair in pairs:
+            out, trace = interpolate_traced(pair, forest, g)
+            ref, ref_trace = reference_interpolate_traced(pair, forest, g)
+            assert trace.steps == ref_trace.steps
+            assert trace.achieved_bound == ref_trace.achieved_bound
+            assert out.forward == ref.forward and out.colour_sum == ref.colour_sum
+            assert type(out.forward) is tuple and trace.result is out
+            assert subgraph_sum(g, out, forest) == out.colour_sum
+            kinds |= walk_kinds(trace, forest)
+        # the pairs cover an unwalked end and both swap routes, so each was compared
+        assert kinds == {"end", "direct", "three-step"}
 
 
 def _pe(mapping):

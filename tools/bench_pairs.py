@@ -1,0 +1,175 @@
+"""Paired benchmark runs: a parent revision against the working tree.
+
+Usage (from the repository root):
+
+    python3 tools/bench_pairs.py --parent HEAD --pr N --seeds 101-110 \
+        --trace-workload sampled-large --trace-seed 5 --rows-seeds 1-3
+
+The parent side is the committed files of ``--parent``, exported with
+``git archive`` into a temporary directory; the change side is the working
+tree.  For every workload in BENCHMARK.json and every seed, both sides run
+``perfbench/run.py --trace 0`` once for the benchmark's ``run_seconds``, one
+process at a time; odd seeds run the parent first and even seeds the change
+first, so a drift of the machine's speed does not favour one side.  The
+result is written to ``BENCH_<pr>.json`` at the repository root: per
+end-to-end metric, the median and quartiles of each side's runs and the
+number of pairs in which the change was better or worse.
+
+``--trace-workload`` adds one ``--trace 1`` run per side and records every
+per-layer metric.  ``--rows-seeds`` adds ``--seconds 0`` runs of every
+workload and compares their per-op rows on the answer fields.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+#: the per-op row fields that must not differ between the sides
+ROW_FIELDS = ("workload", "family", "op", "n", "mechanism", "achieved", "certified_value",
+              "samples_drawn", "walk_steps", "failed")
+
+
+def seed_list(text: str) -> list[int]:
+    """"101-110" or "1,5,9" -> a list of seeds."""
+    if "-" in text:
+        lo, hi = text.split("-", 1)
+        return list(range(int(lo), int(hi) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def run_bench(side: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run in the checkout at ``side``; its JSON result (last line of stdout)."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=side, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
+
+
+def summarise(spec: dict, runs: dict, seeds: list[int]) -> dict:
+    """One workload's entry: op counts per side and, per metric, quartiles and pair counts."""
+    entry = {
+        "seeds": seeds,
+        "pairs": len(seeds),
+        "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in runs},
+        "attempted_ops": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
+        "correct": {side: all(r["correct"] for r in runs[side]) for side in runs},
+        "metrics": {},
+    }
+    for metric in spec["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+        pairs = list(zip(values["parent"], values["change"]))
+        parent_median = statistics.median(values["parent"])
+        change_median = statistics.median(values["change"])
+        entry["metrics"][name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "bound": metric["bound"],
+            "parent": quartiles(values["parent"]),
+            "change": quartiles(values["change"]),
+            "change_vs_parent_pct": round((change_median / parent_median - 1) * 100, 2) if parent_median else None,
+            "change_better_in": sum(sign * (c - p) > 0 for p, c in pairs),
+            "change_worse_in": sum(sign * (c - p) < 0 for p, c in pairs),
+        }
+    return entry
+
+
+def compare_rows(sides: dict, workloads: list[str], seeds: list[int]) -> str:
+    """Run --seconds 0 on both sides and say whether the per-op rows agree on ROW_FIELDS."""
+    total = differing = failed = 0
+    for workload in workloads:
+        for seed in seeds:
+            rows = {}
+            for side, path in sides.items():
+                run_bench(path, workload, seed, 0, 0)
+                out = path / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.jsonl"
+                rows[side] = [json.loads(line) for line in out.read_text().splitlines()]
+            if len(rows["parent"]) != len(rows["change"]):
+                raise SystemExit(f"{workload} seed {seed}: the sides ran different numbers of ops")
+            for p, c in zip(rows["parent"], rows["change"]):
+                total += 1
+                differing += any(p.get(k) != c.get(k) for k in ROW_FIELDS)
+                failed += c["failed"]
+    return (f"perfbench --seconds 0 runs, seeds {seeds[0]}-{seeds[-1]}, {len(workloads)} workloads "
+            f"({total} rows per side): {differing} rows differ from the parent's in "
+            f"{', '.join(ROW_FIELDS)}; {failed} failed ops on the change side")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
+    parser.add_argument("--pr", required=True, help="number for the output file BENCH_<pr>.json")
+    parser.add_argument("--seeds", type=seed_list, required=True, help='e.g. "101-110" or "1,4,9"')
+    parser.add_argument("--trace-workload")
+    parser.add_argument("--trace-seed", type=int, default=5)
+    parser.add_argument("--rows-seeds", type=seed_list)
+    parser.add_argument("--machine", default="", help="hardware and versions, recorded as given")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent = Path(tmp)
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        sides = {"parent": parent, "change": ROOT}
+
+        result = {
+            "about": (f"Paired parent/change runs of perfbench/run.py ({seconds:g} s, --trace 0) on each "
+                      "workload, alternating which side runs first (odd seeds parent first); medians and "
+                      "inclusive quartiles over the runs of each side. Times are the benchmark's scaled times."),
+            "machine": args.machine,
+            "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds:g} --trace <0|1>",
+            "parent": subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True,
+                                     text=True, check=True).stdout.strip(),
+            "workloads": {},
+        }
+        for workload in workloads:
+            runs = {"parent": [], "change": []}
+            for seed in args.seeds:
+                order = ("parent", "change") if seed % 2 else ("change", "parent")
+                for side in order:
+                    runs[side].append(run_bench(sides[side], workload, seed, seconds, 0))
+                print(f"{workload} seed {seed}: op_ms.p50 "
+                      + " / ".join(f"{s} {runs[s][-1]['metrics']['op_ms.p50']['value']:.4g}" for s in runs),
+                      file=sys.stderr)
+            result["workloads"][workload] = summarise(spec, runs, args.seeds)
+
+        if args.trace_workload:
+            traced = {side: run_bench(path, args.trace_workload, args.trace_seed, seconds, 1)
+                      for side, path in sides.items()}
+            names = sorted(set(traced["parent"]["metrics"]) | set(traced["change"]["metrics"]))
+            result[f"trace_{args.trace_workload.replace('-', '_')}_seed{args.trace_seed}"] = {
+                "note": (f"one --trace 1 run per side, seed {args.trace_seed}; per-layer values per op "
+                         "(ms are self time, unscaled)"),
+                "layers": {name: {side: round(traced[side]["metrics"][name]["value"], 6)
+                                  if name in traced[side]["metrics"] else None for side in sides}
+                           for name in names},
+            }
+        if args.rows_seeds:
+            key = f"rows_seeds_{args.rows_seeds[0]}_{args.rows_seeds[-1]}"
+            result[key] = compare_rows(sides, workloads, args.rows_seeds)
+
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(result, indent=2) + "\n")
+    print(f"wrote {out.relative_to(ROOT)}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
