@@ -2,9 +2,10 @@
 
 Both exact oracles read one enumerator, ``_extensions``, which scores the
 extensions of a partial map with numpy in lexicographic order, in chunks of
-at most 8! rows, each scored by one gather through per-call slot and edge
-code tables.  Budgets count extensions, and exceeding one raises instead of
-silently skipping work.
+at most 8! rows.  A row's sum is read from small per-chunk lookup tables,
+one per pair of terms over the permuted tail, so a row costs at most 8
+gathers whatever n is.  Budgets count extensions, and exceeding one raises
+instead of silently skipping work.
 """
 
 from __future__ import annotations
@@ -43,9 +44,12 @@ class BudgetExceededError(RuntimeError):
 
 @cache
 def _permutation_table(width: int) -> np.ndarray:
-    """Every permutation of range(width) in lexicographic order, as a read-only int8 array."""
-    flat = np.fromiter(chain.from_iterable(permutations(range(width))), np.int8)
-    table = flat.reshape(math.factorial(width), width)
+    """Every permutation of range(width) in lexicographic order, one per column, as a read-only uint8 array.
+
+    The table is (width, width!): row p holds entry p of every permutation, contiguously.
+    """
+    flat = np.fromiter(chain.from_iterable(permutations(range(width))), np.uint8)
+    table = np.ascontiguousarray(flat.reshape(math.factorial(width), width).T)
     table.flags.writeable = False
     return table
 
@@ -55,35 +59,81 @@ def _extensions(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every bijection extending fixed, as ``(order, slots, sums)`` chunks of at most _TAIL! rows.
 
-    Row i maps vertex v to ``order[slots[i, v]]`` and has colour sum
-    ``sums[i]``.  The free vertices, ascending, take the free targets in the
-    order of ``itertools.permutations``; the last _TAIL come from the table,
-    any earlier ones are fixed per chunk.  ``slots`` is built once per call:
-    the head (fixed, then leading free vertices) takes the slots 0..k-1, the
-    tail k plus its table entry.  Per chunk, ``order`` lists the head's
-    targets, then the other free targets ascending.  ``slots`` takes the
-    smallest unsigned dtype holding n; each edge's slot pair is coded once as
-    ``slot_u * n + slot_v`` in intp, the index type ``take`` would otherwise
-    convert the codes to on every chunk.  A chunk then costs one gather from
-    the colour matrix reindexed by ``order`` and one sum; full maps are never
-    materialised.
+    Row i maps each fixed vertex to its target and the j-th free vertex
+    (ascending) to ``order[slots[i, j]]``, and has colour sum ``sums[i]``.
+    The free vertices take the free targets in the order of
+    ``itertools.permutations``: the last w <= _TAIL (the tail) come from
+    the permutation table, any earlier ones (the lead) are fixed per chunk.
+    ``slots`` is a (w!, free) view of a transposed slot array built once per
+    call: lead vertex j takes slot j, tail vertex p slot lead plus table
+    entry p.  Per chunk, ``order`` lists the lead's targets, then the other
+    free targets ascending.
+
+    A row's sum splits into terms over the head (fixed and lead vertices)
+    and the tail positions a_p of the row: edges inside the head add to one
+    per-chunk constant; all head edges of tail vertex p form one term
+    U_p[a_p], from one small integer matmul per chunk; each tail edge (p, q)
+    is a term B[a_p, a_q] on the w x w tail block of the colour matrix.
+    The terms go in pairs, each pair with one per-chunk table of w^4
+    entries, which rows read through per-call intp codes
+    ``j*w^4 + c1*w^2 + c2``, c = a_x*w + a_y (x = y = p for U_p).  A forest
+    has at most w - 1 tail edges, so a row costs at most _TAIL gathers,
+    whatever n is.  Sums take the narrowest signed type holding
+    +-(|E| + 1), the callers' sentinels; full maps are never materialised.
     """
-    n = forest.n
+    n, m = forest.n, forest.edge_count
     free_vs = [v for v in range(n) if v not in fixed]
     free_ts = sorted(set(range(n)).difference(fixed.values()))
     lead = max(len(free_vs) - _TAIL, 0)
-    table = _permutation_table(len(free_vs) - lead)
-    head = [*fixed, *free_vs[:lead]]
-    dtype = np.min_scalar_type(n - 1)
-    slots = np.empty((len(table), n), dtype)
-    slots[:, head] = np.arange(len(head))
-    slots[:, free_vs[lead:]] = table.astype(dtype) + len(head)
-    pairs = np.array(forest.edges, np.intp).reshape(-1, 2)
-    codes = slots.T[pairs[:, 0]].astype(np.intp) * n + slots.T[pairs[:, 1]]
+    tail = free_vs[lead:]
+    w = len(tail)
+    table = _permutation_table(w)
+    transposed = np.empty((len(free_vs), table.shape[1]), np.min_scalar_type(max(len(free_vs) - 1, 0)))
+    transposed[:lead] = np.arange(lead)[:, None]
+    transposed[lead:] = table
+    transposed[lead:] += lead
+    slots = transposed.T
+
+    head_of = {v: i for i, v in enumerate([*fixed, *free_vs[:lead]])}
+    tail_of = {v: p for p, v in enumerate(tail)}
+    incidence = np.zeros((w, len(head_of)), np.int32)  # [p, h]: tail vertex p meets head vertex h
+    inner, terms = [], []  # head-head edges; terms (x, y, source) read at a_x*w + a_y
+    for u, v in forest.edges:
+        if u in tail_of and v in tail_of:
+            terms.append((tail_of[u], tail_of[v], w))
+        elif u in tail_of:
+            incidence[tail_of[u], head_of[v]] = 1
+        elif v in tail_of:
+            incidence[tail_of[v], head_of[u]] = 1
+        else:
+            inner.append((head_of[u], head_of[v]))
+    terms += [(p, p, p) for p in np.flatnonzero(incidence.any(axis=1)).tolist()]
+    if len(terms) % 2:
+        terms.append((0, 0, w + 1))
+    inner = np.array(inner, np.intp).reshape(-1, 2).T
+    positions = np.array(terms, np.intp).reshape(-1, 3)
+    pair_codes = table[positions[:, 0]]  # per term, a_x*w + a_y < w^2
+    pair_codes *= w
+    pair_codes += table[positions[:, 1]]
+    codes = pair_codes[0::2].astype(np.intp)
+    codes *= w * w
+    codes += pair_codes[1::2]
+    codes += np.arange(len(codes))[:, None] * w**4
+    dtype = np.min_scalar_type(-m - 2)
+
+    fixed_ts, k = list(fixed.values()), len(head_of)
     for prefix in permutations(free_ts, lead):
-        order = np.array([*fixed.values(), *prefix, *(t for t in free_ts if t not in prefix)], np.intp)
-        local = graph.matrix[np.ix_(order, order)].ravel()
-        yield order, slots, local.take(codes).sum(axis=0, dtype=np.int32)
+        order = np.array([*prefix, *(t for t in free_ts if t not in prefix)], np.intp)
+        targets = np.array([*fixed_ts, *order], np.intp)  # the head's targets, then the tail's
+        columns = graph.matrix[targets[:, None], order[lead:]]
+        term = np.zeros((w + 2, w, w), dtype)  # source p: U_p[a] at (a, b); source w: B; w + 1: zero
+        term[:w] = (incidence @ columns[:k])[:, :, None]
+        term[w] = columns[k:]
+        paired = term.reshape(w + 2, w * w)[positions[:, 2]]
+        tables = (paired[0::2, :, None] + paired[1::2, None, :]).ravel()
+        sums = tables.take(codes).sum(axis=0, dtype=dtype)
+        sums += int(graph.matrix[targets[inner[0]], targets[inner[1]]].sum())
+        yield order, slots, sums
 
 
 def star_centre(forest: Forest) -> int | None:
@@ -230,16 +280,22 @@ def exact_sign(
         seen += len(sums)
         lo, hi = int(sums.argmin()), int(sums.argmax())
         if sums[lo] < min_sum:
-            min_sum, min_map = int(sums[lo]), order[slots[lo]].tolist()
+            min_sum, min_free = int(sums[lo]), order[slots[lo]]
         if sums[hi] > max_sum:
-            max_sum, max_map = int(sums[hi]), order[slots[hi]].tolist()
+            max_sum, max_free = int(sums[hi]), order[slots[hi]]
     return SignVerdict(
         min_sum=min_sum,
         max_sum=max_sum,
-        min_witness=Embedding.build(min_map, forest, graph),
-        max_witness=Embedding.build(max_map, forest, graph),
+        min_witness=Embedding.build(_full_map(partial.mapping, min_free), forest, graph),
+        max_witness=Embedding.build(_full_map(partial.mapping, max_free), forest, graph),
         extensions=seen,
     )
+
+
+def _full_map(fixed: Mapping[int, int], free_images: np.ndarray) -> list[int]:
+    """The map sending each fixed vertex to its target and the free vertices, ascending, to free_images."""
+    rest = iter(free_images.tolist())
+    return [fixed[v] if v in fixed else next(rest) for v in range(len(fixed) + len(free_images))]
 
 
 @dataclass(frozen=True)

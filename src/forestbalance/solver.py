@@ -222,7 +222,8 @@ def find_signed_pair(
 
 
 def _row(images: np.ndarray, sums: np.ndarray, r: int) -> Embedding:
-    return Embedding(images[r].tolist(), int(sums[r]))
+    # every sampled row is an argsort permutation, so it needs no bijection re-check
+    return Embedding.of_bijection(tuple(images[r].tolist()), int(sums[r]))
 
 
 def _first(images: np.ndarray, sums: np.ndarray, mask: np.ndarray, offset: int):

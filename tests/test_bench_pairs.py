@@ -1,0 +1,72 @@
+"""The paired-run summary of tools/bench_pairs.py on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+SPEC = {"end_to_end": [
+    {"name": "op_ms.p50", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]}
+
+# ten parent runs with median 10.0 and quartiles 9.5 / 10.5 (IQR 1.0)
+PARENT = [9.0, 9.3, 9.5, 9.5, 9.9, 10.1, 10.5, 10.5, 10.7, 11.0]
+
+
+def runs(parent_ms, change_ms):
+    def run(ms):
+        return {"failed": 0, "attempted": 100, "correct": True,
+                "metrics": {"op_ms.p50": {"value": ms}, "ops_per_s": {"value": 1000.0 / ms}}}
+
+    return {"parent": [run(v) for v in parent_ms], "change": [run(v) for v in change_ms]}
+
+
+def summary(change_ms, parent_ms=PARENT):
+    return bench_pairs.summarise(SPEC, runs(parent_ms, change_ms), list(range(len(parent_ms))))["metrics"]
+
+
+def test_quartiles_of_the_synthetic_parent():
+    assert bench_pairs.quartiles(PARENT) == {"median": 10.0, "q1": 9.5, "q3": 10.5}
+
+
+def test_clear_gain_passes_the_claim_gate():
+    m = summary([v - 2.0 for v in PARENT])
+    for name in ("op_ms.p50", "ops_per_s"):
+        assert m[name]["change_better_in"] == 10
+        assert m[name]["claim_gate"] and m[name]["within_bound"]
+
+
+def test_eight_wins_in_ten_fail_the_claim_gate():
+    m = summary([v - 2.0 for v in PARENT[:8]] + [v + 0.5 for v in PARENT[8:]])
+    assert m["op_ms.p50"]["change_better_in"] == 8
+    assert not m["op_ms.p50"]["claim_gate"]
+
+
+def test_ten_wins_within_the_parent_spread_fail_the_claim_gate():
+    # every pair is won, but the medians differ by 0.9 < IQR 1.0
+    m = summary([v - 0.9 for v in PARENT])
+    assert m["op_ms.p50"]["change_better_in"] == 10
+    assert not m["op_ms.p50"]["claim_gate"]
+    assert m["op_ms.p50"]["within_bound"]
+
+
+@pytest.mark.parametrize("slowdown, within", [(1.2, True), (1.3, False)])
+def test_within_bound_is_relative_to_the_parent_median(slowdown, within):
+    m = summary([v * slowdown for v in PARENT])
+    assert m["op_ms.p50"]["within_bound"] is within
+    assert not m["op_ms.p50"]["claim_gate"]
+    # ops_per_s falls by 1 - 1/slowdown: 17% or 23%, inside its 25% bound
+    assert m["ops_per_s"]["within_bound"]
+
+
+def test_higher_is_better_regression_beyond_the_bound():
+    m = summary([v * 1.5 for v in PARENT])
+    assert m["ops_per_s"]["change_worse_in"] == 10
+    assert not m["ops_per_s"]["within_bound"]
+    assert not m["ops_per_s"]["claim_gate"]

@@ -290,26 +290,27 @@ class TestExtensionChunks:
             first_slots = slots if first_slots is None else first_slots
             assert slots is first_slots
             images = order[slots]
-            assert images.shape == (len(sums), n)
+            assert images.shape == (len(sums), len(free_vs))
             assert 0 < len(sums) <= cap
-            assert np.array_equal(images[:, free_vs], np.array(list(islice(expected, len(sums)))))
-            for v, t in fixed.items():
-                assert (images[:, v] == t).all()
+            assert np.array_equal(images, np.array(list(islice(expected, len(sums)))))
             for i in range(0, len(sums), 499):
-                assert sums[i] == scalar_sum(rows, forest, images[i].tolist())
+                full = oracle._full_map(fixed, images[i])
+                assert [full[v] for v in fixed] == list(fixed.values())
+                assert [full[v] for v in free_vs] == images[i].tolist()
+                assert sums[i] == scalar_sum(rows, forest, full)
 
 
 @cache
 def lexicographic_permutations(k):
-    return np.fromiter(chain.from_iterable(permutations(range(k))), np.int8).reshape(-1, k)
+    return np.fromiter(chain.from_iterable(permutations(range(k))), np.int8).reshape(math.factorial(k), k)
 
 
 def numpy_extensions(forest, graph, mapping):
     """Every extension of mapping as full maps, in the order of brute_sign, with their sums."""
     n = forest.n
     free_vs = [v for v in range(n) if v not in mapping]
-    free_ts = np.array(sorted(set(range(n)) - set(mapping.values())), np.int8)
-    maps = np.empty((math.factorial(len(free_vs)), n), np.int8)
+    free_ts = np.array(sorted(set(range(n)) - set(mapping.values())), np.int16)
+    maps = np.empty((math.factorial(len(free_vs)), n), np.int16)
     maps[:, free_vs] = free_ts[lexicographic_permutations(len(free_vs))]
     for v, t in mapping.items():
         maps[:, v] = t
@@ -317,6 +318,23 @@ def numpy_extensions(forest, graph, mapping):
     for u, v in forest.edges:
         sums += graph.matrix[maps[:, u], maps[:, v]]
     return maps, sums
+
+
+def numpy_verdict(forest, graph, mapping):
+    """(min, max, first argmin map, first argmax map, extensions) from numpy_extensions."""
+    maps, sums = numpy_extensions(forest, graph, mapping)
+    lo, hi = int(sums.argmin()), int(sums.argmax())
+    return sums[lo], sums[hi], tuple(maps[lo].tolist()), tuple(maps[hi].tolist()), len(maps)
+
+
+def verdict_tuple(v):
+    return v.min_sum, v.max_sum, v.min_witness.forward, v.max_witness.forward, v.extensions
+
+
+def scattered(n, k, seed):
+    """k vertices fixed on k targets, both drawn at random."""
+    rng = random.Random(seed)
+    return dict(zip(rng.sample(range(n), k), rng.sample(range(n), k)))
 
 
 def hub_red(n):
@@ -329,8 +347,12 @@ HEAD_EDGE_TREE = Forest(10, [(0, 3), (3, 1), (1, 2), (3, 4), (4, 5), (5, 6), (0,
 
 
 class TestHeadSlots:
-    """Scans of more than _TAIL free vertices, where the head changes target per chunk."""
+    """Scans with a head (fixed or leading free vertices) beside the permuted tail."""
 
+    # t counts a row's terms (one per tail vertex with head neighbours, one
+    # per tail edge); an odd t leaves one term unpaired.  t is 9 for
+    # head-edge-10 and path-10, 7 for random-10, 8 for path-9 and random-9,
+    # and 0 for the all-fixed partial
     @pytest.mark.parametrize(
         "forest, mapping",
         [
@@ -339,17 +361,50 @@ class TestHeadSlots:
             (make_forest(ForestSpec("random", 10, max_degree=3, seed=2)), {0: 4}),
             (make_forest(ForestSpec("path", 9)), {}),
             (make_forest(ForestSpec("random", 9, max_degree=3, seed=9)), {}),
+            (make_forest(ForestSpec("random", 32, max_degree=3, seed=32)), scattered(32, 25, 1)),
+            (make_forest(ForestSpec("random", 32, max_degree=3, seed=32)), scattered(32, 25, 0)),
+            (make_forest(ForestSpec("star", 64)), {v: (v + 5) % 64 for v in range(8, 64)}),
+            (make_forest(ForestSpec("path", 10)), {v: (3 * v + 1) % 10 for v in range(10)}),
+            (make_forest(ForestSpec("path", 10)), {v: (3 * v + 1) % 10 for v in range(10) if v != 4}),
         ],
-        ids=["head-edge-10", "path-10", "random-10", "path-9", "random-9"],
+        ids=["head-edge-10", "path-10", "random-10", "path-9", "random-9",
+             "random-32-25-fixed-t7", "random-32-25-fixed-t8", "star-64-centre-and-7-leaves-free-t8",
+             "path-10-all-fixed", "path-10-one-free-t1"],
     )
     def test_exact_sign_matches_numpy_reference(self, forest, mapping):
         n = forest.n
         for g in (random_colouring(n, 800 + n), biased_colouring(n, 900 + n)):
-            maps, sums = numpy_extensions(forest, g, mapping)
-            lo, hi = int(sums.argmin()), int(sums.argmax())
             v = exact_sign(forest, g, PartialEmbedding(mapping))
-            got = (v.min_sum, v.max_sum, v.min_witness.forward, v.max_witness.forward, v.extensions)
-            assert got == (sums[lo], sums[hi], tuple(maps[lo].tolist()), tuple(maps[hi].tolist()), len(maps))
+            assert verdict_tuple(v) == numpy_verdict(forest, g, mapping)
+
+    def test_star_sums_past_int8_match_numpy_reference(self):
+        # the centre on the all-red target 0 scores +199, elsewhere -197:
+        # both out of int8 range
+        n = 200
+        forest = make_forest(ForestSpec("star", n))
+        mapping = {v: v for v in range(8, n)}
+        g = hub_red(n)
+        v = exact_sign(forest, g, PartialEmbedding(mapping))
+        assert (v.min_sum, v.max_sum) == (-197, 199)
+        assert verdict_tuple(v) == numpy_verdict(forest, g, mapping)
+
+    def test_head_heavy_sign_stays_small_at_n256(self):
+        # 8 free positions among 256: a byte per vertex or per edge for each
+        # of the 8! rows would already pass 10 MB
+        n = 256
+        forest = make_forest(ForestSpec("path", n))
+        mapping = {v: n - 1 - v for v in range(n - 8)}
+        g = random_colouring(n, 256)
+        expected = numpy_verdict(forest, g, mapping)
+        oracle._permutation_table(8)
+        tracemalloc.start()
+        try:
+            v = exact_sign(forest, g, PartialEmbedding(mapping))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict_tuple(v) == expected
+        assert peak < 10_000_000
 
     @pytest.mark.parametrize("kind", ["path", "random"])
     def test_exact_min_matches_numpy_reference(self, kind):

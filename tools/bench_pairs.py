@@ -12,8 +12,12 @@ tree.  For every workload in BENCHMARK.json and every seed, both sides run
 process at a time; odd seeds run the parent first and even seeds the change
 first, so a drift of the machine's speed does not favour one side.  The
 result is written to ``BENCH_<pr>.json`` at the repository root: per
-end-to-end metric, the median and quartiles of each side's runs and the
-number of pairs in which the change was better or worse.
+end-to-end metric, the median and quartiles of each side's runs, the
+number of pairs in which the change was better or worse, ``claim_gate``
+(the change won at least 90% of the pairs and the medians differ in its
+favour by more than the parent's interquartile range) and ``within_bound``
+(the change's median is no worse than the parent's by more than the
+metric's BENCHMARK.json bound, relative to the parent's median).
 
 ``--trace-workload`` adds one ``--trace 1`` run per side and records every
 per-layer metric.  ``--rows-seeds`` adds ``--seconds 0`` runs of every
@@ -75,15 +79,23 @@ def summarise(spec: dict, runs: dict, seeds: list[int]) -> dict:
         pairs = list(zip(values["parent"], values["change"]))
         parent_median = statistics.median(values["parent"])
         change_median = statistics.median(values["change"])
+        parent = quartiles(values["parent"])
+        gain = sign * (change_median - parent_median)
+        better_in = sum(sign * (c - p) > 0 for p, c in pairs)
         entry["metrics"][name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             "bound": metric["bound"],
-            "parent": quartiles(values["parent"]),
+            "parent": parent,
             "change": quartiles(values["change"]),
             "change_vs_parent_pct": round((change_median / parent_median - 1) * 100, 2) if parent_median else None,
-            "change_better_in": sum(sign * (c - p) > 0 for p, c in pairs),
+            "change_better_in": better_in,
             "change_worse_in": sum(sign * (c - p) < 0 for p, c in pairs),
+            # a gain may be claimed only if the change wins >= 90% of the pairs and the
+            # medians differ in its favour by more than the parent's interquartile range
+            "claim_gate": better_in >= 0.9 * len(pairs) and gain > parent["q3"] - parent["q1"],
+            # no worse than the parent's median by more than the bound, relative to that median
+            "within_bound": -gain <= metric["bound"] * abs(parent_median),
         }
     return entry
 
