@@ -40,7 +40,7 @@ from .oracle import (
     exact_sign,
     is_sign_fixing,
 )
-from .solver import SolverConfig, solve
+from .solver import STRATEGIES, SolverConfig, solve
 from .verify import VerifySuiteSpec, bench_csv, run_bench, run_verify
 
 USAGE_EXIT = 1
@@ -69,7 +69,10 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _load_instance(args):
@@ -101,10 +104,8 @@ def build_parser() -> _Parser:
     p.add_argument("--colouring", required=True)
     p.add_argument("--forest", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strategy", default="auto",
-                   choices=["auto", "interpolate-only", "greedy-star", "local-search"])
+    p.add_argument("--strategy", default="auto", choices=STRATEGIES)
     p.add_argument("--sample-budget", type=int, default=5000)
-    p.add_argument("--max-restarts", type=int, default=200)
     p.add_argument("--exact-threshold", type=int, default=8)
     p.add_argument("--json", dest="json_out", default=None)
     p.add_argument("--trace", dest="trace_out", default=None,
@@ -173,7 +174,6 @@ def _cmd_solve(args) -> int:
     forest, graph = _load_instance(args)
     cfg = SolverConfig(
         seed=args.seed,
-        max_restarts=args.max_restarts,
         sample_budget=args.sample_budget,
         strategy=args.strategy,
         exact_threshold=args.exact_threshold,
@@ -325,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return REFUSAL_EXIT
-    except (InvalidInputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InvalidInputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

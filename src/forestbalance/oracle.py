@@ -148,13 +148,6 @@ def star_centre(forest: Forest) -> int | None:
     return None
 
 
-def _detect_path_endpoints(forest: Forest) -> tuple[int, int] | None:
-    if forest.n < 3 or forest.edge_count != forest.n - 1 or forest.max_degree != 2:
-        return None
-    # a tree with maximum degree 2 on at least 3 vertices has exactly two leaves
-    return tuple(v for v in range(forest.n) if forest.degree[v] == 1)
-
-
 def exact_min_imbalance(
     forest: Forest,
     graph: ColouredCompleteGraph,
@@ -163,10 +156,10 @@ def exact_min_imbalance(
     """Minimum |colour sum| over all embeddings, with a witness.
 
     Stars, isolated vertices included, are solved in closed form at any n
-    (see _star_min_imbalance); spanning paths use their reversal symmetry;
-    everything else is a full factorial scan with an early exit once the
-    parity floor |E| mod 2 is reached.  Raise max_n to enumerate past 10
-    vertices at your own expense.
+    (see _star_min_imbalance); everything else is a full factorial scan
+    with an early exit once the parity floor |E| mod 2 is reached.  The
+    witness is the first optimal map in lexicographic order.  Raise max_n
+    to enumerate past 10 vertices at your own expense.
     """
     n = forest.n
     if n != graph.n:
@@ -183,13 +176,9 @@ def exact_min_imbalance(
         raise BudgetExceededError(f"refusing to enumerate {n}! embeddings (guard max_n={max_n})")
 
     floor = m % 2
-    ends = _detect_path_endpoints(forest)
     best, best_map = m + 1, None
     for order, slots, sums in _extensions(forest, graph, {}):
         score = np.abs(sums)
-        if ends is not None:
-            # a path and its reversal score alike: keep the one with ends[0] mapped lower
-            score[order[slots[:, ends[0]]] > order[slots[:, ends[1]]]] = m + 1
         i = int(score.argmin())
         if score[i] < best:
             best, best_map = int(score[i]), order[slots[i]].tolist()

@@ -3,18 +3,20 @@
 Strategy outline: tiny instances and stars (every edge meets one vertex, so
 the sum is set by the centre's host and the leaves' colours there) go to the
 exact oracle, which solves stars in closed form at any n; everything else
-samples embeddings of both signs and interpolates between them, which
-certifies |sum| <= disagreement max degree + forest min degree.  One argument
-covers all three degree regimes.  The large-degree set L (forest vertices of
-degree >= 2/eps, with eps the bound report's crossing epsilon, or 1/8 where
-there is none) is pinned to the host vertices of least |signed degree| before
-sampling, so two extensions can disagree only on vertices of degree < 2/eps
-and the certificate stays below 2/eps + min degree: the refined bound.  Below
-max degree 16 no admissible eps leaves L non-empty, and sampling is
-unanchored.  Deciding the sign of a partial embedding exactly is exponential,
-so the search relies on both-sign sampling instead; when sampling fails the
-result degrades to a budgeted local search and says so.  The explicit
-two-anchor block construction runs only when asked for by name.
+runs one both-sign sampling search and interpolates between the pair it
+finds, which certifies |sum| <= disagreement max degree + forest min degree.
+One argument covers all three degree regimes.  The large-degree set L
+(forest vertices of degree >= 2/eps, with eps the bound report's crossing
+epsilon, or 1/8 where there is none) is pinned to the host vertices of least
+|signed degree| before sampling, so two extensions can disagree only on
+vertices of degree < 2/eps and the certificate stays below 2/eps + min
+degree: the refined bound.  Below max degree 16 no admissible eps leaves L
+non-empty, and sampling is unanchored.  On a balanced colouring an
+unanchored embedding has mean sum zero, so both signs exist; when the one
+search still misses (an anchor or an unbalanced colouring can pin the sign
+of every extension), the result is the polished best sample and says it is
+heuristic.  The explicit two-anchor block construction runs only when asked
+for by name.
 
 Sampling works in blocks: ExtensionSampler draws a block of uniform
 extensions of the anchor at once (one argsort of random 64-bit keys per row,
@@ -42,29 +44,28 @@ from .core import (
     InvalidInputError,
     PartialEmbedding,
     PreconditionError,
-    is_balanced,
     swap_delta,
     swap_images,
 )
 from .interpolate import InterpolationTrace, SignedPair, interpolate_traced
-from .oracle import exact_min_imbalance, star_centre
+from .oracle import DEFAULT_MAX_N, exact_min_imbalance, star_centre
 
 CERT_EXACT = "exact"
 CERT_INTERPOLATION = "interpolation"
 CERT_GREEDY_STAR = "greedy-star"
 CERT_HEURISTIC = "heuristic"
 
-STRATEGIES = ("auto", "interpolate-only", "greedy-star", "local-search")
+STRATEGIES = ("auto", "greedy-star")
 
 
 class SignSearchFailure(Exception):
     """Sampling exhausted its budget without seeing both signs.
 
-    Carries the best sample found so the caller can fall back to local search.
+    Carries the best sample found so the caller can polish it instead.
     This legitimately happens when an anchor pins the sign of every extension.
     """
 
-    def __init__(self, message: str, best: Embedding | None, samples: int):
+    def __init__(self, message: str, best: Embedding, samples: int):
         super().__init__(message)
         self.best = best
         self.samples = samples
@@ -73,16 +74,20 @@ class SignSearchFailure(Exception):
 @dataclass(frozen=True)
 class SolverConfig:
     seed: int = 0
-    max_restarts: int = 200
     sample_budget: int = 5000
     strategy: str = "auto"
     exact_threshold: int = 8
 
     def __post_init__(self):
-        if self.max_restarts < 1 or self.sample_budget < 1:
-            raise InvalidInputError("budgets must be positive")
+        if self.sample_budget < 1:
+            raise InvalidInputError(f"sample_budget must be positive, got {self.sample_budget}")
         if self.exact_threshold < 0:
             raise InvalidInputError(f"exact_threshold must be non-negative, got {self.exact_threshold}")
+        if self.exact_threshold > DEFAULT_MAX_N:
+            raise InvalidInputError(
+                f"exact_threshold must be at most {DEFAULT_MAX_N}, the oracle's vertex guard, "
+                f"got {self.exact_threshold}"
+            )
         if self.strategy not in STRATEGIES:
             raise InvalidInputError(f"unknown strategy {self.strategy!r}")
 
@@ -401,14 +406,6 @@ def local_search(
     return emb, evals
 
 
-def _reduce_best(a: Embedding | None, b: Embedding) -> Embedding:
-    if a is None:
-        return b
-    ka = (abs(a.colour_sum), a.forward)
-    kb = (abs(b.colour_sum), b.forward)
-    return a if ka <= kb else b
-
-
 def solve(
     forest: Forest,
     graph: ColouredCompleteGraph,
@@ -418,13 +415,13 @@ def solve(
 
     Dispatch (strategy "auto"): the exact oracle below the size threshold
     and for every star forest at any size (the oracle's closed form, which
-    draws no sample); otherwise both-sign sampling with the large-degree set
-    anchored (see large_degree_anchor) and interpolation, in every degree
-    regime.  Every interpolation result then gets a polish pass of strictly
-    improving swaps, which certifies nothing.  "interpolate-only" is the same
-    search without the oracle or the polish; "greedy-star" runs only the
-    explicit two-anchor block construction; "local-search" only the
-    heuristic descent.
+    draws no sample); otherwise one both-sign sampling search with the
+    large-degree set anchored (see large_degree_anchor) and interpolation,
+    in every degree regime.  The result then gets a polish pass of strictly
+    improving swaps, which certifies nothing: the interpolation result keeps
+    its certificate, and a missed search polishes its best sample and ends
+    heuristic.  "greedy-star" runs only the explicit two-anchor block
+    construction.
     """
     cfg = cfg or SolverConfig()
     n = forest.n
@@ -440,11 +437,11 @@ def solve(
             certified_value=0.0,
             bound_report=report,
             within_bound=True,
-            stats={"restarts_used": 0, "samples_drawn": 0},
+            stats={"samples_drawn": 0},
         )
 
     report = BoundReport.compute(n, forest.max_degree)
-    stats = {"restarts_used": 0, "samples_drawn": 0, "strategy": cfg.strategy}
+    stats = {"samples_drawn": 0, "strategy": cfg.strategy}
 
     def finish(
         emb: Embedding,
@@ -466,22 +463,6 @@ def solve(
             trace=trace,
         )
 
-    if cfg.strategy == "auto" and (n <= cfg.exact_threshold or star_centre(forest) is not None):
-        value, emb = exact_min_imbalance(forest, graph, max_n=max(cfg.exact_threshold, 10))
-        stats["restarts_used"] = 1
-        return finish(emb, CERT_EXACT, float(value))
-
-    if cfg.strategy == "local-search":
-        best = None
-        for k in range(cfg.max_restarts):
-            rng = random.Random(_sub_seed(cfg.seed, k))
-            start = sample_extension(rng, forest, graph)
-            stats["samples_drawn"] += 1
-            emb, evals = local_search(forest, graph, start, cfg.sample_budget)
-            best = _reduce_best(best, emb)
-            stats["restarts_used"] += 1
-        return finish(best, CERT_HEURISTIC, None)
-
     if cfg.strategy == "greedy-star":
         oriented, x, y = _orient_for_greedy(forest, graph)
         if oriented is None:
@@ -492,35 +473,22 @@ def solve(
         emb = greedy_star_balance(forest, oriented, x, y, seed=cfg.seed)
         if oriented is not graph:
             emb = Embedding.build(emb.forward, forest, graph)
-        stats["restarts_used"] = 1
         return finish(emb, CERT_GREEDY_STAR, float(greedy_star_certificate(forest)))
+
+    if n <= cfg.exact_threshold or star_centre(forest) is not None:
+        value, emb = exact_min_imbalance(forest, graph)
+        return finish(emb, CERT_EXACT, float(value))
 
     anchor = large_degree_anchor(forest, graph, report)
     rng = random.Random(_sub_seed(cfg.seed, 0))
-    last_failure = None
-    retryable = anchor is None and is_balanced(graph)
-    for k in range(cfg.max_restarts):
-        stats["restarts_used"] += 1
-        try:
-            pair = find_signed_pair(forest, graph, anchor, cfg, rng=rng, stats=stats)
-            emb, trace = interpolate_traced(pair, forest, graph)
-            if cfg.strategy == "auto":
-                emb, _ = local_search(forest, graph, emb, cfg.sample_budget)
-            return finish(emb, CERT_INTERPOLATION, float(pair.bound(forest)), trace)
-        except SignSearchFailure as failure:
-            last_failure = failure
-            # An anchored or unbalanced miss means the sampling distribution is
-            # effectively single-signed; retrying only helps on balanced inputs.
-            if not retryable:
-                break
-
-    start = last_failure.best if last_failure and last_failure.best else None
-    if start is None:
-        rng2 = random.Random(_sub_seed(cfg.seed, 1))
-        start = sample_extension(rng2, forest, graph, anchor)
-        stats["samples_drawn"] += 1
-    emb, _ = local_search(forest, graph, start, cfg.sample_budget)
-    return finish(emb, CERT_HEURISTIC, None)
+    try:
+        pair = find_signed_pair(forest, graph, anchor, cfg, rng=rng, stats=stats)
+    except SignSearchFailure as failure:
+        emb, _ = local_search(forest, graph, failure.best, cfg.sample_budget)
+        return finish(emb, CERT_HEURISTIC, None)
+    emb, trace = interpolate_traced(pair, forest, graph)
+    emb, _ = local_search(forest, graph, emb, cfg.sample_budget)
+    return finish(emb, CERT_INTERPOLATION, float(pair.bound(forest)), trace)
 
 
 def _orient_for_greedy(forest: Forest, graph: ColouredCompleteGraph):

@@ -106,6 +106,52 @@ class TestSolveCommand:
         assert "exact_threshold must be non-negative, got -3" in capsys.readouterr().err
         assert not jpath.exists()
 
+    def test_exact_threshold_past_the_oracle_guard_is_usage_error(self, tmp_path, capsys):
+        # a 16-vertex non-star forest: a threshold of 16 would enumerate 16! maps
+        cpath, fpath = tmp_path / "c.txt", tmp_path / "f.txt"
+        cpath.write_text(serialize_colouring(random_balanced_colouring(16, 1)))
+        fpath.write_text(serialize_forest(make_forest(ForestSpec("path", 16))))
+        code = main(["solve", "--colouring", str(cpath), "--forest", str(fpath), "--exact-threshold", "16"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: exact_threshold must be at most 10, the oracle's vertex guard, got 16\n"
+        )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-restarts", "3"], "error: unrecognized arguments: --max-restarts 3"),
+        (["--strategy", "local-search"], "error: argument --strategy: invalid choice: 'local-search'"),
+        (["--strategy", "interpolate-only"], "error: argument --strategy: invalid choice: 'interpolate-only'"),
+    ])
+    def test_removed_options_are_usage_errors(self, instance, argv, message, capsys):
+        cpath, fpath = instance
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--colouring", str(cpath), "--forest", str(fpath), *argv])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--colouring", "--forest", "--json"])
+    def test_directory_path_is_usage_error(self, instance, tmp_path, flag, capsys):
+        cpath, fpath = instance
+        paths = {"--colouring": cpath, "--forest": fpath, "--json": tmp_path / "out.json", flag: tmp_path}
+        argv = ["solve", *(str(part) for item in paths.items() for part in item)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err
+
+    @pytest.mark.parametrize("flag", ["--colouring", "--forest"])
+    def test_non_utf8_file_is_usage_error(self, instance, tmp_path, flag, capsys):
+        cpath, fpath = instance
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"9\n\xff\xfe\n")
+        paths = {"--colouring": cpath, "--forest": fpath, flag: bad}
+        argv = ["solve", *(str(part) for item in paths.items() for part in item)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad} is not UTF-8 text: invalid start byte at byte 2\n"
+
     @pytest.mark.parametrize("text, message", [
         ("4\nR\nBR\nRBx\n", "row 3 must be 3 characters over RB, got 'RBx'"),
         ("4\nRR\nB\nRRB\n", "row 1 must be 1 characters over RB, got 'RR'"),

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from forestbalance.solver import (
     CERT_GREEDY_STAR,
     CERT_HEURISTIC,
     CERT_INTERPOLATION,
+    STRATEGIES,
     ExtensionSampler,
     SignSearchFailure,
     SolverConfig,
@@ -301,11 +303,9 @@ class TestSolve:
         for n in (8, 12):
             g = split_parity_colouring(n)
             star = make_forest(ForestSpec("star", n))
-            for strategy in ("auto", "interpolate-only", "local-search"):
-                cfg = SolverConfig(seed=1, strategy=strategy, sample_budget=400, max_restarts=3)
-                result = solve(star, g, cfg)
-                assert result.achieved == (n - 2) // 2, (n, strategy)
-                assert result.within_bound
+            result = solve(star, g, SolverConfig(seed=1, sample_budget=400))
+            assert result.achieved == (n - 2) // 2, n
+            assert result.within_bound
 
     def test_deterministic(self):
         g = random_balanced_colouring(16, 6)
@@ -407,19 +407,35 @@ class TestSolve:
     def test_unbalanced_input_degrades_to_heuristic(self):
         g = all_red(12)
         forest = make_forest(ForestSpec("path", 12))
-        result = solve(forest, g, SolverConfig(seed=0, sample_budget=100, max_restarts=5))
+        result = solve(forest, g, SolverConfig(seed=0, sample_budget=100))
         assert result.certified == CERT_HEURISTIC
         assert result.achieved == forest.edge_count  # every embedding is all-red
         assert result.stats["samples_drawn"] >= 100
 
-    def test_local_search_strategy(self):
-        g = random_balanced_colouring(13, 8)
-        forest = make_forest(ForestSpec("random", 13, max_degree=4, seed=1))
-        cfg = SolverConfig(seed=5, strategy="local-search", max_restarts=4, sample_budget=500)
-        result = solve(forest, g, cfg)
-        assert result.certified == CERT_HEURISTIC
-        assert result.achieved == abs(result.embedding.colour_sum)
-        assert result.stats["restarts_used"] == 4
+    def test_missed_search_polishes_its_best_sample_once(self, monkeypatch):
+        # every embedding into an all-red graph has sum |E| > 0, so the one
+        # search spends its budget and its best sample is polished once
+        g = all_red(12)
+        forest = make_forest(ForestSpec("random", 12, max_degree=4, seed=1))
+        misses, polished = [], []
+
+        def recording_pair(*args, **kwargs):
+            try:
+                return find_signed_pair(*args, **kwargs)
+            except SignSearchFailure as failure:
+                misses.append(failure.best)
+                raise
+
+        def recording_polish(forest, graph, start, budget):
+            polished.append(start)
+            return local_search(forest, graph, start, budget)
+
+        monkeypatch.setattr("forestbalance.solver.find_signed_pair", recording_pair)
+        monkeypatch.setattr("forestbalance.solver.local_search", recording_polish)
+        result = solve(forest, g, SolverConfig(seed=3, sample_budget=64))
+        assert result.certified == CERT_HEURISTIC and result.certified_value is None
+        assert len(misses) == 1 and polished == misses and polished[0] is misses[0]
+        assert result.stats == {"samples_drawn": 64, "strategy": "auto"}
 
     def test_edgeless_forest(self):
         g = random_balanced_colouring(8, 3)
@@ -508,22 +524,35 @@ class TestStarExact:
         assert exact_min_imbalance(star, g)[1].forward == expected
         assert solve(star, g, SolverConfig(seed=1)).embedding.forward == expected
 
-    def test_other_strategies_still_sample_stars(self):
-        # at even n every signed degree is odd, so the anchored sign search must fail
-        g = random_balanced_colouring(32, 4)
-        star = make_forest(ForestSpec("star", 32))
-        cfg = SolverConfig(seed=1, strategy="interpolate-only", sample_budget=50)
-        result = solve(star, g, cfg)
-        assert result.certified == CERT_HEURISTIC and result.stats["samples_drawn"] == 50
-        cfg = SolverConfig(seed=1, strategy="local-search", max_restarts=2, sample_budget=50)
-        assert solve(star, g, cfg).certified == CERT_HEURISTIC
-
 
 class TestSolverConfig:
     @pytest.mark.parametrize("threshold", [-1, -3])
     def test_negative_exact_threshold_rejected(self, threshold):
         with pytest.raises(InvalidInputError, match=f"exact_threshold must be non-negative, got {threshold}"):
             SolverConfig(exact_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [11, 16])
+    def test_exact_threshold_past_the_oracle_guard_rejected(self, threshold):
+        with pytest.raises(InvalidInputError, match=f"exact_threshold must be at most 10.*got {threshold}"):
+            SolverConfig(exact_threshold=threshold)
+
+    def test_exact_threshold_at_the_oracle_guard_solves_exactly(self):
+        g = random_balanced_colouring(9, 4)
+        forest = make_forest(ForestSpec("random", 9, max_degree=3, seed=2))
+        result = solve(forest, g, SolverConfig(exact_threshold=10))
+        assert result.certified == CERT_EXACT
+        assert result.achieved == exact_min_imbalance(forest, g)[0]
+
+    @pytest.mark.parametrize("strategy", ["local-search", "interpolate-only"])
+    def test_removed_strategies_rejected(self, strategy):
+        with pytest.raises(InvalidInputError, match=f"unknown strategy '{strategy}'"):
+            SolverConfig(strategy=strategy)
+
+    def test_four_fields_and_no_restart_budget(self):
+        assert [f.name for f in fields(SolverConfig)] == ["seed", "sample_budget", "strategy", "exact_threshold"]
+        assert STRATEGIES == ("auto", "greedy-star")
+        with pytest.raises(InvalidInputError, match="sample_budget must be positive, got 0"):
+            SolverConfig(sample_budget=0)
 
 
 class TestLocalSearch:
