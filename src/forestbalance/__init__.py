@@ -47,15 +47,12 @@ from .interpolate import (
     SignedPair,
     interpolate,
     interpolate_traced,
-    partial_interpolation_sequence,
 )
 from .oracle import (
     BudgetExceededError,
     SignVerdict,
     exact_min_imbalance,
     exact_sign,
-    is_sign_fixing,
-    minimal_sign_fixing_subset,
 )
 from .solver import (
     SignSearchFailure,

@@ -40,7 +40,7 @@ from .oracle import (
     exact_sign,
     is_sign_fixing,
 )
-from .solver import STRATEGIES, SolverConfig, solve
+from .solver import SolverConfig, solve
 from .verify import VerifySuiteSpec, bench_csv, run_bench, run_verify
 
 USAGE_EXIT = 1
@@ -104,7 +104,6 @@ def build_parser() -> _Parser:
     p.add_argument("--colouring", required=True)
     p.add_argument("--forest", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strategy", default="auto", choices=STRATEGIES)
     p.add_argument("--sample-budget", type=int, default=5000)
     p.add_argument("--exact-threshold", type=int, default=8)
     p.add_argument("--json", dest="json_out", default=None)
@@ -175,7 +174,6 @@ def _cmd_solve(args) -> int:
     cfg = SolverConfig(
         seed=args.seed,
         sample_budget=args.sample_budget,
-        strategy=args.strategy,
         exact_threshold=args.exact_threshold,
     )
     result = solve(forest, graph, cfg)

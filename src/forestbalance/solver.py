@@ -15,8 +15,8 @@ non-empty, and sampling is unanchored.  On a balanced colouring an
 unanchored embedding has mean sum zero, so both signs exist; when the one
 search still misses (an anchor or an unbalanced colouring can pin the sign
 of every extension), the result is the polished best sample and says it is
-heuristic.  The explicit two-anchor block construction runs only when asked
-for by name.
+heuristic.  The explicit two-anchor block construction (greedy_star_balance)
+stays a library function; solve() never calls it.
 
 Sampling works in blocks: ExtensionSampler draws a block of uniform
 extensions of the anchor at once (one argsort of random 64-bit keys per row,
@@ -48,14 +48,11 @@ from .core import (
     swap_images,
 )
 from .interpolate import InterpolationTrace, SignedPair, interpolate_traced
-from .oracle import DEFAULT_MAX_N, exact_min_imbalance, star_centre
+from .oracle import DEFAULT_MAX_N, exact_min_imbalance
 
 CERT_EXACT = "exact"
 CERT_INTERPOLATION = "interpolation"
-CERT_GREEDY_STAR = "greedy-star"
 CERT_HEURISTIC = "heuristic"
-
-STRATEGIES = ("auto", "greedy-star")
 
 
 class SignSearchFailure(Exception):
@@ -75,7 +72,6 @@ class SignSearchFailure(Exception):
 class SolverConfig:
     seed: int = 0
     sample_budget: int = 5000
-    strategy: str = "auto"
     exact_threshold: int = 8
 
     def __post_init__(self):
@@ -88,8 +84,6 @@ class SolverConfig:
                 f"exact_threshold must be at most {DEFAULT_MAX_N}, the oracle's vertex guard, "
                 f"got {self.exact_threshold}"
             )
-        if self.strategy not in STRATEGIES:
-            raise InvalidInputError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass
@@ -211,14 +205,14 @@ def find_signed_pair(
             non_pos = _first(images, sums, sums <= 0, drawn)
         if non_neg is not None and non_pos is not None:
             if stats is not None:
-                stats["samples_drawn"] = stats.get("samples_drawn", 0) + max(non_neg[0], non_pos[0]) + 1
+                stats["samples_drawn"] = max(non_neg[0], non_pos[0]) + 1
             return SignedPair.of(non_pos[1], non_neg[1], forest)
         r = int(np.argmin(np.abs(sums)))
         if best is None or abs(sums[r]) < abs(best.colour_sum):
             best = _row(images, sums, r)
         drawn += len(sums)
     if stats is not None:
-        stats["samples_drawn"] = stats.get("samples_drawn", 0) + cfg.sample_budget
+        stats["samples_drawn"] = cfg.sample_budget
     raise SignSearchFailure(
         f"no embedding pair of opposite signs within {cfg.sample_budget} samples",
         best=best,
@@ -413,35 +407,23 @@ def solve(
 ) -> SolveResult:
     """Find an embedding with a small colour sum and report what it certifies.
 
-    Dispatch (strategy "auto"): the exact oracle below the size threshold
-    and for every star forest at any size (the oracle's closed form, which
-    draws no sample); otherwise one both-sign sampling search with the
-    large-degree set anchored (see large_degree_anchor) and interpolation,
-    in every degree regime.  The result then gets a polish pass of strictly
-    improving swaps, which certifies nothing: the interpolation result keeps
-    its certificate, and a missed search polishes its best sample and ends
-    heuristic.  "greedy-star" runs only the explicit two-anchor block
-    construction.
+    One pipeline: the exact oracle below the size threshold and for every
+    forest whose edges all meet one vertex (stars and edgeless forests, at
+    any size; the oracle's closed form draws no sample); otherwise one
+    both-sign sampling search with the large-degree set anchored (see
+    large_degree_anchor) and interpolation, in every degree regime.  The
+    result then gets a polish pass of strictly improving swaps, which
+    certifies nothing: the interpolation result keeps its certificate, and a
+    missed search polishes its best sample and ends heuristic.  ``stats``
+    is always ``{"samples_drawn": N}``.
     """
     cfg = cfg or SolverConfig()
     n = forest.n
     if n != graph.n:
         raise InvalidInputError(f"forest has {n} vertices but graph has {graph.n}")
-    if forest.max_degree < 1:
-        report = BoundReport.compute(n, 1)
-        emb = Embedding.build(range(n), forest, graph)
-        return SolveResult(
-            embedding=emb,
-            achieved=0,
-            certified=CERT_EXACT,
-            certified_value=0.0,
-            bound_report=report,
-            within_bound=True,
-            stats={"samples_drawn": 0},
-        )
-
-    report = BoundReport.compute(n, forest.max_degree)
-    stats = {"samples_drawn": 0, "strategy": cfg.strategy}
+    # an edgeless forest has no max degree to bound; its report is the one for degree 1
+    report = BoundReport.compute(n, max(forest.max_degree, 1))
+    stats = {"samples_drawn": 0}
 
     def finish(
         emb: Embedding,
@@ -463,19 +445,8 @@ def solve(
             trace=trace,
         )
 
-    if cfg.strategy == "greedy-star":
-        oriented, x, y = _orient_for_greedy(forest, graph)
-        if oriented is None:
-            raise PreconditionError(
-                "greedy-star needs two dominant forest vertices, a balanced "
-                "red-rich anchor, and a red-poor vertex"
-            )
-        emb = greedy_star_balance(forest, oriented, x, y, seed=cfg.seed)
-        if oriented is not graph:
-            emb = Embedding.build(emb.forward, forest, graph)
-        return finish(emb, CERT_GREEDY_STAR, float(greedy_star_certificate(forest)))
-
-    if n <= cfg.exact_threshold or star_centre(forest) is not None:
+    # edge count equal to max degree: a star, or no edge at all
+    if n <= cfg.exact_threshold or forest.edge_count == forest.max_degree:
         value, emb = exact_min_imbalance(forest, graph)
         return finish(emb, CERT_EXACT, float(value))
 
@@ -489,28 +460,3 @@ def solve(
     emb, trace = interpolate_traced(pair, forest, graph)
     emb, _ = local_search(forest, graph, emb, cfg.sample_budget)
     return finish(emb, CERT_INTERPOLATION, float(pair.bound(forest)), trace)
-
-
-def _orient_for_greedy(forest: Forest, graph: ColouredCompleteGraph):
-    """Find an orientation (graph or its negation) where greedy preconditions hold.
-
-    Returns (oriented graph, x, y) or (None, None, None).  Flipping every
-    colour leaves |sum| unchanged, so the red-rich/red-poor roles can be
-    sought in either orientation.  The anchor x needs ceil(n/4 - 1) edges of
-    each colour.
-    """
-    n = forest.n
-    v1, v2 = _top_two_degree_vertices(forest)
-    if 2 * forest.degree[v1] < n or 4 * forest.degree[v2] < n:
-        return None, None, None
-    r = -(-n // 4) - 1
-    for flip in (False, True):
-        g = graph.negated() if flip else graph
-        red = g.red_degrees()
-        xs = np.flatnonzero((np.minimum(red, n - 1 - red) >= r) & (2 * red >= n - 1)).tolist()
-        ys = np.flatnonzero(4 * red < n).tolist()
-        for x in xs:
-            for y in ys:
-                if x != y:
-                    return g, x, y
-    return None, None, None

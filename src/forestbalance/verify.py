@@ -7,6 +7,7 @@ seeded and deterministic.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import time
@@ -309,7 +310,7 @@ def suite_split_parity_star(n_list=(8, 12, 16), trials=0, seed=0) -> dict:
     for n in n_list:
         g = split_parity_colouring(n)
         star = make_forest(ForestSpec("star", n))
-        value, witness = exact_min_imbalance(star, g, max_n=max(10, n))
+        value, witness = exact_min_imbalance(star, g)
         expected = split_parity_star_imbalance(n)
         values[n] = value
         if value != expected:
@@ -399,14 +400,23 @@ SUITES = {
 
 
 def run_verify(spec: VerifySuiteSpec) -> dict:
-    """Execute one named suite, applying any sizes carried by the suite description."""
+    """Execute one named suite, applying any sizes carried by the suite description.
+
+    A suite whose signature has ``n`` takes exactly one size and one with
+    neither ``n`` nor ``n_list`` takes none; any other count is refused.
+    """
     fn = SUITES[spec.suite]
+    params = inspect.signature(fn).parameters
     kwargs = {}
     if spec.n_list:
-        if spec.suite in ("perturbed", "anchored-expectation"):
+        if "n_list" in params:
+            kwargs["n_list"] = tuple(spec.n_list)
+        elif "n" in params and len(spec.n_list) == 1:
             kwargs["n"] = spec.n_list[0]
         else:
-            kwargs["n_list"] = tuple(spec.n_list)
+            takes = "one size" if "n" in params else "no size"
+            sizes = ",".join(map(str, spec.n_list))
+            raise InvalidInputError(f"suite {spec.suite!r} takes {takes} in --n, got {sizes}")
     if spec.trials:
         kwargs["trials"] = spec.trials
     kwargs["seed"] = spec.seed

@@ -119,8 +119,9 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("argv, message", [
         (["--max-restarts", "3"], "error: unrecognized arguments: --max-restarts 3"),
-        (["--strategy", "local-search"], "error: argument --strategy: invalid choice: 'local-search'"),
-        (["--strategy", "interpolate-only"], "error: argument --strategy: invalid choice: 'interpolate-only'"),
+        (["--strategy", "local-search"], "error: unrecognized arguments: --strategy local-search"),
+        (["--strategy", "interpolate-only"], "error: unrecognized arguments: --strategy interpolate-only"),
+        (["--strategy", "greedy-star"], "error: unrecognized arguments: --strategy greedy-star"),
     ])
     def test_removed_options_are_usage_errors(self, instance, argv, message, capsys):
         cpath, fpath = instance
@@ -326,6 +327,17 @@ class TestVerifyCommand:
         assert f"need n >= 32, got {n}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("suite, sizes, takes", [
+        ("partial-interpolation", "8", "no size"),
+        ("anchored-expectation", "64,128", "one size"),
+        ("perturbed", "200,400", "one size"),
+    ])
+    def test_sizes_the_suite_cannot_take_are_usage_errors(self, suite, sizes, takes, capsys):
+        assert main(["verify", "--suite", suite, "--n", sizes]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: suite {suite!r} takes {takes} in --n, got {sizes}"]
+        assert captured.out == ""
+
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 1
 
@@ -374,7 +386,7 @@ class TestBenchCommand:
         for line in lines[1:]:
             cells = line.split(",")
             assert int(cells[4]) <= float(cells[5])
-            assert cells[6] in ("exact", "interpolation", "greedy-star", "heuristic")
+            assert cells[6] in ("exact", "interpolation", "heuristic")
             if cells[7]:
                 assert int(cells[4]) <= float(cells[7])
 

@@ -1,0 +1,34 @@
+"""The fixed solve() grid of tools/solve_sweep.py and its row comparison."""
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "solve_sweep.py"
+_SPEC = importlib.util.spec_from_file_location("solve_sweep", _PATH)
+solve_sweep = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(solve_sweep)
+
+
+def test_grid_reaches_every_mechanism_and_repeats_itself():
+    first, second = solve_sweep.grid_lines(), solve_sweep.grid_lines()
+    assert first == second
+    rows = [json.loads(line) for line in first]
+    assert len(rows) == 11 * 3 * 7 * 2 * 2
+    assert {"exact", "interpolation", "heuristic"} <= {row.get("mechanism") for row in rows}
+    assert all(row["stats"].keys() == {"samples_drawn"} for row in rows if row["error"] is None)
+
+
+def test_compare_counts_differing_rows_per_field():
+    parent = [{"n": 8, "colouring": "random", "forest": "path", "seed": s, "exact_threshold": 0,
+               "achieved": 1, "stats": {"samples_drawn": 3}} for s in range(5)]
+    change = copy.deepcopy(parent)
+    change[1].update(achieved=3, stats={"samples_drawn": 4})
+    change[4]["stats"] = {}
+    lines = solve_sweep.compare(parent, change).splitlines()
+    assert lines[0] == "2 of 5 rows differ from the parent's (by field: achieved 1, stats 2)"
+    assert lines[2:4] == ["    achieved: parent 1 / change 3",
+                          '    stats: parent {"samples_drawn": 3} / change {"samples_drawn": 4}']
+    assert solve_sweep.compare(parent, parent).splitlines() == [
+        "0 of 5 rows differ from the parent's (by field: none)"]

@@ -22,10 +22,8 @@ from forestbalance.generators import ForestSpec, make_forest, random_balanced_co
 from forestbalance.oracle import exact_min_imbalance
 from forestbalance.solver import (
     CERT_EXACT,
-    CERT_GREEDY_STAR,
     CERT_HEURISTIC,
     CERT_INTERPOLATION,
-    STRATEGIES,
     ExtensionSampler,
     SignSearchFailure,
     SolverConfig,
@@ -357,52 +355,27 @@ class TestSolve:
                 assert result.achieved % 2 == 1
                 assert result.achieved >= 1
 
-    def test_greedy_branch_fires_on_adversary(self):
-        n = 32
-        g = red_poor_adversary(n)
-        forest = double_star(n)
-        result = solve(forest, g, SolverConfig(seed=0, strategy="greedy-star"))
-        assert result.certified == CERT_GREEDY_STAR
-        assert result.achieved <= n / 4 + 4
-        assert result.within_bound
-
-    def test_greedy_branch_fires_after_negation(self):
-        n = 32
-        g = red_poor_adversary(n).negated()
-        forest = double_star(n)
-        result = solve(forest, g, SolverConfig(seed=0, strategy="greedy-star"))
-        assert result.certified == CERT_GREEDY_STAR
-        assert result.achieved <= n / 4 + 4
-
-    def test_negation_built_only_when_first_orientation_fails(self, monkeypatch):
-        n = 32
-        g = red_poor_adversary(n)
-        flipped = g.negated()
-        calls = []
-        real = ColouredCompleteGraph.negated
-        monkeypatch.setattr(ColouredCompleteGraph, "negated", lambda self: calls.append(self) or real(self))
-        cfg = SolverConfig(seed=0, strategy="greedy-star")
-        assert solve(double_star(n), g, cfg).certified == CERT_GREEDY_STAR
-        assert calls == []
-        assert solve(double_star(n), flipped, cfg).certified == CERT_GREEDY_STAR
-        assert calls == [flipped]
-
-    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_auto_certifies_the_red_poor_adversary(self, n):
-        # greedy-star's preconditions hold here, but auto never runs it:
-        # the sign search (L-anchored at n = 64 and 128) certifies the refined bound
-        g = red_poor_adversary(n)
-        for graph in (g, g.negated()):
-            result = solve(double_star(n), graph, SolverConfig(seed=0))
-            assert result.certified == CERT_INTERPOLATION
-            assert result.certified_value <= result.bound_report.refined
-            assert result.stats["strategy"] == "auto"
-
-    def test_forced_greedy_strategy_raises_without_preconditions(self):
-        g = random_balanced_colouring(16, 3)
-        path = make_forest(ForestSpec("path", 16))
-        with pytest.raises(PreconditionError):
-            solve(path, g, SolverConfig(strategy="greedy-star"))
+        # greedy-star's preconditions hold here, but solve never runs it: the
+        # sign search (L-anchored at n = 64 and 128) certifies the refined
+        # bound, in both orientations, and reaches a |sum| no larger than the
+        # block construction's on the same input
+        forest = double_star(n)
+        for seed in range(3):
+            g = red_poor_adversary(n, seed)
+            x = next(
+                v
+                for v in range(n)
+                if min(g.red_degree(v), g.blue_degree(v)) >= math.ceil(n / 4 - 1)
+                and 2 * g.red_degree(v) >= n - 1
+            )
+            greedy = abs(greedy_star_balance(forest, g, x, 0, seed=seed).colour_sum)
+            for graph in (g, g.negated()):
+                result = solve(forest, graph, SolverConfig(seed=seed))
+                assert result.certified == CERT_INTERPOLATION
+                assert result.certified_value <= result.bound_report.refined
+                assert result.achieved <= greedy
 
     def test_unbalanced_input_degrades_to_heuristic(self):
         g = all_red(12)
@@ -435,13 +408,30 @@ class TestSolve:
         result = solve(forest, g, SolverConfig(seed=3, sample_budget=64))
         assert result.certified == CERT_HEURISTIC and result.certified_value is None
         assert len(misses) == 1 and polished == misses and polished[0] is misses[0]
-        assert result.stats == {"samples_drawn": 64, "strategy": "auto"}
+        assert result.stats == {"samples_drawn": 64}
 
     def test_edgeless_forest(self):
         g = random_balanced_colouring(8, 3)
         forest = Forest(8, [])
         result = solve(forest, g, SolverConfig())
         assert result.achieved == 0 and result.certified == CERT_EXACT
+
+    @pytest.mark.parametrize("forest, threshold, certified, samples", [
+        (Forest(64, []), 0, CERT_EXACT, 0),
+        (Forest(65, []), 0, CERT_EXACT, 0),
+        (Forest(33, [(5, v) for v in range(10, 30)]), 8, CERT_EXACT, 0),
+        (make_forest(ForestSpec("path", 8)), 8, CERT_EXACT, 0),
+        (make_forest(ForestSpec("path", 32)), 8, CERT_INTERPOLATION, None),
+    ], ids=["edgeless-64", "edgeless-65", "star-with-isolated", "path-8", "sampled-path-32"])
+    def test_one_stats_shape(self, forest, threshold, certified, samples):
+        g = random_balanced_colouring(forest.n, 4)
+        result = solve(forest, g, SolverConfig(seed=2, exact_threshold=threshold))
+        assert result.certified == certified
+        assert result.stats.keys() == {"samples_drawn"}
+        if samples is None:
+            assert result.stats["samples_drawn"] >= 1
+        else:
+            assert result.stats["samples_drawn"] == samples
 
     def test_mismatched_sizes_rejected(self):
         g = random_balanced_colouring(8, 3)
@@ -543,14 +533,13 @@ class TestSolverConfig:
         assert result.certified == CERT_EXACT
         assert result.achieved == exact_min_imbalance(forest, g)[0]
 
-    @pytest.mark.parametrize("strategy", ["local-search", "interpolate-only"])
+    @pytest.mark.parametrize("strategy", ["local-search", "interpolate-only", "greedy-star", "auto"])
     def test_removed_strategies_rejected(self, strategy):
-        with pytest.raises(InvalidInputError, match=f"unknown strategy '{strategy}'"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'strategy'"):
             SolverConfig(strategy=strategy)
 
-    def test_four_fields_and_no_restart_budget(self):
-        assert [f.name for f in fields(SolverConfig)] == ["seed", "sample_budget", "strategy", "exact_threshold"]
-        assert STRATEGIES == ("auto", "greedy-star")
+    def test_three_fields_and_no_restart_budget(self):
+        assert [f.name for f in fields(SolverConfig)] == ["seed", "sample_budget", "exact_threshold"]
         with pytest.raises(InvalidInputError, match="sample_budget must be positive, got 0"):
             SolverConfig(sample_budget=0)
 

@@ -74,7 +74,7 @@ class TestBench:
         assert rows == sorted(rows, key=lambda r: (r["n"], r["family"], r["seed"]))
         for row in rows:
             assert row["achieved"] <= float(row["bound"])
-            assert row["mechanism"] in ("exact", "interpolation", "greedy-star", "heuristic")
+            assert row["mechanism"] in ("exact", "interpolation", "heuristic")
             if row["certified_value"]:
                 assert row["achieved"] <= float(row["certified_value"])
             assert row["millis"] == 0

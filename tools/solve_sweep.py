@@ -1,0 +1,165 @@
+"""Answer diff: one fixed grid of solve() calls on a parent revision and the working tree.
+
+Usage (from the repository root):
+
+    python3 tools/solve_sweep.py --parent HEAD
+
+The parent side is the committed files of ``--parent``, exported with
+``git archive`` into a temporary directory; the change side is the working
+tree.  Each side runs this file's grid in its own process with that side's
+``src`` first on the path, so both build their inputs with their own
+``forestbalance.core`` and ``forestbalance.generators`` from the same
+parameters.  A row holds the embedding, the achieved value, the mechanism,
+the certified value, ``within_bound``, the bound report, the interpolation
+trace steps and ``stats`` of one solve, or the type and message of the error
+it raised.  The tool prints how many rows differ, how many differ in each
+field, and the first few differing rows.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+# forestbalance is imported inside the functions below: this process only
+# compares the two sides' rows, and each side's process has its own src on the path
+ROOT = Path(__file__).resolve().parent.parent
+N_LIST = (5, 8, 9, 12, 16, 17, 32, 33, 64, 128, 256)
+COLOURINGS = ("random", "split-parity", "red-poor")
+FORESTS = ("edgeless", "path", "star", "star-isolated", "broom", "random", "double-star")
+SEEDS = (0, 1)
+#: 0 sends only stars and edgeless forests to the oracle; None keeps SolverConfig's default
+THRESHOLDS = (0, None)
+SHOWN = 3
+
+
+def _colouring(kind: str, n: int, seed: int):
+    from forestbalance.core import ColouredCompleteGraph
+    from forestbalance.generators import random_balanced_colouring, split_parity_colouring
+
+    if kind == "split-parity":
+        return split_parity_colouring(n)
+    if kind == "random":
+        return random_balanced_colouring(n, seed)
+    # red-poor: vertex 0 keeps n // 8 red edges; the dropped red edges go back
+    # at random among the blue edges that avoid it, so the colouring stays balanced
+    red = random_balanced_colouring(n, seed).matrix > 0
+    drop = np.flatnonzero(red[0])[n // 8:]
+    red[0, drop] = red[drop, 0] = False
+    iu, ju = np.triu_indices(n, 1)
+    blue = np.flatnonzero(~red[iu, ju] & (iu > 0))
+    add = np.random.default_rng(seed).choice(blue, len(drop), replace=False)
+    red[iu[add], ju[add]] = red[ju[add], iu[add]] = True
+    return ColouredCompleteGraph.from_red_matrix(red)
+
+
+def _forest(kind: str, n: int, seed: int):
+    from forestbalance.core import Forest
+    from forestbalance.generators import ForestSpec, make_forest
+
+    if kind == "edgeless":
+        return Forest(n, [])
+    if kind == "star-isolated":
+        return Forest(n, [(0, v) for v in range(1, n // 2 + 1)])
+    if kind == "broom":
+        return make_forest(ForestSpec("broom", n, max_degree=3 * n // 4))
+    if kind == "random":
+        return make_forest(ForestSpec("random", n, max_degree=max(1, n // 4), seed=seed))
+    if kind == "double-star":
+        k = (n + 1) // 2
+        return Forest(n, [(0, 1), *((0, v) for v in range(2, k + 1)), *((1, v) for v in range(k + 1, n))])
+    return make_forest(ForestSpec(kind, n))
+
+
+def grid_lines() -> list[str]:
+    """One JSON line per grid cell, solved with the forestbalance found on the path."""
+    from forestbalance.solver import SolverConfig, solve
+
+    lines = []
+    for n in N_LIST:
+        for colouring in COLOURINGS:
+            for seed in SEEDS:
+                try:
+                    graph, error = _colouring(colouring, n, seed), None
+                except Exception as exc:  # the error itself is the answer to compare
+                    graph, error = None, f"{type(exc).__name__}: {exc}"
+                for forest_kind in FORESTS:
+                    for threshold in THRESHOLDS:
+                        row = {"n": n, "colouring": colouring, "forest": forest_kind, "seed": seed,
+                               "exact_threshold": threshold, "error": error}
+                        cfg = {"seed": seed} if threshold is None else {"seed": seed, "exact_threshold": threshold}
+                        if graph is not None:
+                            try:
+                                result = solve(_forest(forest_kind, n, seed), graph, SolverConfig(**cfg))
+                            except Exception as exc:
+                                row["error"] = f"{type(exc).__name__}: {exc}"
+                            else:
+                                row.update(
+                                    embedding=list(result.embedding.forward),
+                                    achieved=result.achieved,
+                                    mechanism=result.certified,
+                                    certified_value=result.certified_value,
+                                    within_bound=result.within_bound,
+                                    bounds=result.bound_report.to_json(),
+                                    trace=None if result.trace is None else result.trace.steps,
+                                    stats=result.stats,
+                                )
+                        lines.append(json.dumps(row, sort_keys=True))
+    return lines
+
+
+def side_rows(side: Path) -> list[dict]:
+    """The grid rows of the checkout at ``side``, computed in a fresh process."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import solve_sweep; print(*solve_sweep.grid_lines(), sep='\\n')"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
+        env={**os.environ, "PYTHONPATH": str(side / "src")}, capture_output=True, text=True, check=True,
+    )
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def compare(parent: list[dict], change: list[dict]) -> str:
+    """How many rows differ, per field, and the first few differing rows."""
+    if len(parent) != len(change):
+        raise SystemExit(f"the sides gave {len(parent)} and {len(change)} rows")
+    per_field: dict[str, int] = {}
+    shown = []
+    differing = 0
+    for p, c in zip(parent, change):
+        fields = sorted(k for k in p.keys() | c.keys() if p.get(k) != c.get(k))
+        if not fields:
+            continue
+        differing += 1
+        for k in fields:
+            per_field[k] = per_field.get(k, 0) + 1
+        if len(shown) < SHOWN:
+            cell = {k: c[k] for k in ("n", "colouring", "forest", "seed", "exact_threshold")}
+            shown.append(f"  {json.dumps(cell)}\n"
+                         + "".join(f"    {k}: parent {json.dumps(p.get(k))} / change {json.dumps(c.get(k))}\n"
+                                   for k in fields))
+    counts = ", ".join(f"{k} {v}" for k, v in sorted(per_field.items())) or "none"
+    return (f"{differing} of {len(change)} rows differ from the parent's (by field: {counts})\n"
+            + "".join(shown))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="sweep-parent-") as tmp:
+        parent = Path(tmp)
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        print(compare(side_rows(parent), side_rows(ROOT)), end="")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
