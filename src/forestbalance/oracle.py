@@ -1,10 +1,11 @@
 """Exact ground truth at small n: full enumeration of embeddings and extensions.
 
-Both exact oracles read one enumerator, ``_extensions``, which scores the
-extensions of a partial map with numpy in lexicographic order, in chunks of
-at most 8! rows.  A row's sum is read from small per-chunk lookup tables,
-one per pair of terms over the permuted tail, so a row costs at most 8
-gathers whatever n is.  Budgets count extensions, and exceeding one raises
+Both exact oracles read one enumerator, ``_extensions``, which scores one
+extension of a partial map per twin-leaf orbit (two leaves of one parent,
+or two isolated vertices, can swap images without changing any sum) with
+numpy in lexicographic order, in chunks of at most 8! rows.  A row's sum is
+read from small per-chunk lookup tables, one per pair of terms over the
+permuted tail, so a row costs at most 8 gathers whatever n is.  Budgets count extensions, and exceeding one raises
 instead of silently skipping work.
 """
 
@@ -57,17 +58,21 @@ def _permutation_table(width: int) -> np.ndarray:
 def _extensions(
     forest: Forest, graph: ColouredCompleteGraph, fixed: Mapping[int, int]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every bijection extending fixed, as ``(order, slots, sums)`` chunks of at most _TAIL! rows.
+    """One map per twin-leaf orbit extending fixed, as ``(order, slots, sums)`` chunks of at most _TAIL! rows.
 
     Row i maps each fixed vertex to its target and the j-th free vertex
     (ascending) to ``order[slots[i, j]]``, and has colour sum ``sums[i]``.
     The free vertices take the free targets in the order of
     ``itertools.permutations``: the last w <= _TAIL (the tail) come from
     the permutation table, any earlier ones (the lead) are fixed per chunk.
-    ``slots`` is a (w!, free) view of a transposed slot array built once per
+    ``slots`` is a (rows, free) view of a transposed slot array built once per
     call: lead vertex j takes slot j, tail vertex p slot lead plus table
     entry p.  Per chunk, ``order`` lists the lead's targets, then the other
-    free targets ascending.
+    free targets ascending.  Tail vertices of degree <= 1 with the same
+    neighbours (twins) are interchangeable, so only the columns that give
+    each twin group ascending slots are kept: the first map of every orbit
+    in lexicographic order, so rows stay in that order and the first
+    optimum is unchanged.
 
     A row's sum splits into terms over the head (fixed and lead vertices)
     and the tail positions a_p of the row: edges inside the head add to one
@@ -88,6 +93,13 @@ def _extensions(
     tail = free_vs[lead:]
     w = len(tail)
     table = _permutation_table(w)
+    twins = {}  # tail positions of degree <= 1 by neighbour tuple: leaves by parent, isolated together
+    for p, v in enumerate(tail):
+        if forest.degree[v] <= 1:
+            twins.setdefault(forest.neighbours[v], []).append(p)
+    ascending = [table[a] < table[b] for group in twins.values() for a, b in zip(group, group[1:])]
+    if ascending:
+        table = np.compress(np.logical_and.reduce(ascending), table, axis=1)
     transposed = np.empty((len(free_vs), table.shape[1]), np.min_scalar_type(max(len(free_vs) - 1, 0)))
     transposed[:lead] = np.arange(lead)[:, None]
     transposed[lead:] = table
@@ -221,6 +233,7 @@ class SignVerdict:
     max_sum: int
     min_witness: Embedding
     max_witness: Embedding
+    #: the number of full extensions, counted, not the rows enumerated
     extensions: int
 
     def __post_init__(self):
@@ -264,9 +277,8 @@ def exact_sign(
         raise BudgetExceededError(f"{count} extensions exceed the budget of {budget}")
 
     m = forest.edge_count
-    min_sum, max_sum, seen = m + 1, -m - 1, 0
+    min_sum, max_sum = m + 1, -m - 1
     for order, slots, sums in _extensions(forest, graph, partial.mapping):
-        seen += len(sums)
         lo, hi = int(sums.argmin()), int(sums.argmax())
         if sums[lo] < min_sum:
             min_sum, min_free = int(sums[lo]), order[slots[lo]]
@@ -277,7 +289,7 @@ def exact_sign(
         max_sum=max_sum,
         min_witness=Embedding.build(_full_map(partial.mapping, min_free), forest, graph),
         max_witness=Embedding.build(_full_map(partial.mapping, max_free), forest, graph),
-        extensions=seen,
+        extensions=count,
     )
 
 

@@ -253,7 +253,7 @@ def suite_partial_interpolation(trials=100, seed=0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def suite_bounds(n_list=(100, 1000), trials=100, seed=0, grid_points=10_000) -> dict:
+def suite_bounds(n_list=(100, 1000), trials=100, grid_points=10_000) -> dict:
     for n in n_list:
         if n < 32:
             raise InvalidInputError(f"need n >= 32, got {n}")
@@ -304,7 +304,7 @@ def suite_bounds(n_list=(100, 1000), trials=100, seed=0, grid_points=10_000) -> 
 # ---------------------------------------------------------------------------
 
 
-def suite_split_parity_star(n_list=(8, 12, 16), trials=0, seed=0) -> dict:
+def suite_split_parity_star(n_list=(8, 12, 16)) -> dict:
     violations = []
     values = {}
     for n in n_list:
@@ -327,7 +327,7 @@ def suite_split_parity_star(n_list=(8, 12, 16), trials=0, seed=0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def suite_perturbed(n=2000, epsilon=Fraction(1, 10), trials=0, seed=0) -> dict:
+def suite_perturbed(n=2000, epsilon=Fraction(1, 10)) -> dict:
     violations = []
     eps = Fraction(epsilon)
     d = choose_density_ratio(eps)
@@ -403,7 +403,8 @@ def run_verify(spec: VerifySuiteSpec) -> dict:
     """Execute one named suite, applying any sizes carried by the suite description.
 
     A suite whose signature has ``n`` takes exactly one size and one with
-    neither ``n`` nor ``n_list`` takes none; any other count is refused.
+    neither ``n`` nor ``n_list`` takes none; any other count is refused.  A
+    non-default trial count or seed is refused by a suite that takes none.
     """
     fn = SUITES[spec.suite]
     params = inspect.signature(fn).parameters
@@ -417,9 +418,12 @@ def run_verify(spec: VerifySuiteSpec) -> dict:
             takes = "one size" if "n" in params else "no size"
             sizes = ",".join(map(str, spec.n_list))
             raise InvalidInputError(f"suite {spec.suite!r} takes {takes} in --n, got {sizes}")
-    if spec.trials:
-        kwargs["trials"] = spec.trials
-    kwargs["seed"] = spec.seed
+    for name, value in (("trials", spec.trials), ("seed", spec.seed)):
+        if not value:
+            continue
+        if name not in params:
+            raise InvalidInputError(f"suite {spec.suite!r} takes no --{name}, got {value}")
+        kwargs[name] = value
     return fn(**kwargs)
 
 

@@ -109,7 +109,7 @@ def test_criterion_05_balanced_vertex_count():
 
 
 def test_criterion_06_optimized_bound_grid():
-    report = suite_bounds(n_list=(100, 1000), trials=100, seed=0, grid_points=10_000)
+    report = suite_bounds(n_list=(100, 1000), trials=100, grid_points=10_000)
     _outcome(6, "closed-form optimum matches a 10^4-point grid search and its "
                 "crossing identities",
              report["passed"],

@@ -1,6 +1,7 @@
 """The paired-run summary of tools/bench_pairs.py on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -70,3 +71,35 @@ def test_higher_is_better_regression_beyond_the_bound():
     assert m["ops_per_s"]["change_worse_in"] == 10
     assert not m["ops_per_s"]["within_bound"]
     assert not m["ops_per_s"]["claim_gate"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "give --seeds, --rows-seeds or both"),
+    (["--seeds", "1-3"], "--seeds needs --pr"),
+    (["--rows-seeds", "1-3", "--trace-workload", "oracle-small"], "--trace-workload needs --seeds"),
+])
+def test_argument_errors_exit_before_any_run(argv, message, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "export", pytest.fail)
+    with pytest.raises(SystemExit) as err:
+        bench_pairs.main(argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_rows_seeds_alone_prints_the_comparison_and_writes_no_file(tmp_path, monkeypatch, capsys):
+    spec = {"run_seconds": 30, "workloads": [{"name": "w1"}, {"name": "w2"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export", lambda revision, dest: calls.append(("export", revision)))
+    monkeypatch.setattr(bench_pairs, "run_bench", pytest.fail)
+
+    def compare_rows(sides, workloads, seeds):
+        calls.append((sides["change"], workloads, seeds))
+        return "0 rows differ"
+
+    monkeypatch.setattr(bench_pairs, "compare_rows", compare_rows)
+    assert bench_pairs.main(["--parent", "abc123", "--rows-seeds", "1-3"]) == 0
+    assert calls == [("export", "abc123"), (tmp_path, ["w1", "w2"], [1, 2, 3])]
+    assert capsys.readouterr().out == "0 rows differ\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]

@@ -12,6 +12,7 @@ from forestbalance.bounds import BoundReport
 from forestbalance.cli import main
 from forestbalance.core import parse_colouring, parse_forest, serialize_colouring, serialize_forest
 from forestbalance.generators import ForestSpec, make_forest, random_balanced_colouring
+from forestbalance.verify import suite_partial_interpolation
 
 
 @pytest.fixture
@@ -337,6 +338,25 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: suite {suite!r} takes {takes} in --n, got {sizes}"]
         assert captured.out == ""
+
+    @pytest.mark.parametrize("suite, flag, value", [
+        ("split-parity-star", "--trials", "7"),
+        ("split-parity-star", "--seed", "3"),
+        ("perturbed", "--trials", "7"),
+        ("perturbed", "--seed", "-2"),
+        ("bounds", "--seed", "3"),
+    ])
+    def test_flags_the_suite_cannot_take_are_usage_errors(self, suite, flag, value, capsys):
+        assert main(["verify", "--suite", suite, "--n", "32", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: suite {suite!r} takes no {flag}, got {value}"]
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_trials_and_seed_reach_a_suite_that_takes_them(self, capsys):
+        assert main(["verify", "--suite", "partial-interpolation", "--trials", "5", "--seed", "3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == json.loads(json.dumps(suite_partial_interpolation(trials=5, seed=3)))
+        assert out != json.loads(json.dumps(suite_partial_interpolation(trials=5, seed=4)))
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 1

@@ -275,29 +275,131 @@ class TestExactSign:
             assert v.max_witness.colour_sum == v.max_sum
 
 
+# Leaves of one parent, and isolated vertices, are twins: swapping their
+# images changes no sum.  Each forest keeps a twin group among its last 8
+# free vertices under every partial of twin_partials.
+TWIN_LEAF_FORESTS = {
+    "broom-6": make_forest(ForestSpec("broom", 6, max_degree=4)),
+    "broom-9": make_forest(ForestSpec("broom", 9, max_degree=5)),
+    "spider-7": Forest(7, [(6, 0), (6, 4), (6, 5), (6, 1), (1, 2), (2, 3)]),
+    "spider-8": Forest(8, [(3, 0), (3, 1), (3, 2), (3, 4), (4, 5), (3, 6), (6, 7)]),
+    "caterpillar-9": Forest(9, [(0, 4), (4, 8), (0, 1), (0, 6), (4, 2), (4, 7), (8, 3), (8, 5)]),
+    "caterpillar-10": Forest(10, [(2, 5), (5, 7), (2, 0), (2, 9), (5, 1), (5, 3), (5, 8), (7, 4), (7, 6)]),
+    "isolated-7": Forest(7, [(3, 0), (3, 5), (5, 1), (5, 4)]),
+    "isolated-8": Forest(8, [(0, 1), (1, 2), (3, 4), (3, 5)]),
+    "isolated-10": Forest(10, [(4, 0), (4, 2), (4, 9), (1, 3), (3, 5)]),
+}
+
+
+def twin_groups(forest, free_vs):
+    """Twin groups among the last _TAIL free vertices, as lists of indices into free_vs."""
+    lead = max(len(free_vs) - oracle._TAIL, 0)
+    groups = {}
+    for j in range(lead, len(free_vs)):
+        v = free_vs[j]
+        if forest.degree[v] <= 1:
+            groups.setdefault(forest.neighbours[v], []).append(j)
+    return list(groups.values())
+
+
+def twin_pairs(forest, free_vs):
+    return [(a, b) for group in twin_groups(forest, free_vs) for a, b in zip(group, group[1:])]
+
+
+def canonical_permutations(forest, fixed):
+    """The free images of permutations(free targets) that are ascending on every tail twin group."""
+    free_vs = [v for v in range(forest.n) if v not in fixed]
+    pairs = twin_pairs(forest, free_vs)
+    free_ts = sorted(set(range(forest.n)) - set(fixed.values()))
+    return (p for p in permutations(free_ts) if all(p[a] < p[b] for a, b in pairs))
+
+
+def twin_partials(forest):
+    """0, 1 and 2 fixed vertices: a twin leaf, its parent, and both; no empty partial past n = 9."""
+    n = forest.n
+    leaf = next(v for v in range(n) if forest.degree[v] == 1
+                and sum(forest.degree[u] == 1 for u in forest.neighbours[forest.neighbours[v][0]]) >= 2)
+    parent = forest.neighbours[leaf][0]
+    mappings = [{leaf: n - 1}, {parent: 0}, {parent: 1, leaf: n - 2}]
+    return mappings if n > 9 else [{}, *mappings]
+
+
 class TestExtensionChunks:
     @pytest.mark.parametrize("fixed", [{}, {4: 7}, {0: 9, 5: 0}])
     def test_chunks_are_capped_and_continue_lexicographic_order(self, fixed):
         n = 10
         g = random_colouring(n, 11)
-        forest = make_forest(ForestSpec("random", n, max_degree=3, seed=5))
         rows = g.matrix.tolist()
         free_vs = [v for v in range(n) if v not in fixed]
-        expected = permutations(sorted(set(range(n)) - set(fixed.values())))
         cap = math.factorial(oracle._TAIL)
-        first_slots = None
-        for order, slots, sums in islice(oracle._extensions(forest, g, fixed), 3):
-            first_slots = slots if first_slots is None else first_slots
-            assert slots is first_slots
-            images = order[slots]
-            assert images.shape == (len(sums), len(free_vs))
-            assert 0 < len(sums) <= cap
-            assert np.array_equal(images, np.array(list(islice(expected, len(sums)))))
-            for i in range(0, len(sums), 499):
-                full = oracle._full_map(fixed, images[i])
-                assert [full[v] for v in fixed] == list(fixed.values())
-                assert [full[v] for v in free_vs] == images[i].tolist()
-                assert sums[i] == scalar_sum(rows, forest, full)
+        # the random tree has no twin tail leaves; the caterpillar has two or three groups
+        for forest in (make_forest(ForestSpec("random", n, max_degree=3, seed=5)), TWIN_LEAF_FORESTS["caterpillar-10"]):
+            expected = canonical_permutations(forest, fixed)
+            first_slots = None
+            for order, slots, sums in islice(oracle._extensions(forest, g, fixed), 3):
+                first_slots = slots if first_slots is None else first_slots
+                assert slots is first_slots
+                images = order[slots]
+                assert images.shape == (len(sums), len(free_vs))
+                assert 0 < len(sums) <= cap
+                assert np.array_equal(images, np.array(list(islice(expected, len(sums)))))
+                for i in range(0, len(sums), 499):
+                    full = oracle._full_map(fixed, images[i])
+                    assert [full[v] for v in fixed] == list(fixed.values())
+                    assert [full[v] for v in free_vs] == images[i].tolist()
+                    assert sums[i] == scalar_sum(rows, forest, full)
+
+
+class TestTwinLeafOrbits:
+    """One map per twin-leaf orbit: the same answers as a scan of every extension."""
+
+    @pytest.mark.parametrize("name", TWIN_LEAF_FORESTS)
+    def test_extensions_are_the_canonical_subsequence(self, name):
+        forest = TWIN_LEAF_FORESTS[name]
+        n = forest.n
+        g = biased_colouring(n, 1000 + n)
+        for fixed in twin_partials(forest):
+            free_vs = [v for v in range(n) if v not in fixed]
+            groups = twin_groups(forest, free_vs)
+            assert max(map(len, groups)) >= 2, fixed
+            maps, sums = numpy_extensions(forest, g, fixed)
+            keep = np.ones(len(maps), bool)
+            for a, b in twin_pairs(forest, free_vs):
+                keep &= maps[:, free_vs[a]] < maps[:, free_vs[b]]
+            w = min(len(free_vs), oracle._TAIL)
+            rows = math.factorial(w) // math.prod(math.factorial(len(group)) for group in groups)
+            chunks = list(oracle._extensions(forest, g, fixed))
+            lead_prefixes = math.perm(len(free_vs), len(free_vs) - w)
+            assert [len(chunk_sums) for _, _, chunk_sums in chunks] == [rows] * lead_prefixes
+            images = np.concatenate([order[slots] for order, slots, _ in chunks])
+            assert np.array_equal(images, maps[keep][:, free_vs])
+            assert np.array_equal(np.concatenate([chunk_sums for _, _, chunk_sums in chunks]), sums[keep])
+
+    @pytest.mark.parametrize("name", TWIN_LEAF_FORESTS)
+    def test_exact_sign_matches_every_extension(self, name):
+        forest = TWIN_LEAF_FORESTS[name]
+        n = forest.n
+        for g in (random_colouring(n, 1100 + n), biased_colouring(n, 1200 + n)):
+            for fixed in twin_partials(forest):
+                partial = PartialEmbedding(fixed)
+                v = exact_sign(forest, g, partial)
+                assert verdict_tuple(v) == numpy_verdict(forest, g, fixed), fixed
+                assert v.extensions == math.factorial(n - len(fixed))
+                if n <= 7:
+                    assert verdict_tuple(v) == brute_sign(forest, g, partial), fixed
+
+    @pytest.mark.parametrize("name", [name for name, forest in TWIN_LEAF_FORESTS.items() if forest.n <= 9])
+    def test_exact_min_matches_every_embedding(self, name):
+        forest = TWIN_LEAF_FORESTS[name]
+        n = forest.n
+        for g in (random_colouring(n, 1300 + n), biased_colouring(n, 1400 + n, red=0.93)):
+            maps, sums = numpy_extensions(forest, g, {})
+            score = np.abs(sums)
+            i = int(score.argmin())
+            value, witness = exact_min_imbalance(forest, g)
+            assert (value, witness.forward) == (score[i], tuple(maps[i].tolist()))
+            if n <= 7:
+                assert (value, witness.forward) == brute_min(forest, g)
 
 
 @cache

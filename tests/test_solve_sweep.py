@@ -1,8 +1,9 @@
-"""The fixed solve() grid of tools/solve_sweep.py and its row comparison."""
+"""The fixed solve() and oracle grids of tools/solve_sweep.py and its row comparison."""
 
 import copy
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "solve_sweep.py"
@@ -18,6 +19,31 @@ def test_grid_reaches_every_mechanism_and_repeats_itself():
     assert len(rows) == 11 * 3 * 7 * 2 * 2
     assert {"exact", "interpolation", "heuristic"} <= {row.get("mechanism") for row in rows}
     assert all(row["stats"].keys() == {"samples_drawn"} for row in rows if row["error"] is None)
+
+
+def test_oracle_grid_covers_twin_leaves_and_partials_and_repeats_itself():
+    first, second = solve_sweep.oracle_lines(), solve_sweep.oracle_lines()
+    assert first == second
+    rows = [json.loads(line) for line in first]
+    assert len(rows) == 5 * 2 * 2 * 5 * 4
+    assert all(row["error"] is None for row in rows)
+    assert {row["n"] for row in rows} == {5, 6, 7, 8, 9}
+    signs = [row for row in rows if row["query"] == "sign"]
+    assert {len(row["fixed"]) for row in signs} == {0, 1, 2}
+    assert all(row["extensions"] == math.factorial(row["n"] - len(row["fixed"])) for row in signs)
+    assert all(row["min_sum"] <= row["max_sum"] for row in signs)
+    mins = [row for row in rows if row["query"] == "min"]
+    assert len(mins) == len(signs) // 3 and all(sorted(row["witness"]) == list(range(row["n"])) for row in mins)
+
+    def has_twins(kind, n):
+        # two leaves of one parent, or two isolated vertices
+        forest = solve_sweep._oracle_forest(kind, n, 0)
+        neighbours = [forest.neighbours[v] for v in range(n) if forest.degree[v] <= 1]
+        return len(neighbours) > len(set(neighbours))
+
+    assert not any(has_twins("path", n) for n in solve_sweep.ORACLE_N)
+    for kind in ("broom", "caterpillar", "isolated"):
+        assert all(has_twins(kind, n) for n in solve_sweep.ORACLE_N), kind
 
 
 def test_compare_counts_differing_rows_per_field():

@@ -32,7 +32,7 @@ class TestSuitesSmall:
         assert report["passed"], report["violations"]
 
     def test_bounds(self):
-        report = suite_bounds(n_list=(100,), trials=12, seed=0, grid_points=2000)
+        report = suite_bounds(n_list=(100,), trials=12, grid_points=2000)
         assert report["passed"], report["violations"]
 
     def test_split_parity_star(self):

@@ -4,6 +4,7 @@ Usage (from the repository root):
 
     python3 tools/bench_pairs.py --parent HEAD --pr N --seeds 101-110 \
         --trace-workload sampled-large --trace-seed 5 --rows-seeds 1-3
+    python3 tools/bench_pairs.py --parent HEAD --rows-seeds 1-3
 
 The parent side is the committed files of ``--parent``, exported with
 ``git archive`` into a temporary directory; the change side is the working
@@ -21,7 +22,8 @@ metric's BENCHMARK.json bound, relative to the parent's median).
 
 ``--trace-workload`` adds one ``--trace 1`` run per side and records every
 per-layer metric.  ``--rows-seeds`` adds ``--seconds 0`` runs of every
-workload and compares their per-op rows on the answer fields.
+workload and compares their per-op rows on the answer fields; it prints the
+comparison, and given without ``--seeds`` it runs alone and writes no file.
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ def seed_list(text: str) -> list[int]:
         lo, hi = text.split("-", 1)
         return list(range(int(lo), int(hi) + 1))
     return [int(s) for s in text.split(",")]
+
+
+def export(revision: str, dest: Path) -> None:
+    """The committed files of ``revision``, extracted into ``dest`` with ``git archive``."""
+    archive = subprocess.run(["git", "archive", revision], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
 def run_bench(side: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -124,22 +132,32 @@ def compare_rows(sides: dict, workloads: list[str], seeds: list[int]) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
-    parser.add_argument("--pr", required=True, help="number for the output file BENCH_<pr>.json")
-    parser.add_argument("--seeds", type=seed_list, required=True, help='e.g. "101-110" or "1,4,9"')
+    parser.add_argument("--pr", help="number for the output file BENCH_<pr>.json; needed with --seeds")
+    parser.add_argument("--seeds", type=seed_list, help='timed pairs, e.g. "101-110" or "1,4,9"')
     parser.add_argument("--trace-workload")
     parser.add_argument("--trace-seed", type=int, default=5)
     parser.add_argument("--rows-seeds", type=seed_list)
     parser.add_argument("--machine", default="", help="hardware and versions, recorded as given")
     args = parser.parse_args(argv)
+    if args.seeds is None and args.rows_seeds is None:
+        parser.error("give --seeds, --rows-seeds or both")
+    if args.seeds is not None and args.pr is None:
+        parser.error("--seeds needs --pr, the number of the output file BENCH_<pr>.json")
+    if args.seeds is None and args.trace_workload:
+        parser.error("--trace-workload needs --seeds")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent = Path(tmp)
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        export(args.parent, parent)
         sides = {"parent": parent, "change": ROOT}
+        if args.rows_seeds:
+            rows = compare_rows(sides, workloads, args.rows_seeds)
+            print(rows)
+        if args.seeds is None:
+            return 0
 
         result = {
             "about": (f"Paired parent/change runs of perfbench/run.py ({seconds:g} s, --trace 0) on each "
@@ -174,8 +192,7 @@ def main(argv=None) -> int:
                            for name in names},
             }
         if args.rows_seeds:
-            key = f"rows_seeds_{args.rows_seeds[0]}_{args.rows_seeds[-1]}"
-            result[key] = compare_rows(sides, workloads, args.rows_seeds)
+            result[f"rows_seeds_{args.rows_seeds[0]}_{args.rows_seeds[-1]}"] = rows
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=2) + "\n")

@@ -1,4 +1,4 @@
-"""Answer diff: one fixed grid of solve() calls on a parent revision and the working tree.
+"""Answer diff: fixed grids of solve() and exact-oracle calls on a parent revision and the working tree.
 
 Usage (from the repository root):
 
@@ -12,8 +12,12 @@ tree.  Each side runs this file's grid in its own process with that side's
 parameters.  A row holds the embedding, the achieved value, the mechanism,
 the certified value, ``within_bound``, the bound report, the interpolation
 trace steps and ``stats`` of one solve, or the type and message of the error
-it raised.  The tool prints how many rows differ, how many differ in each
-field, and the first few differing rows.
+it raised.  A second grid queries the exact oracle at n = 5-9 on forests with
+and without twin leaves (leaves of one parent, isolated vertices) and 0-2
+fixed vertices: an ``exact_min_imbalance`` row holds the value and witness,
+an ``exact_sign`` row the min and max sums, both witnesses and
+``extensions``.  The tool prints how many rows differ, how many differ in
+each field, and the first few differing rows.
 """
 
 from __future__ import annotations
@@ -38,6 +42,13 @@ SEEDS = (0, 1)
 #: 0 sends only stars and edgeless forests to the oracle; None keeps SolverConfig's default
 THRESHOLDS = (0, None)
 SHOWN = 3
+#: the fields that name a row's cell
+CELL = ("n", "colouring", "forest", "seed", "exact_threshold", "query", "fixed")
+ORACLE_N = (5, 6, 7, 8, 9)
+#: path has no twins; broom, caterpillar and isolated have twin leaves or two isolated vertices
+ORACLE_FORESTS = ("path", "broom", "caterpillar", "isolated", "random")
+#: red-edge probability of each oracle colouring, which need not be balanced
+ORACLE_COLOURINGS = {"even": 0.5, "red-heavy": 0.85}
 
 
 def _colouring(kind: str, n: int, seed: int):
@@ -78,6 +89,56 @@ def _forest(kind: str, n: int, seed: int):
     return make_forest(ForestSpec(kind, n))
 
 
+def _oracle_forest(kind: str, n: int, seed: int):
+    from forestbalance.core import Forest
+    from forestbalance.generators import ForestSpec, make_forest
+
+    if kind == "broom":
+        return make_forest(ForestSpec("broom", n, max_degree=n // 2 + 1))
+    if kind == "caterpillar":
+        # spine 0-1; the other vertices alternate between the two as leaves
+        return Forest(n, [(0, 1), *((v % 2, v) for v in range(2, n))])
+    if kind == "isolated":
+        # a path on n - 2 vertices and two isolated vertices
+        return Forest(n, [(v, v + 1) for v in range(n - 3)])
+    if kind == "random":
+        return make_forest(ForestSpec("random", n, max_degree=3, seed=seed))
+    return make_forest(ForestSpec(kind, n))
+
+
+def oracle_lines() -> list[str]:
+    """One JSON line per oracle query, answered by the forestbalance found on the path."""
+    from forestbalance.core import ColouredCompleteGraph, PartialEmbedding
+    from forestbalance.oracle import exact_min_imbalance, exact_sign
+
+    lines = []
+    for n in ORACLE_N:
+        for colouring, p_red in ORACLE_COLOURINGS.items():
+            for seed in SEEDS:
+                red = np.triu(np.random.default_rng([n, seed]).random((n, n)) < p_red, 1)
+                graph = ColouredCompleteGraph.from_red_matrix(red | red.T)
+                for forest_kind in ORACLE_FORESTS:
+                    forest = _oracle_forest(forest_kind, n, seed)
+                    cell = {"n": n, "colouring": colouring, "forest": forest_kind, "seed": seed}
+                    queries = [("min", None), *(("sign", fixed) for fixed in ({}, {0: n - 1}, {n - 1: 0, 2: 1}))]
+                    for query, fixed in queries:
+                        row = {**cell, "query": query, "error": None}
+                        try:
+                            if query == "min":
+                                value, witness = exact_min_imbalance(forest, graph)
+                                row.update(value=value, witness=list(witness.forward))
+                            else:
+                                row["fixed"] = sorted(fixed.items())
+                                v = exact_sign(forest, graph, PartialEmbedding(fixed))
+                                row.update(min_sum=v.min_sum, max_sum=v.max_sum,
+                                           min_witness=list(v.min_witness.forward),
+                                           max_witness=list(v.max_witness.forward), extensions=v.extensions)
+                        except Exception as exc:  # the error itself is the answer to compare
+                            row["error"] = f"{type(exc).__name__}: {exc}"
+                        lines.append(json.dumps(row, sort_keys=True))
+    return lines
+
+
 def grid_lines() -> list[str]:
     """One JSON line per grid cell, solved with the forestbalance found on the path."""
     from forestbalance.solver import SolverConfig, solve
@@ -116,8 +177,9 @@ def grid_lines() -> list[str]:
 
 
 def side_rows(side: Path) -> list[dict]:
-    """The grid rows of the checkout at ``side``, computed in a fresh process."""
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import solve_sweep; print(*solve_sweep.grid_lines(), sep='\\n')"
+    """The solve and oracle grid rows of the checkout at ``side``, computed in a fresh process."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import solve_sweep; "
+            "print(*solve_sweep.grid_lines(), *solve_sweep.oracle_lines(), sep='\\n')")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
         env={**os.environ, "PYTHONPATH": str(side / "src")}, capture_output=True, text=True, check=True,
@@ -140,7 +202,7 @@ def compare(parent: list[dict], change: list[dict]) -> str:
         for k in fields:
             per_field[k] = per_field.get(k, 0) + 1
         if len(shown) < SHOWN:
-            cell = {k: c[k] for k in ("n", "colouring", "forest", "seed", "exact_threshold")}
+            cell = {k: c[k] for k in CELL if k in c}
             shown.append(f"  {json.dumps(cell)}\n"
                          + "".join(f"    {k}: parent {json.dumps(p.get(k))} / change {json.dumps(c.get(k))}\n"
                                    for k in fields))
