@@ -41,7 +41,7 @@ from .oracle import (
     is_sign_fixing,
 )
 from .solver import SolverConfig, solve
-from .verify import VerifySuiteSpec, bench_csv, run_bench, run_verify
+from .verify import bench_csv, run_bench, run_verify
 
 USAGE_EXIT = 1
 BOUND_VIOLATION_EXIT = 2
@@ -118,8 +118,8 @@ def build_parser() -> _Parser:
                    help='JSON object of fixed images, e.g. \'{"0": 3}\'')
     p.add_argument("--l-set", type=_int_list, default=None)
     p.add_argument("--u-set", type=_int_list, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--json", dest="json_out", default=None)
 
     p = sub.add_parser("bounds", help="print every guarantee for (n, delta)")
@@ -129,7 +129,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--n", type=_int_list, default=())
+    p.add_argument("--n", type=_int_list, default=None)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", dest="json_out", default=None)
@@ -139,7 +139,6 @@ def build_parser() -> _Parser:
     p.add_argument("--families", default="path,star,random")
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--redact-millis", action="store_true",
                    help="write 0 in the millis column for byte-reproducible output")
     p.add_argument("--out", required=True)
@@ -229,17 +228,34 @@ def _parse_partial(text: str | None) -> PartialEmbedding:
     return PartialEmbedding(mapping)
 
 
+#: the oracle flags that only some modes read
+_ORACLE_FLAG_MODES = {
+    "partial": ("sign",),
+    "l_set": ("sign-fixing",),
+    "u_set": ("sign-fixing",),
+    "budget": ("sign", "sign-fixing"),
+    "max_n": ("min",),
+}
+
+
 def _cmd_oracle(args) -> int:
     for flag, value in (("--budget", args.budget), ("--max-n", args.max_n)):
-        if value < 1:
+        if value is not None and value < 1:
             raise InvalidInputError(f"{flag} must be at least 1, got {value}")
+    for name, modes in _ORACLE_FLAG_MODES.items():
+        value = getattr(args, name)
+        if value is not None and args.mode not in modes:
+            shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
+            flag = "--" + name.replace("_", "-")
+            raise InvalidInputError(f"mode {args.mode!r} takes no {flag}, got {shown}")
+    budget = args.budget or DEFAULT_BUDGET
     forest, graph = _load_instance(args)
     out: dict
     if args.mode == "min":
-        value, witness = exact_min_imbalance(forest, graph, max_n=args.max_n)
+        value, witness = exact_min_imbalance(forest, graph, max_n=args.max_n or DEFAULT_MAX_N)
         out = {"mode": "min", "min_imbalance": value, "witness": embedding_to_json(witness)}
     elif args.mode == "sign":
-        verdict = exact_sign(forest, graph, _parse_partial(args.partial), budget=args.budget)
+        verdict = exact_sign(forest, graph, _parse_partial(args.partial), budget=budget)
         out = {
             "mode": "sign",
             "kind": verdict.kind,
@@ -250,7 +266,7 @@ def _cmd_oracle(args) -> int:
     else:
         if args.l_set is None or args.u_set is None:
             raise InvalidInputError("sign-fixing mode needs --l-set and --u-set")
-        res = is_sign_fixing(forest, graph, args.l_set, args.u_set, budget=args.budget)
+        res = is_sign_fixing(forest, graph, args.l_set, args.u_set, budget=budget)
         out = {
             "mode": "sign-fixing",
             "fixing": res.fixing,
@@ -277,8 +293,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = VerifySuiteSpec(suite=args.suite, n_list=args.n, trials=args.trials, seed=args.seed)
-    report = run_verify(spec)
+    if args.n == ():
+        raise InvalidInputError("--n names no size")
+    report = run_verify(args.suite, n_list=args.n or (), trials=args.trials, seed=args.seed)
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.json_out:
         Path(args.json_out).write_text(text + "\n")
@@ -287,16 +304,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    for flag, value in (("--seeds", args.seeds), ("--threads", args.threads)):
-        if value < 1:
-            raise InvalidInputError(f"{flag} must be at least 1, got {value}")
+    if args.seeds < 1:
+        raise InvalidInputError(f"--seeds must be at least 1, got {args.seeds}")
     families = tuple(f.strip() for f in args.families.split(",") if f.strip())
+    if not args.n_list:
+        raise InvalidInputError("--n-list names no size")
+    if not families:
+        raise InvalidInputError("--families names no family")
     rows = run_bench(
         n_list=args.n_list,
         families=families,
         seeds=args.seeds,
         seed=args.seed,
-        threads=args.threads,
         redact_millis=args.redact_millis,
     )
     Path(args.out).write_text(bench_csv(rows))

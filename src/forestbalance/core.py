@@ -364,14 +364,6 @@ class PartialEmbedding:
     def __iter__(self) -> Iterator[int]:
         return iter(self.mapping)
 
-    def restrict(self, vertices: Iterable[int]) -> "PartialEmbedding":
-        return PartialEmbedding({v: self.mapping[v] for v in vertices})
-
-    def extended(self, v: int, target: int) -> "PartialEmbedding":
-        m = dict(self.mapping)
-        m[v] = target
-        return PartialEmbedding(m)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PartialEmbedding) and self.mapping == other.mapping
 

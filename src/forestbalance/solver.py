@@ -124,6 +124,8 @@ class ExtensionSampler:
 
     def __init__(self, forest: Forest, graph: ColouredCompleteGraph, anchor: PartialEmbedding | None = None):
         n = forest.n
+        if n != graph.n:
+            raise InvalidInputError(f"forest has {n} vertices but graph has {graph.n}")
         fixed = anchor.mapping if anchor is not None else {}
         if any(v >= n or t >= n for v, t in fixed.items()):
             raise InvalidInputError("anchor out of range")

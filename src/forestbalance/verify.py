@@ -11,7 +11,6 @@ import inspect
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -56,22 +55,6 @@ from .solver import (
     large_degree_anchor,
     solve,
 )
-
-
-@dataclass(frozen=True)
-class VerifySuiteSpec:
-    suite: str
-    n_list: tuple[int, ...] = ()
-    trials: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.suite not in SUITES:
-            raise InvalidInputError(
-                f"unknown suite {self.suite!r}; available: {', '.join(sorted(SUITES))}"
-            )
-        if self.trials < 0:
-            raise InvalidInputError("trial count must be non-negative")
 
 
 def _report(suite: str, violations: list, details: dict) -> dict:
@@ -399,30 +382,34 @@ SUITES = {
 }
 
 
-def run_verify(spec: VerifySuiteSpec) -> dict:
-    """Execute one named suite, applying any sizes carried by the suite description.
+def run_verify(suite: str, n_list=(), trials=0, seed=0) -> dict:
+    """Execute one named suite with the given sizes, trial count and seed.
 
     A suite whose signature has ``n`` takes exactly one size and one with
     neither ``n`` nor ``n_list`` takes none; any other count is refused.  A
     non-default trial count or seed is refused by a suite that takes none.
     """
-    fn = SUITES[spec.suite]
+    if suite not in SUITES:
+        raise InvalidInputError(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
+    if trials < 0:
+        raise InvalidInputError("trial count must be non-negative")
+    fn = SUITES[suite]
     params = inspect.signature(fn).parameters
     kwargs = {}
-    if spec.n_list:
+    if n_list:
         if "n_list" in params:
-            kwargs["n_list"] = tuple(spec.n_list)
-        elif "n" in params and len(spec.n_list) == 1:
-            kwargs["n"] = spec.n_list[0]
+            kwargs["n_list"] = tuple(n_list)
+        elif "n" in params and len(n_list) == 1:
+            kwargs["n"] = n_list[0]
         else:
             takes = "one size" if "n" in params else "no size"
-            sizes = ",".join(map(str, spec.n_list))
-            raise InvalidInputError(f"suite {spec.suite!r} takes {takes} in --n, got {sizes}")
-    for name, value in (("trials", spec.trials), ("seed", spec.seed)):
+            sizes = ",".join(map(str, n_list))
+            raise InvalidInputError(f"suite {suite!r} takes {takes} in --n, got {sizes}")
+    for name, value in (("trials", trials), ("seed", seed)):
         if not value:
             continue
         if name not in params:
-            raise InvalidInputError(f"suite {spec.suite!r} takes no --{name}, got {value}")
+            raise InvalidInputError(f"suite {suite!r} takes no --{name}, got {value}")
         kwargs[name] = value
     return fn(**kwargs)
 
@@ -444,8 +431,7 @@ BENCH_COLUMNS = (
 )
 
 
-def _bench_cell(args: tuple) -> dict:
-    n, family, seed, base_seed, redact = args
+def _bench_cell(n: int, family: str, seed: int, base_seed: int, redact: bool) -> dict:
     colour_seed = _sub_seed(base_seed, n * 101 + seed)
     g = random_balanced_colouring(n, colour_seed)
     if family == "random":
@@ -477,29 +463,18 @@ def run_bench(
     families=("path", "star", "random"),
     seeds=3,
     seed=0,
-    threads=1,
     redact_millis=False,
 ) -> list[dict]:
     """Run the solver over a grid and return one row per cell, sorted."""
     for n in n_list:
         if (n * (n - 1) // 2) % 2 != 0:
             raise InvalidInputError(f"bench needs balanced colourings; n={n} has odd edge count")
-    cells = [
-        (n, family, s, seed, redact_millis)
+    rows = [
+        _bench_cell(n, family, s, seed, redact_millis)
         for n in n_list
         for family in families
         for s in range(seeds)
     ]
-    if threads > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(_bench_cell, cells))
-        except (OSError, ImportError):
-            rows = [_bench_cell(c) for c in cells]
-    else:
-        rows = [_bench_cell(c) for c in cells]
     rows.sort(key=lambda r: (r["n"], r["family"], r["seed"]))
     return rows
 

@@ -289,6 +289,21 @@ class TestOracleCommand:
         assert code == 1
         assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, flag, value", [
+        ("min", "--partial", '{"0": 3}'), ("sign-fixing", "--partial", '{"0": 3}'),
+        ("min", "--l-set", "1"), ("sign", "--l-set", "1,2"),
+        ("min", "--u-set", "0,1"), ("sign", "--u-set", "3"),
+        ("min", "--budget", "1"),
+        ("sign", "--max-n", "9"), ("sign-fixing", "--max-n", "9"),
+    ])
+    def test_flag_the_mode_does_not_read_is_usage_error(self, instance, mode, flag, value, capsys):
+        cpath, fpath = instance
+        code = main(["oracle", "--colouring", str(cpath), "--forest", str(fpath), "--mode", mode, flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: mode {mode!r} takes no {flag}, got {value}"]
+        assert captured.out == ""
+
     def test_non_integer_forest_edge_is_usage_error(self, instance, tmp_path, capsys):
         cpath, _ = instance
         fpath = tmp_path / "bad.txt"
@@ -361,6 +376,13 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("sizes", [",", ""])
+    def test_empty_size_list_is_usage_error(self, sizes, capsys):
+        assert main(["verify", "--suite", "split-parity-star", "--n", sizes]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: --n names no size"]
+        assert captured.out == ""
+
     def test_anchored_expectation_single_trial_is_usage_error(self, capsys):
         # one sample has no standard error, so the check it feeds cannot fail
         assert main(["verify", "--suite", "anchored-expectation", "--trials", "1"]) == 1
@@ -420,7 +442,7 @@ class TestBenchCommand:
             assert r[6] == "interpolation" and float(r[7]) <= float(r[5])
 
     @pytest.mark.parametrize("flag, value", [
-        ("--seeds", "0"), ("--seeds", "-1"), ("--threads", "0"), ("--threads", "-1"),
+        ("--seeds", "0"), ("--seeds", "-1"),
     ])
     def test_count_below_one_is_usage_error(self, tmp_path, monkeypatch, flag, value, capsys):
         def unreachable(**kwargs):
@@ -431,4 +453,24 @@ class TestBenchCommand:
         code = main(["bench", "--n-list", "16", "--families", "path", flag, value, "--out", str(out)])
         assert code == 1
         assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n-list", ",", "--n-list names no size"),
+        ("--n-list", "", "--n-list names no size"),
+        ("--families", "", "--families names no family"),
+        ("--families", " , ", "--families names no family"),
+    ])
+    def test_empty_grid_is_usage_error(self, tmp_path, flag, value, message, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["bench", flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--n-list", "16", "--threads", "2", "--out", str(out)])
+        assert err.value.code == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not out.exists()

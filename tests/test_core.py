@@ -403,10 +403,8 @@ class TestPartialEmbedding:
         with pytest.raises(InvalidInputError):
             PartialEmbedding({0: 1, 2: 1})
 
-    def test_restrict_and_extend(self):
+    def test_image_holds_the_targets(self):
         p = PartialEmbedding({0: 3, 2: 5})
-        assert p.restrict([0]).mapping == {0: 3}
-        assert p.extended(4, 1).mapping == {0: 3, 2: 5, 4: 1}
         assert p.image() == {3, 5}
 
 

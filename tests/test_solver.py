@@ -234,6 +234,15 @@ class TestExtensionSampler:
             with pytest.raises(InvalidInputError):
                 find_signed_pair(forest, g, anchor)
 
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_forest_of_another_size_rejected(self, n):
+        g = random_balanced_colouring(16, 1)
+        forest = make_forest(ForestSpec("path", n))
+        with pytest.raises(InvalidInputError, match=f"forest has {n} vertices but graph has 16"):
+            find_signed_pair(forest, g)
+        with pytest.raises(InvalidInputError, match=f"forest has {n} vertices but graph has 16"):
+            ExtensionSampler(forest, g)
+
 
 class TestLargeDegreeSet:
     def test_path_is_empty_at_eighth(self):

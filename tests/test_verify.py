@@ -2,7 +2,6 @@ import pytest
 
 from forestbalance.core import InvalidInputError
 from forestbalance.verify import (
-    VerifySuiteSpec,
     bench_csv,
     run_bench,
     run_verify,
@@ -58,12 +57,16 @@ class TestSuitesSmall:
             suite_anchored_expectation(n=32, trials=10, delta=15)
 
     def test_run_verify_dispatch(self):
-        report = run_verify(VerifySuiteSpec("split-parity-star", n_list=(8,)))
+        report = run_verify("split-parity-star", n_list=(8,))
         assert report["suite"] == "split-parity-star" and report["passed"]
 
     def test_unknown_suite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            VerifySuiteSpec("no-such-suite")
+        with pytest.raises(InvalidInputError, match="unknown suite 'no-such-suite'; available: anchored-expectation, "):
+            run_verify("no-such-suite")
+
+    def test_negative_trial_count_rejected(self):
+        with pytest.raises(InvalidInputError, match="trial count must be non-negative"):
+            run_verify("interpolation", trials=-1)
 
 
 class TestBench:
@@ -83,13 +86,6 @@ class TestBench:
         a = run_bench(n_list=(16,), families=("path",), seeds=2, seed=3, redact_millis=True)
         b = run_bench(n_list=(16,), families=("path",), seeds=2, seed=3, redact_millis=True)
         assert bench_csv(a) == bench_csv(b)
-
-    def test_threads_agree_with_serial(self):
-        kwargs = dict(n_list=(16,), families=("path", "star"), seeds=2, seed=5,
-                      redact_millis=True)
-        serial = run_bench(threads=1, **kwargs)
-        parallel = run_bench(threads=2, **kwargs)
-        assert bench_csv(serial) == bench_csv(parallel)
 
     def test_odd_edge_count_rejected(self):
         with pytest.raises(InvalidInputError):

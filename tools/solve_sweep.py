@@ -215,10 +215,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
     args = parser.parse_args(argv)
+    from bench_pairs import export  # a sibling in tools/, which is on the path when this file runs
+
     with tempfile.TemporaryDirectory(prefix="sweep-parent-") as tmp:
         parent = Path(tmp)
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        export(args.parent, parent)
         print(compare(side_rows(parent), side_rows(ROOT)), end="")
     return 0
 
