@@ -45,7 +45,6 @@ from .generators import (
 from .interpolate import (
     InterpolationTrace,
     SignedPair,
-    interpolate,
     interpolate_traced,
 )
 from .oracle import (
@@ -59,7 +58,6 @@ from .solver import (
     SolveResult,
     SolverConfig,
     find_signed_pair,
-    greedy_star_balance,
     large_degree_set,
     solve,
 )

@@ -24,6 +24,7 @@ from .core import (
     serialize_forest,
 )
 from .generators import (
+    FOREST_KINDS,
     ForestSpec,
     PerturbedParams,
     choose_density_ratio,
@@ -34,7 +35,6 @@ from .generators import (
 )
 from .oracle import (
     DEFAULT_BUDGET,
-    DEFAULT_MAX_N,
     BudgetExceededError,
     exact_min_imbalance,
     exact_sign,
@@ -94,7 +94,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("gen-forest", help="write a forest file")
-    p.add_argument("--kind", choices=["star", "path", "random", "broom"], required=True)
+    p.add_argument("--kind", choices=FOREST_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -118,8 +118,8 @@ def build_parser() -> _Parser:
                    help='JSON object of fixed images, e.g. \'{"0": 3}\'')
     p.add_argument("--l-set", type=_int_list, default=None)
     p.add_argument("--u-set", type=_int_list, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="most full maps a query may enumerate (default: %(default)s, all 10! at n = 10)")
     p.add_argument("--json", dest="json_out", default=None)
 
     p = sub.add_parser("bounds", help="print every guarantee for (n, delta)")
@@ -177,7 +177,7 @@ def _cmd_solve(args) -> int:
     )
     result = solve(forest, graph, cfg)
     balanced = is_balanced(graph)
-    payload = {
+    out = {
         "embedding": embedding_to_json(result.embedding),
         "achieved": result.achieved,
         "certified": result.certified,
@@ -188,7 +188,7 @@ def _cmd_solve(args) -> int:
         "stats": result.stats,
     }
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        Path(args.json_out).write_text(json.dumps(out, sort_keys=True, indent=2) + "\n")
     if args.trace_out:
         if result.trace is None:
             print("no interpolation trace for this run", file=sys.stderr)
@@ -233,29 +233,25 @@ _ORACLE_FLAG_MODES = {
     "partial": ("sign",),
     "l_set": ("sign-fixing",),
     "u_set": ("sign-fixing",),
-    "budget": ("sign", "sign-fixing"),
-    "max_n": ("min",),
 }
 
 
 def _cmd_oracle(args) -> int:
-    for flag, value in (("--budget", args.budget), ("--max-n", args.max_n)):
-        if value is not None and value < 1:
-            raise InvalidInputError(f"{flag} must be at least 1, got {value}")
+    if args.budget < 1:
+        raise InvalidInputError(f"--budget must be at least 1, got {args.budget}")
     for name, modes in _ORACLE_FLAG_MODES.items():
         value = getattr(args, name)
         if value is not None and args.mode not in modes:
             shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
             flag = "--" + name.replace("_", "-")
             raise InvalidInputError(f"mode {args.mode!r} takes no {flag}, got {shown}")
-    budget = args.budget or DEFAULT_BUDGET
     forest, graph = _load_instance(args)
     out: dict
     if args.mode == "min":
-        value, witness = exact_min_imbalance(forest, graph, max_n=args.max_n or DEFAULT_MAX_N)
+        value, witness = exact_min_imbalance(forest, graph, budget=args.budget)
         out = {"mode": "min", "min_imbalance": value, "witness": embedding_to_json(witness)}
     elif args.mode == "sign":
-        verdict = exact_sign(forest, graph, _parse_partial(args.partial), budget=budget)
+        verdict = exact_sign(forest, graph, _parse_partial(args.partial), budget=args.budget)
         out = {
             "mode": "sign",
             "kind": verdict.kind,
@@ -266,7 +262,7 @@ def _cmd_oracle(args) -> int:
     else:
         if args.l_set is None or args.u_set is None:
             raise InvalidInputError("sign-fixing mode needs --l-set and --u-set")
-        res = is_sign_fixing(forest, graph, args.l_set, args.u_set, budget=budget)
+        res = is_sign_fixing(forest, graph, args.l_set, args.u_set, budget=args.budget)
         out = {
             "mode": "sign-fixing",
             "fixing": res.fixing,

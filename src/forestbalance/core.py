@@ -7,7 +7,7 @@ scoring loops index ``rows()``, read-only memoryview slices of that matrix.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,11 +28,7 @@ class CertificateError(AssertionError):
 
 
 class PreconditionError(InvalidInputError):
-    """Precondition violation that carries a machine-readable payload."""
-
-    def __init__(self, message: str, payload=None):
-        super().__init__(message)
-        self.payload = payload
+    """An input outside the conditions a construction needs, though otherwise well formed."""
 
 
 RED = 1
@@ -45,8 +41,8 @@ class ColouredCompleteGraph:
     The colouring is one read-only n x n int8 ``matrix`` with the colour of
     edge ij at [i, j] and [j, i] and 0 on the diagonal; build it with
     ``from_red_matrix``, which checks its input.  The constructor takes a
-    matrix as is: ``parse_colouring`` and ``negated`` pass ones that hold
-    these invariants by construction.  Immutable; safe to share across
+    matrix as is: ``parse_colouring`` passes one that holds these
+    invariants by construction.  Immutable; safe to share across
     threads for reading.
     """
 
@@ -72,32 +68,9 @@ class ColouredCompleteGraph:
         matrix.flags.writeable = False
         return cls(matrix)
 
-    @classmethod
-    def from_pair_function(cls, n: int, colour_fn: Callable[[int, int], int]) -> "ColouredCompleteGraph":
-        """Build from a function (i, j) -> {-1, +1} on pairs i > j."""
-        if n < 2:
-            raise InvalidInputError(f"need at least 2 vertices, got n={n}")
-        red = np.zeros((n, n), dtype=bool)
-        for i in range(1, n):
-            for j in range(i):
-                c = colour_fn(i, j)
-                if c == RED:
-                    red[i, j] = True
-                elif c != BLUE:
-                    raise InvalidInputError(f"colour_fn({i},{j}) returned {c}, expected -1 or +1")
-        return cls.from_red_matrix(red | red.T)
-
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def colour(self, i: int, j: int) -> int:
-        """Colour of edge ij: +1 (red) or -1 (blue)."""
-        if i == j:
-            raise InvalidInputError(f"no self-loop colour for vertex {i}")
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise InvalidInputError(f"vertex out of range: ({i},{j}) with n={self.n}")
-        return int(self.matrix[i, j])
 
     def rows(self) -> list[memoryview]:
         """One read-only memoryview (format ``b``) per matrix row, built on first use.
@@ -123,11 +96,8 @@ class ColouredCompleteGraph:
     def red_degree(self, v: int) -> int:
         return (self.n - 1 + self.signed_degree(v)) // 2
 
-    def blue_degree(self, v: int) -> int:
-        return self.n - 1 - self.red_degree(v)
-
     def signed_degree(self, v: int) -> int:
-        """red_degree(v) - blue_degree(v); the colour sum of the star at v."""
+        """Red minus blue degree of v; the colour sum of the star at v."""
         return int(self.matrix[v].sum(dtype=np.int64))
 
     @property
@@ -147,12 +117,6 @@ class ColouredCompleteGraph:
 
     def blue_neighbours(self, v: int) -> list[int]:
         return np.flatnonzero(self.matrix[v] == BLUE).tolist()
-
-    def negated(self) -> "ColouredCompleteGraph":
-        """The colouring with every edge flipped."""
-        matrix = -self.matrix  # still symmetric, +/-1 off a zero diagonal
-        matrix.flags.writeable = False
-        return ColouredCompleteGraph(matrix)
 
     def __reduce__(self):
         # the memoryview rows cannot be pickled or copied; rebuild them lazily

@@ -20,6 +20,14 @@ from .core import (
 # forest process; the remaining mass leaves it as a new component root.
 _ATTACH_PROB = 0.9
 
+#: the forest families make_forest builds
+FOREST_KINDS = ("star", "path", "random", "broom")
+
+
+def _check_size(n: int) -> None:
+    if n < 2:
+        raise InvalidInputError(f"a colouring needs at least 2 vertices, got n={n}")
+
 
 def random_balanced_colouring(n: int, seed: int) -> ColouredCompleteGraph:
     """Uniformly random colouring with exactly half the edges of each colour.
@@ -29,6 +37,7 @@ def random_balanced_colouring(n: int, seed: int) -> ColouredCompleteGraph:
     in that order, the numbers shuffled with a seeded RNG and the first half
     painted red.
     """
+    _check_size(n)
     npairs = n * (n - 1) // 2
     if npairs % 2 != 0:
         raise ParityError(
@@ -53,6 +62,7 @@ def split_parity_colouring(n: int) -> ColouredCompleteGraph:
     when i + j is odd.  Every vertex ends up with |red - blue degree| = n/2 - 1,
     so every embedding of the n-vertex star has |sum| = (n-2)/2.
     """
+    _check_size(n)
     if n % 4 != 0:
         raise InvalidInputError(f"split-parity colouring needs n divisible by 4, got {n}")
     half = n // 2
@@ -215,7 +225,7 @@ class ForestSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("star", "path", "random", "broom"):
+        if self.kind not in FOREST_KINDS:
             raise InvalidInputError(f"unknown forest kind {self.kind!r}")
         if self.n < 1:
             raise InvalidInputError(f"forest needs at least one vertex, got n={self.n}")

@@ -127,16 +127,6 @@ def interpolate_traced(
     raise AssertionError("interpolation walk finished without entering the bound window")
 
 
-def interpolate(pair: SignedPair, forest: Forest, graph: ColouredCompleteGraph) -> Embedding:
-    """Embedding with |colour sum| <= disagreement max degree + forest min degree."""
-    result, _ = interpolate_traced(pair, forest, graph)
-    if abs(result.colour_sum) > pair.bound(forest):
-        raise CertificateError(
-            f"interpolation returned |sum| = {abs(result.colour_sum)} above its bound {pair.bound(forest)}"
-        )
-    return result
-
-
 def partial_interpolation_sequence(
     target: PartialEmbedding,
     source: PartialEmbedding,

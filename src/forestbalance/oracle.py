@@ -26,14 +26,10 @@ from .core import (
     Forest,
     InvalidInputError,
     PartialEmbedding,
-    PreconditionError,
 )
 
-#: default cap on the number of full extensions an enumeration may visit
-DEFAULT_BUDGET = 2_000_000
-
-#: default vertex-count guard for whole-embedding enumeration
-DEFAULT_MAX_N = 10
+#: default cap on the number of full maps an enumeration may visit: all 10! embeddings at n = 10
+DEFAULT_BUDGET = math.factorial(10)
 
 #: free positions filled from one permutation table, so a chunk has at most 8! rows
 _TAIL = 8
@@ -148,44 +144,30 @@ def _extensions(
         yield order, slots, sums
 
 
-def star_centre(forest: Forest) -> int | None:
-    """The centre of a star forest (every edge meets it), or None.
-
-    A forest is a star when its edge count equals its maximum degree >= 1;
-    with one edge the lower endpoint is the centre.
-    """
-    d = forest.max_degree
-    if d >= 1 and forest.edge_count == d:
-        return forest.degree.index(d)
-    return None
-
-
 def exact_min_imbalance(
     forest: Forest,
     graph: ColouredCompleteGraph,
-    max_n: int = DEFAULT_MAX_N,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, Embedding]:
     """Minimum |colour sum| over all embeddings, with a witness.
 
-    Stars, isolated vertices included, are solved in closed form at any n
-    (see _star_min_imbalance); everything else is a full factorial scan
-    with an early exit once the parity floor |E| mod 2 is reached.  The
-    witness is the first optimal map in lexicographic order.  Raise max_n
-    to enumerate past 10 vertices at your own expense.
+    Forests whose edges all meet one vertex (stars, one edge, no edge;
+    isolated vertices included) are solved in closed form at any n (see
+    _star_min_imbalance); everything else is a full scan of the n!
+    embeddings, refused above the budget, with an early exit once the
+    parity floor |E| mod 2 is reached.  The witness is the first optimal
+    map in lexicographic order.  Raise the budget to enumerate past 10
+    vertices at your own expense.
     """
     n = forest.n
     if n != graph.n:
         raise InvalidInputError(f"forest has {n} vertices but graph has {graph.n}")
     m = forest.edge_count
-    if m == 0:
-        return 0, Embedding.build(range(n), forest, graph)
-
-    centre = star_centre(forest)
-    if centre is not None:
-        return _star_min_imbalance(forest, graph, centre)
-
-    if n > max_n:
-        raise BudgetExceededError(f"refusing to enumerate {n}! embeddings (guard max_n={max_n})")
+    if m == forest.max_degree:
+        return _star_min_imbalance(forest, graph)
+    count = math.factorial(n)
+    if count > budget:
+        raise BudgetExceededError(f"{count} extensions exceed the budget of {budget}")
 
     floor = m % 2
     best, best_map = m + 1, None
@@ -199,26 +181,30 @@ def exact_min_imbalance(
     return best, Embedding.build(best_map, forest, graph)
 
 
-def _star_min_imbalance(forest: Forest, graph: ColouredCompleteGraph, centre: int) -> tuple[int, Embedding]:
-    """Closed-form optimum of a star whose centre has degree d, in one pass over the hosts.
+def _star_min_imbalance(forest: Forest, graph: ColouredCompleteGraph) -> tuple[int, Embedding]:
+    """Closed-form optimum of a forest whose d edges all meet one centre, in one pass over the hosts.
 
-    With the centre on a host with r red and b blue edges, k of the d leaves
-    on red neighbours give the sum 2k - d, for any k in
-    [max(0, d - b), min(d, r)]; the k nearest d/2 is best.  The host of least
-    reachable |sum| wins, ties to the lowest index.  The witness puts the
-    leaves, ascending, on the first k red and d - k blue neighbours in
-    ascending order, and the isolated vertices on the remaining hosts.  A
-    spanning star has k = r, so its value is the host's |signed degree|.
+    The centre is the first vertex of maximum degree d (vertex 0 when d = 0,
+    the lower endpoint when d = 1).  With the centre on a host with r red
+    and b blue edges, k of the d leaves on red neighbours give the sum
+    2k - d, for any k in [max(0, d - b), min(d, r)]; the k nearest d/2 is
+    best.  The host of least reachable |sum| wins, ties to the lowest index.
+    The witness puts the leaves, ascending, on the first k red and d - k
+    blue neighbours in ascending order, and the isolated vertices on the
+    remaining hosts.  A spanning star has k = r, so its value is the host's
+    |signed degree|.
     """
     n, d = forest.n, forest.max_degree
+    centre = forest.degree.index(d)
     red = graph.red_degrees()
     k = np.clip(d // 2, np.maximum(0, d - (n - 1 - red)), np.minimum(d, red))
     x = int(np.abs(2 * k - d).argmin())
     row = graph.matrix[x]
     leaf_hosts = np.sort(np.concatenate([np.flatnonzero(row > 0)[: k[x]], np.flatnonzero(row < 0)[: d - k[x]]]))
     hosts = np.concatenate([[x], leaf_hosts])
+    isolated = [v for v in forest.isolated_vertices() if v != centre]
     fwd = np.empty(n, dtype=np.intp)
-    fwd[[centre, *forest.neighbours[centre], *forest.isolated_vertices()]] = np.concatenate(
+    fwd[[centre, *forest.neighbours[centre], *isolated]] = np.concatenate(
         [hosts, np.setdiff1d(np.arange(n), hosts)]
     )
     emb = Embedding.build(fwd.tolist(), forest, graph)
@@ -351,33 +337,3 @@ def is_sign_fixing(
                 placements_checked=checked,
             )
     return SignFixingResult(fixing=True, placements_checked=checked)
-
-
-def minimal_sign_fixing_subset(
-    forest: Forest,
-    graph: ColouredCompleteGraph,
-    l_set,
-    u_set,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[list[int], list[int]]:
-    """Inclusion-minimal sign-fixing subset of l_set, by greedy ascending removal.
-
-    Also returns the vertices of the result whose degree inside the forest
-    restricted to the result is at least 2; that subset is always proper.
-    """
-    l_list = sorted(set(l_set))
-    start = is_sign_fixing(forest, graph, l_list, u_set, budget=budget)
-    if not start:
-        raise PreconditionError(
-            "the given set is not sign-fixing", payload=start.counterexample
-        )
-    m_set = list(l_list)
-    for v in l_list:
-        candidate = [x for x in m_set if x != v]
-        if is_sign_fixing(forest, graph, candidate, u_set, budget=budget):
-            m_set = candidate
-    members = set(m_set)
-    n_set = [v for v in m_set if len(members.intersection(forest.neighbours[v])) >= 2]
-    if m_set and not set(n_set) < set(m_set):
-        raise CertificateError("high-degree core must be a proper subset")
-    return m_set, n_set

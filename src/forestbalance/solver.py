@@ -29,9 +29,10 @@ shuffle per sample.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .core import (
     swap_images,
 )
 from .interpolate import InterpolationTrace, SignedPair, interpolate_traced
-from .oracle import DEFAULT_MAX_N, exact_min_imbalance
+from .oracle import DEFAULT_BUDGET, exact_min_imbalance
 
 CERT_EXACT = "exact"
 CERT_INTERPOLATION = "interpolation"
@@ -62,10 +63,13 @@ class SignSearchFailure(Exception):
     This legitimately happens when an anchor pins the sign of every extension.
     """
 
-    def __init__(self, message: str, best: Embedding, samples: int):
+    def __init__(self, message: str, best: Embedding):
         super().__init__(message)
         self.best = best
-        self.samples = samples
+
+
+#: the largest n whose n! embeddings the oracle enumerates within its default budget
+_EXACT_CEILING = next(n for n in count() if math.factorial(n + 1) > DEFAULT_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -79,10 +83,10 @@ class SolverConfig:
             raise InvalidInputError(f"sample_budget must be positive, got {self.sample_budget}")
         if self.exact_threshold < 0:
             raise InvalidInputError(f"exact_threshold must be non-negative, got {self.exact_threshold}")
-        if self.exact_threshold > DEFAULT_MAX_N:
+        if self.exact_threshold > _EXACT_CEILING:
             raise InvalidInputError(
-                f"exact_threshold must be at most {DEFAULT_MAX_N}, the oracle's vertex guard, "
-                f"got {self.exact_threshold}"
+                f"exact_threshold must be at most {_EXACT_CEILING}, the largest n whose n! embeddings "
+                f"fit the oracle's budget of {DEFAULT_BUDGET}, got {self.exact_threshold}"
             )
 
 
@@ -218,7 +222,6 @@ def find_signed_pair(
     raise SignSearchFailure(
         f"no embedding pair of opposite signs within {cfg.sample_budget} samples",
         best=best,
-        samples=cfg.sample_budget,
     )
 
 

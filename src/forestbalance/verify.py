@@ -33,6 +33,7 @@ from .core import (
     subgraph_sum,
 )
 from .generators import (
+    FOREST_KINDS,
     ForestSpec,
     PerturbedParams,
     choose_density_ratio,
@@ -49,6 +50,7 @@ from .interpolate import (
 from .oracle import exact_min_imbalance
 from .solver import (
     ExtensionSampler,
+    SignSearchFailure,
     SolverConfig,
     _sub_seed,
     find_signed_pair,
@@ -123,7 +125,7 @@ def suite_interpolation(n_list=(8, 9, 12, 13), trials=500, seed=0) -> dict:
         rng = random.Random(_sub_seed(seed, 90_000 + t))
         try:
             pair = find_signed_pair(forest, g, cfg=cfg, rng=rng)
-        except Exception as exc:  # noqa: BLE001 - recorded as a violation
+        except SignSearchFailure as exc:
             violations.append({"trial": t, "error": f"sign search failed: {exc}"})
             continue
         result, trace = interpolate_traced(pair, forest, g)
@@ -465,7 +467,18 @@ def run_bench(
     seed=0,
     redact_millis=False,
 ) -> list[dict]:
-    """Run the solver over a grid and return one row per cell, sorted."""
+    """Run the solver over a grid and return one row per cell, sorted.
+
+    The whole grid is checked before the first solve: a repeated size or
+    family, an unknown family or a size with an odd edge count is refused.
+    """
+    for what, values in (("size", list(n_list)), ("family", list(families))):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise InvalidInputError(f"bench grid names the {what} {value} twice")
+    for family in families:
+        if family not in FOREST_KINDS:
+            raise InvalidInputError(f"unknown forest family {family!r}; known: {', '.join(FOREST_KINDS)}")
     for n in n_list:
         if (n * (n - 1) // 2) % 2 != 0:
             raise InvalidInputError(f"bench needs balanced colourings; n={n} has odd edge count")

@@ -42,7 +42,7 @@ def test_criterion_01_split_parity_star_exact():
     for n in (8, 12, 16):
         g = split_parity_colouring(n)
         star = make_forest(ForestSpec("star", n))
-        value, witness = exact_min_imbalance(star, g, max_n=16)
+        value, witness = exact_min_imbalance(star, g)
         values[n] = value
         ok = ok and value == (n - 2) // 2 and abs(witness.colour_sum) == value
     elapsed = time.monotonic() - started

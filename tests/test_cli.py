@@ -58,6 +58,15 @@ class TestGen:
         assert code == 1
         assert "mod 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["random", "split-parity"])
+    @pytest.mark.parametrize("n", ["-8", "-4", "-3", "0", "1"])
+    def test_gen_colouring_below_two_vertices_is_usage_error(self, tmp_path, kind, n, capsys):
+        out = tmp_path / "c.txt"
+        assert main(["gen-colouring", "--kind", kind, "--n", n, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: a colouring needs at least 2 vertices, got n={n}"]
+        assert not out.exists()
+
 
 class TestSolveCommand:
     def test_solve_writes_json_and_exits_zero(self, instance, tmp_path, capsys):
@@ -115,7 +124,8 @@ class TestSolveCommand:
         code = main(["solve", "--colouring", str(cpath), "--forest", str(fpath), "--exact-threshold", "16"])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: exact_threshold must be at most 10, the oracle's vertex guard, got 16\n"
+            "error: exact_threshold must be at most 10, the largest n whose n! embeddings fit "
+            "the oracle's budget of 3628800, got 16\n"
         )
 
     @pytest.mark.parametrize("argv, message", [
@@ -280,7 +290,7 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("mode, flag, value", [
         ("sign", "--budget", "0"), ("sign", "--budget", "-5"), ("sign-fixing", "--budget", "0"),
-        ("min", "--max-n", "0"), ("min", "--max-n", "-1"),
+        ("min", "--budget", "0"),
     ])
     def test_limit_below_one_is_usage_error(self, instance, mode, flag, value, capsys):
         cpath, fpath = instance
@@ -293,8 +303,6 @@ class TestOracleCommand:
         ("min", "--partial", '{"0": 3}'), ("sign-fixing", "--partial", '{"0": 3}'),
         ("min", "--l-set", "1"), ("sign", "--l-set", "1,2"),
         ("min", "--u-set", "0,1"), ("sign", "--u-set", "3"),
-        ("min", "--budget", "1"),
-        ("sign", "--max-n", "9"), ("sign-fixing", "--max-n", "9"),
     ])
     def test_flag_the_mode_does_not_read_is_usage_error(self, instance, mode, flag, value, capsys):
         cpath, fpath = instance
@@ -311,6 +319,26 @@ class TestOracleCommand:
         assert main(["oracle", "--colouring", str(cpath), "--forest", str(fpath)]) == 1
         assert "bad edge line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["min", "sign", "sign-fixing"])
+    def test_max_n_flag_is_gone(self, instance, mode, capsys):
+        cpath, fpath = instance
+        with pytest.raises(SystemExit) as err:
+            main(["oracle", "--colouring", str(cpath), "--forest", str(fpath), "--mode", mode, "--max-n", "9"])
+        assert err.value.code == 1
+        assert "unrecognized arguments: --max-n 9" in capsys.readouterr().err
+
+    def test_min_mode_reads_the_budget(self, instance, capsys):
+        cpath, fpath = instance
+        assert main(["oracle", "--colouring", str(cpath), "--forest", str(fpath), "--budget", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["refused: 362880 extensions exceed the budget of 1"]
+        assert captured.out == ""
+        # a star takes the closed form, which enumerates nothing
+        fpath.write_text(serialize_forest(make_forest(ForestSpec("star", 9))))
+        assert main(["oracle", "--colouring", str(cpath), "--forest", str(fpath), "--budget", "1"]) == 0
+        signed = parse_colouring(cpath.read_text()).signed_degrees()
+        assert json.loads(capsys.readouterr().out)["min_imbalance"] == min(abs(signed))
+
     def test_refusal_exit_code(self, tmp_path, capsys):
         g = random_balanced_colouring(12, 1)
         forest = make_forest(ForestSpec("path", 12))
@@ -319,7 +347,14 @@ class TestOracleCommand:
         fpath.write_text(serialize_forest(forest))
         code = main(["oracle", "--colouring", str(cpath), "--forest", str(fpath)])
         assert code == 3
-        assert "refused" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == ["refused: 479001600 extensions exceed the budget of 3628800"]
+
+    def test_eleven_vertices_exceed_the_default_budget(self, tmp_path, capsys):
+        cpath, fpath = tmp_path / "c.txt", tmp_path / "f.txt"
+        cpath.write_text("11\n" + "".join("R" * i + "\n" for i in range(1, 11)))
+        fpath.write_text(serialize_forest(make_forest(ForestSpec("path", 11))))
+        assert main(["oracle", "--colouring", str(cpath), "--forest", str(fpath)]) == 3
+        assert capsys.readouterr().err.splitlines() == ["refused: 39916800 extensions exceed the budget of 3628800"]
 
 
 class TestBoundsCommand:
@@ -464,6 +499,21 @@ class TestBenchCommand:
     def test_empty_grid_is_usage_error(self, tmp_path, flag, value, message, capsys):
         out = tmp_path / "b.csv"
         assert main(["bench", flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_list, families, message", [
+        ("16,32,16", "path", "bench grid names the size 16 twice"),
+        ("16", "path,star,path", "bench grid names the family path twice"),
+        ("16", "path,foo", "unknown forest family 'foo'; known: star, path, random, broom"),
+    ])
+    def test_bad_grid_is_refused_before_any_solve(self, tmp_path, monkeypatch, n_list, families, message, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("bench solved a cell of a grid it should refuse")
+
+        monkeypatch.setattr("forestbalance.verify.solve", unreachable)
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--n-list", n_list, "--families", families, "--seeds", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 

@@ -32,14 +32,14 @@ from forestbalance.generators import ForestSpec, make_forest, random_balanced_co
 
 
 def all_red(n):
-    return ColouredCompleteGraph.from_pair_function(n, lambda i, j: RED)
+    return ColouredCompleteGraph.from_red_matrix(np.ones((n, n), dtype=bool))
 
 
 def random_colouring(n, seed):
+    """Each pair (i, j), i > j, red with probability 1/2, drawn in the order (1, 0), (2, 0), (2, 1), ..."""
     rng = random.Random(seed)
-    return ColouredCompleteGraph.from_pair_function(
-        n, lambda i, j: RED if rng.random() < 0.5 else BLUE
-    )
+    lower = np.array([[j < i and rng.random() < 0.5 for j in range(n)] for i in range(n)])
+    return ColouredCompleteGraph.from_red_matrix(lower | lower.T)
 
 
 def random_instance(n, seed):
@@ -57,11 +57,10 @@ class TestColouredCompleteGraph:
         for i in range(9):
             for j in range(9):
                 if i != j:
-                    assert g.colour(i, j) == g.colour(j, i)
+                    assert g.matrix[i, j] == g.matrix[j, i]
         for v in range(9):
-            red = sum(1 for u in range(9) if u != v and g.colour(u, v) == RED)
+            red = sum(1 for u in range(9) if u != v and g.matrix[u, v] == RED)
             assert g.red_degree(v) == red
-            assert g.red_degree(v) + g.blue_degree(v) == 8
 
     def test_signed_degrees_vector(self):
         g = random_colouring(11, 5)
@@ -74,25 +73,9 @@ class TestColouredCompleteGraph:
         g = random_colouring(10, 7)
         assert sum(g.red_degree(v) for v in range(10)) == 2 * g.red_edge_count
 
-    def test_self_loop_rejected(self):
-        g = all_red(4)
-        with pytest.raises(InvalidInputError):
-            g.colour(2, 2)
-
     def test_too_small(self):
         with pytest.raises(InvalidInputError):
             all_red(1)
-
-    def test_negated(self):
-        g = random_colouring(7, 11)
-        ng = g.negated()
-        for i in range(7):
-            for j in range(i):
-                assert ng.colour(i, j) == -g.colour(i, j)
-        assert ng.red_edge_count == g.edge_count - g.red_edge_count
-        assert ng.matrix.dtype == np.int8 and not ng.matrix.flags.writeable
-        assert ng == ColouredCompleteGraph.from_red_matrix(g.matrix == BLUE)
-        assert ng.negated() == g
 
     def test_pickle_and_copy_after_rows(self):
         g = random_colouring(6, 2)
@@ -118,22 +101,7 @@ class TestColouredCompleteGraph:
         for i in range(8):
             for j in range(8):
                 if i != j:
-                    assert g.colour(i, j) in (RED, BLUE)
-                    assert m[i, j] == g.colour(i, j)
-
-    def test_from_red_matrix_matches_pair_function(self):
-        rng = random.Random(13)
-        n = 11
-        red = np.zeros((n, n), dtype=bool)
-        for i in range(1, n):
-            for j in range(i):
-                red[i, j] = red[j, i] = rng.random() < 0.5
-        a = ColouredCompleteGraph.from_red_matrix(red)
-        b = ColouredCompleteGraph.from_pair_function(
-            n, lambda i, j: RED if red[i, j] else BLUE
-        )
-        assert a == b
-        assert [a.red_degree(v) for v in range(n)] == [b.red_degree(v) for v in range(n)]
+                    assert m[i, j] in (RED, BLUE)
 
 
 class TestBalance:
@@ -142,9 +110,10 @@ class TestBalance:
 
     def test_three_of_six_red_is_balanced(self):
         reds = {(1, 0), (2, 0), (2, 1)}
-        g = ColouredCompleteGraph.from_pair_function(
-            4, lambda i, j: RED if (i, j) in reds else BLUE
-        )
+        red = np.zeros((4, 4), dtype=bool)
+        for i, j in reds:
+            red[i, j] = red[j, i] = True
+        g = ColouredCompleteGraph.from_red_matrix(red)
         assert is_balanced(g)
 
     def test_r_zero_is_everything(self):
@@ -318,7 +287,7 @@ class TestSubgraphSum:
         for x in range(8):
             rest = [t for t in range(8) if t != x]
             emb = Embedding.build([x] + rest, star, g)
-            assert subgraph_sum(g, emb, star) == g.red_degree(x) - g.blue_degree(x)
+            assert subgraph_sum(g, emb, star) == 2 * g.red_degree(x) - 7
 
     def test_path_parity(self):
         g = random_colouring(4, 4)
@@ -417,7 +386,7 @@ class TestFormats:
         # row i lists edges (i, 0), ..., (i, i-1)
         text = "4\nR\nBR\nRRB\n"
         g = parse_colouring(text)
-        assert [[g.colour(i, j) for j in range(i)] for i in range(1, 4)] == [
+        assert [[g.matrix[i, j] for j in range(i)] for i in range(1, 4)] == [
             [RED], [BLUE, RED], [RED, RED, BLUE]
         ]
         assert serialize_colouring(g) == text

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from forestbalance.core import (
@@ -51,10 +52,10 @@ class TestRandomBalanced:
         rng = random.Random(seed)
         edges = [(i, j) for i in range(1, n) for j in range(i)]
         rng.shuffle(edges)
-        red = set(edges[: len(edges) // 2])
-        expected = ColouredCompleteGraph.from_pair_function(
-            n, lambda i, j: RED if (i, j) in red else BLUE
-        )
+        red = np.zeros((n, n), dtype=bool)
+        for i, j in edges[: len(edges) // 2]:
+            red[i, j] = red[j, i] = True
+        expected = ColouredCompleteGraph.from_red_matrix(red)
         assert random_balanced_colouring(n, seed) == expected
 
     @pytest.mark.parametrize("n", [4, 5, 8, 9, 12, 13, 16, 17])
@@ -75,7 +76,7 @@ class TestSplitParity:
 
     def test_every_vertex_is_quarter_balanced_at_n8(self):
         g = split_parity_colouring(8)
-        assert all(min(g.red_degree(v), g.blue_degree(v)) == 2 for v in range(8))
+        assert all(min(g.red_degree(v), 7 - g.red_degree(v)) == 2 for v in range(8))
         assert r_balanced_vertices(g, 2) == list(range(8))
         assert r_balanced_vertices(g, 3) == []
 
@@ -85,8 +86,8 @@ class TestSplitParity:
             half = n // 2
             for i in range(half):
                 for j in range(i):
-                    assert g.colour(i, j) == BLUE
-                    assert g.colour(half + i, half + j) == RED
+                    assert g.matrix[i, j] == BLUE
+                    assert g.matrix[half + i, half + j] == RED
 
     def test_cross_rule(self):
         n = 8
@@ -94,7 +95,7 @@ class TestSplitParity:
         for i in range(4):
             for j in range(4):
                 expected = BLUE if ((i + 1) + (j + 1)) % 2 == 1 else RED
-                assert g.colour(i, 4 + j) == expected
+                assert g.matrix[i, 4 + j] == expected
 
     @pytest.mark.parametrize("n", list(range(4, 65, 4)))
     def test_balanced_up_to_64(self, n):
@@ -154,10 +155,10 @@ class TestPerturbed:
         g = perturbed_colouring(params)
         a = len(params.part_a)
         assert all(
-            g.colour(i, j) == BLUE for i in range(a) for j in range(i)
+            g.matrix[i, j] == BLUE for i in range(a) for j in range(i)
         )
         assert all(
-            g.colour(i, j) == RED
+            g.matrix[i, j] == RED
             for i in range(a, 20)
             for j in range(a, i)
         )
@@ -170,7 +171,7 @@ class TestPerturbed:
         for i in range(4):
             for j in range(6):
                 expected = BLUE if mod_to_one_based((i + 1) + (j + 1), 5) == 5 else RED
-                assert g.colour(i, 4 + j) == expected
+                assert g.matrix[i, 4 + j] == expected
 
     def test_density_and_degree_split_midsize(self):
         n = 200

@@ -15,7 +15,6 @@ from forestbalance.generators import ForestSpec, make_forest, random_balanced_co
 from forestbalance.interpolate import (
     InterpolationTrace,
     SignedPair,
-    interpolate,
     interpolate_traced,
     partial_interpolation_sequence,
 )
@@ -101,7 +100,7 @@ class TestInterpolate:
         early = [pair for pair in pairs if abs(pair.h_pos.colour_sum) <= pair.bound(forest)]
         assert early  # the seeds include an early exit, so the check below runs
         for pair in early:
-            assert interpolate(pair, forest, g) == pair.h_pos
+            assert interpolate_traced(pair, forest, g)[0] == pair.h_pos
 
     def test_identical_embeddings_mean_zero_sum(self):
         g = random_balanced_colouring(8, 4)
@@ -109,7 +108,7 @@ class TestInterpolate:
         emb = Embedding.build(range(8), forest, g)
         pair = SignedPair.of(emb, emb, forest)
         assert pair.disagreement == ()
-        assert interpolate(pair, forest, g) == emb
+        assert interpolate_traced(pair, forest, g)[0] == emb
 
     def test_path_bound_500_trials(self):
         violations = 0
@@ -118,7 +117,7 @@ class TestInterpolate:
             g = random_balanced_colouring(n, seed)
             forest = make_forest(ForestSpec("path", n))
             pair = signed_pair_by_search(forest, g, 10_000 + seed)
-            out = interpolate(pair, forest, g)
+            out = interpolate_traced(pair, forest, g)[0]
             if abs(out.colour_sum) > pair.disagreement_max_degree + 1:
                 violations += 1
             assert subgraph_sum(g, out, forest) == out.colour_sum
@@ -162,7 +161,7 @@ class TestInterpolate:
         assert forest.min_degree == 0
         for seed in range(50):
             pair = signed_pair_by_search(forest, g, 300 + seed)
-            out = interpolate(pair, forest, g)
+            out = interpolate_traced(pair, forest, g)[0]
             assert abs(out.colour_sum) <= pair.disagreement_max_degree
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from forestbalance import oracle
 from forestbalance.core import (
-    BLUE,
     RED,
     ColouredCompleteGraph,
     Forest,
@@ -27,27 +26,23 @@ from forestbalance.oracle import (
     exact_min_imbalance,
     exact_sign,
     is_sign_fixing,
-    minimal_sign_fixing_subset,
 )
-from forestbalance.core import PreconditionError
+from forestbalance.core import CertificateError, PreconditionError
 
 
 def all_red(n):
-    return ColouredCompleteGraph.from_pair_function(n, lambda i, j: RED)
+    return ColouredCompleteGraph.from_red_matrix(np.ones((n, n), dtype=bool))
 
 
-def random_colouring(n, seed):
+def random_colouring(n, seed, red=0.5):
+    """Each pair (i, j), i > j, red with probability ``red``, drawn in the order (1, 0), (2, 0), (2, 1), ..."""
     rng = random.Random(seed)
-    return ColouredCompleteGraph.from_pair_function(
-        n, lambda i, j: RED if rng.random() < 0.5 else BLUE
-    )
+    lower = np.array([[j < i and rng.random() < red for j in range(n)] for i in range(n)])
+    return ColouredCompleteGraph.from_red_matrix(lower | lower.T)
 
 
 def biased_colouring(n, seed, red=0.85):
-    rng = random.Random(seed)
-    return ColouredCompleteGraph.from_pair_function(
-        n, lambda i, j: RED if rng.random() < red else BLUE
-    )
+    return random_colouring(n, seed, red)
 
 
 def scalar_sum(rows, forest, fwd):
@@ -161,10 +156,8 @@ class TestExactMinImbalance:
         # chunk, at a row in the middle of its chunk.
         n = 9
         forest = make_forest(ForestSpec("broom", n, max_degree=5))
-        rng = random.Random(7)
-        g = ColouredCompleteGraph.from_pair_function(
-            n, lambda i, j: RED if i == 0 or rng.random() < 0.5 else BLUE
-        )
+        g = random_colouring(n, 7)
+        assert (g.matrix[0, 1:] == RED).all()
         rows = g.matrix.tolist()
         rank, first = next(
             (i, p) for i, p in enumerate(permutations(range(n))) if scalar_sum(rows, forest, p) == 0
@@ -188,37 +181,35 @@ class TestExactMinImbalance:
     def test_refuses_large_n(self):
         g = random_colouring(11, 2)
         forest = make_forest(ForestSpec("path", 11))
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="^39916800 extensions exceed the budget of 3628800$"):
             exact_min_imbalance(forest, g)
+        with pytest.raises(BudgetExceededError, match="^120 extensions exceed the budget of 119$"):
+            exact_min_imbalance(make_forest(ForestSpec("path", 5)), random_colouring(5, 2), budget=119)
 
     def test_star_bypasses_guard(self):
         g = split_parity_colouring(16)
         star = make_forest(ForestSpec("star", 16))
-        value, _ = exact_min_imbalance(star, g, max_n=10)
+        value, _ = exact_min_imbalance(star, g, budget=1)
         assert value == 7
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_star_with_isolated_vertices_matches_enumeration(self, n):
-        # max_n=2 forbids enumeration: the closed form must answer every d < n - 1
+        # budget=1 forbids enumeration: the closed form must answer every d < n - 1, d = 0 included
         perms = np.array(list(permutations(range(n))), dtype=np.intp)
         for k, g in enumerate((random_colouring(n, 500 + n), biased_colouring(n, 600 + n))):
             rng = random.Random(700 + 10 * n + k)
-            for d in range(1, n - 1):
+            for d in range(n - 1):
                 centre = rng.randrange(n)
                 leaves = rng.sample([v for v in range(n) if v != centre], d)
                 forest = Forest(n, [(centre, v) for v in leaves])
                 sums = sum(g.matrix[perms[:, centre], perms[:, v]].astype(np.int64) for v in leaves)
-                value, witness = exact_min_imbalance(forest, g, max_n=2)
+                value, witness = exact_min_imbalance(forest, g, budget=1)
                 assert value == int(np.abs(sums).min()), (n, d)
                 assert abs(witness.colour_sum) == abs(subgraph_sum(g, witness, forest)) == value
 
-    def test_star_centre(self):
-        assert oracle.star_centre(make_forest(ForestSpec("star", 7))) == 0
-        assert oracle.star_centre(Forest(7, [(4, 1), (4, 6)])) == 4
-        assert oracle.star_centre(Forest(7, [(5, 2)])) == 2
-        assert oracle.star_centre(make_forest(ForestSpec("path", 3))) == 1
-        for forest in (Forest(7, []), Forest(7, [(0, 1), (2, 3)]), make_forest(ForestSpec("path", 4))):
-            assert oracle.star_centre(forest) is None
+    def test_edgeless_forest_keeps_the_identity(self):
+        value, witness = exact_min_imbalance(Forest(7, []), random_colouring(7, 3), budget=1)
+        assert value == 0 and witness.forward == tuple(range(7))
 
 
 class TestExactSign:
@@ -251,7 +242,7 @@ class TestExactSign:
         g = random_colouring(6, 9)
         forest = make_forest(ForestSpec("random", 6, max_degree=3, seed=4))
         a = exact_sign(forest, g, PartialEmbedding({}))
-        b = exact_sign(forest, g.negated(), PartialEmbedding({}))
+        b = exact_sign(forest, ColouredCompleteGraph.from_red_matrix(g.matrix < 0), PartialEmbedding({}))
         assert a.min_sum == -b.max_sum
         assert a.max_sum == -b.min_sum
 
@@ -441,7 +432,9 @@ def scattered(n, k, seed):
 
 def hub_red(n):
     """Target 0's edges red, every other edge blue."""
-    return ColouredCompleteGraph.from_pair_function(n, lambda i, j: RED if 0 in (i, j) else BLUE)
+    red = np.zeros((n, n), dtype=bool)
+    red[0] = red[:, 0] = True
+    return ColouredCompleteGraph.from_red_matrix(red)
 
 
 # Vertex 3 is fixed and vertex 0 leads, so (0, 3) joins two head vertices.
@@ -604,6 +597,30 @@ class TestSignFixing:
             is_sign_fixing(forest, g, [0], list(range(8)), budget=100)
 
 
+def minimal_sign_fixing_subset(forest, graph, l_set, u_set):
+    """Inclusion-minimal sign-fixing subset of l_set, by greedy ascending removal.
+
+    Also returns the vertices of the result whose degree inside the forest
+    restricted to the result is at least 2; that subset is always proper.
+    A PreconditionError carries the counterexample when l_set is not
+    sign-fixing.
+    """
+    l_list = sorted(set(l_set))
+    start = is_sign_fixing(forest, graph, l_list, u_set)
+    if not start:
+        raise PreconditionError("the given set is not sign-fixing", start.counterexample)
+    m_set = list(l_list)
+    for v in l_list:
+        candidate = [x for x in m_set if x != v]
+        if is_sign_fixing(forest, graph, candidate, u_set):
+            m_set = candidate
+    members = set(m_set)
+    n_set = [v for v in m_set if len(members.intersection(forest.neighbours[v])) >= 2]
+    if m_set and not set(n_set) < set(m_set):
+        raise CertificateError("high-degree core must be a proper subset")
+    return m_set, n_set
+
+
 class TestMinimalSignFixing:
     def test_all_red_minimises_to_empty(self):
         g = all_red(5)
@@ -623,7 +640,7 @@ class TestMinimalSignFixing:
         forest = make_forest(ForestSpec("path", 4))
         with pytest.raises(PreconditionError) as err:
             minimal_sign_fixing_subset(forest, g, [], list(range(4)))
-        assert err.value.payload is not None
+        assert err.value.args[1] is not None
 
     def test_high_degree_core_is_proper_subset(self):
         g = spanning_star_with_mixed_degrees(start_seed=50)

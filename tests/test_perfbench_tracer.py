@@ -29,7 +29,7 @@ def tracer_mod():
 
 @pytest.fixture(scope="module")
 def modules(tracer_mod):
-    # import_module, because the package rebinds the name `interpolate` to a function
+    # the modules by name, as perfbench/run.py loads them
     names = {module for module, _, _, _ in tracer_mod.WRAPS}
     return {name: importlib.import_module(f"forestbalance.{name}") for name in names}
 

@@ -25,7 +25,7 @@ def test_oracle_grid_covers_twin_leaves_and_partials_and_repeats_itself():
     first, second = solve_sweep.oracle_lines(), solve_sweep.oracle_lines()
     assert first == second
     rows = [json.loads(line) for line in first]
-    assert len(rows) == 5 * 2 * 2 * 5 * 4
+    assert len(rows) == 5 * 2 * 2 * 8 * 4
     assert all(row["error"] is None for row in rows)
     assert {row["n"] for row in rows} == {5, 6, 7, 8, 9}
     signs = [row for row in rows if row["query"] == "sign"]
@@ -44,6 +44,11 @@ def test_oracle_grid_covers_twin_leaves_and_partials_and_repeats_itself():
     assert not any(has_twins("path", n) for n in solve_sweep.ORACLE_N)
     for kind in ("broom", "caterpillar", "isolated"):
         assert all(has_twins(kind, n) for n in solve_sweep.ORACLE_N), kind
+    for kind, degree in (("edgeless", lambda n: 0), ("one-edge", lambda n: 1), ("star-isolated", lambda n: n // 2)):
+        for n in solve_sweep.ORACLE_N:
+            forest = solve_sweep._oracle_forest(kind, n, 0)
+            assert forest.edge_count == forest.max_degree == degree(n), kind
+    assert all(row["value"] == 0 for row in mins if row["forest"] == "edgeless")
 
 
 def test_compare_counts_differing_rows_per_field():

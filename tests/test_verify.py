@@ -1,6 +1,7 @@
 import pytest
 
 from forestbalance.core import InvalidInputError
+from forestbalance.solver import SignSearchFailure
 from forestbalance.verify import (
     bench_csv,
     run_bench,
@@ -25,6 +26,22 @@ class TestSuitesSmall:
         report = suite_interpolation(n_list=(8, 9), trials=40, seed=2)
         assert report["passed"], report["violations"]
         assert report["details"]["runs"] == 40
+
+    def test_interpolation_reports_a_missed_search_as_a_violation(self, monkeypatch):
+        def missed(forest, graph, cfg, rng):
+            raise SignSearchFailure("no pair", best=None)
+
+        monkeypatch.setattr("forestbalance.verify.find_signed_pair", missed)
+        report = suite_interpolation(n_list=(8,), trials=2)
+        assert report["violations"] == [{"trial": t, "error": "sign search failed: no pair"} for t in range(2)]
+
+    def test_interpolation_lets_a_programming_error_through(self, monkeypatch):
+        def broken(forest, graph, cfg, rng):
+            raise TypeError("a defect, not a falsified property")
+
+        monkeypatch.setattr("forestbalance.verify.find_signed_pair", broken)
+        with pytest.raises(TypeError, match="a defect, not a falsified property"):
+            suite_interpolation(n_list=(8,), trials=1)
 
     def test_partial_interpolation(self):
         report = suite_partial_interpolation(trials=40, seed=3)

@@ -13,8 +13,9 @@ parameters.  A row holds the embedding, the achieved value, the mechanism,
 the certified value, ``within_bound``, the bound report, the interpolation
 trace steps and ``stats`` of one solve, or the type and message of the error
 it raised.  A second grid queries the exact oracle at n = 5-9 on forests with
-and without twin leaves (leaves of one parent, isolated vertices) and 0-2
-fixed vertices: an ``exact_min_imbalance`` row holds the value and witness,
+and without twin leaves (leaves of one parent, isolated vertices), on forests
+whose edges all meet one vertex (d = 0, 1 and n // 2), and with 0-2 fixed
+vertices: an ``exact_min_imbalance`` row holds the value and witness,
 an ``exact_sign`` row the min and max sums, both witnesses and
 ``extensions``.  The tool prints how many rows differ, how many differ in
 each field, and the first few differing rows.
@@ -45,8 +46,9 @@ SHOWN = 3
 #: the fields that name a row's cell
 CELL = ("n", "colouring", "forest", "seed", "exact_threshold", "query", "fixed")
 ORACLE_N = (5, 6, 7, 8, 9)
-#: path has no twins; broom, caterpillar and isolated have twin leaves or two isolated vertices
-ORACLE_FORESTS = ("path", "broom", "caterpillar", "isolated", "random")
+#: path has no twins; broom, caterpillar and isolated have twin leaves or two isolated vertices;
+#: edgeless, one-edge and star-isolated take exact_min_imbalance's closed form at d = 0, 1 and n // 2
+ORACLE_FORESTS = ("path", "broom", "caterpillar", "isolated", "random", "edgeless", "one-edge", "star-isolated")
 #: red-edge probability of each oracle colouring, which need not be balanced
 ORACLE_COLOURINGS = {"even": 0.5, "red-heavy": 0.85}
 
@@ -95,6 +97,11 @@ def _oracle_forest(kind: str, n: int, seed: int):
 
     if kind == "broom":
         return make_forest(ForestSpec("broom", n, max_degree=n // 2 + 1))
+    if kind in ("edgeless", "star-isolated"):
+        return _forest(kind, n, seed)
+    if kind == "one-edge":
+        # the centre is the lower endpoint, which is not vertex 0
+        return Forest(n, [(1, n - 1)])
     if kind == "caterpillar":
         # spine 0-1; the other vertices alternate between the two as leaves
         return Forest(n, [(0, 1), *((v % 2, v) for v in range(2, n))])
