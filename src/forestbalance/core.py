@@ -41,7 +41,8 @@ class ColouredCompleteGraph:
     The colouring is one read-only n x n int8 ``matrix`` with the colour of
     edge ij at [i, j] and [j, i] and 0 on the diagonal; build it with
     ``from_red_matrix``, which checks its input.  The constructor takes a
-    matrix as is: ``parse_colouring`` passes one that holds these
+    matrix as is: ``from_lower_triangle``, which ``parse_colouring`` and
+    ``random_balanced_colouring`` call, builds one that holds these
     invariants by construction.  Immutable; safe to share across
     threads for reading.
     """
@@ -65,6 +66,20 @@ class ColouredCompleteGraph:
             raise InvalidInputError("red matrix must be symmetric")
         matrix = np.where(red, np.int8(RED), np.int8(BLUE))
         np.fill_diagonal(matrix, 0)
+        matrix.flags.writeable = False
+        return cls(matrix)
+
+    @classmethod
+    def from_lower_triangle(cls, n: int, signs: np.ndarray) -> "ColouredCompleteGraph":
+        """Build from the int8 colours (+1 red, -1 blue) of the pairs (1,0), (2,0), (2,1), ... in that order.
+
+        The matrix is symmetric with a zero diagonal by construction, so
+        nothing is re-checked; ``signs`` must hold n(n-1)/2 values in {-1, +1}.
+        """
+        lower = np.zeros((n, n), dtype=np.int8)
+        # boolean-mask assignment fills the lower triangle row by row, in the pairs' order
+        lower[np.tri(n, k=-1, dtype=bool)] = signs
+        matrix = lower + lower.T
         matrix.flags.writeable = False
         return cls(matrix)
 
@@ -383,12 +398,9 @@ def parse_colouring(text: str) -> ColouredCompleteGraph:
         for i, row in enumerate(rows, 1):
             if len(row) != i or not set(row) <= {"R", "B"}:
                 raise InvalidInputError(f"row {i} must be {i} characters over RB, got {row!r}")
-    lower = np.zeros((n, n), dtype=np.int8)
-    # boolean-mask assignment fills the lower triangle row by row, as the file lists it
-    lower[np.tri(n, k=-1, dtype=bool)] = red.view(np.int8) * np.int8(2) - np.int8(1)  # R -> +1, B -> -1
-    matrix = lower + lower.T  # symmetric with a zero diagonal by construction
-    matrix.flags.writeable = False
-    return ColouredCompleteGraph(matrix)
+    # the file lists the lower triangle row by row, the order from_lower_triangle takes
+    signs = red.view(np.int8) * np.int8(2) - np.int8(1)  # R -> +1, B -> -1
+    return ColouredCompleteGraph.from_lower_triangle(n, signs)
 
 
 def serialize_forest(forest: Forest) -> str:

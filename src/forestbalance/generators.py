@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -10,6 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    BLUE,
+    RED,
     ColouredCompleteGraph,
     Forest,
     InvalidInputError,
@@ -34,8 +37,17 @@ def random_balanced_colouring(n: int, seed: int) -> ColouredCompleteGraph:
 
     Requires an even number of edges, i.e. n = 0 or 1 (mod 4).  Deterministic
     for a fixed seed: the pairs (1,0), (2,0), (2,1), (3,0), ... are numbered
-    in that order, the numbers shuffled with a seeded RNG and the first half
-    painted red.
+    in that order, the numbers shuffled with ``random.Random(seed).shuffle``
+    and the first half painted red.
+
+    Only the half of the shuffle that decides the red set runs.  Fisher-Yates
+    fixes position i for good at step i, from the last position down, so once
+    the steps i = npairs-1 ... npairs/2 are done the set left in the first
+    half is decided; the remaining steps would only reorder it.  Each step
+    draws j exactly as ``shuffle`` does (``_randbelow(i + 1)``:
+    ``getrandbits`` of (i+1).bit_length() bits, redrawn while above i), so
+    the colouring is the one the full shuffle gives, in time linear in the
+    number of pairs, with half the draws.
     """
     _check_size(n)
     npairs = n * (n - 1) // 2
@@ -44,13 +56,18 @@ def random_balanced_colouring(n: int, seed: int) -> ColouredCompleteGraph:
             f"K_{n} has {npairs} edges, which cannot be split evenly; "
             "a balanced colouring needs n = 0 or 1 (mod 4)"
         )
+    getrandbits = random.Random(seed).getrandbits
     order = list(range(npairs))
-    random.Random(seed).shuffle(order)
-    lower = np.zeros(npairs, dtype=bool)
-    lower[order[: npairs // 2]] = True
-    red = np.zeros((n, n), dtype=bool)
-    red[np.tri(n, k=-1, dtype=bool)] = lower
-    return ColouredCompleteGraph.from_red_matrix(red | red.T)
+    half = npairs // 2
+    for i in range(npairs - 1, half - 1, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+    signs = np.full(npairs, BLUE, dtype=np.int8)
+    signs[order[:half]] = RED
+    return ColouredCompleteGraph.from_lower_triangle(n, signs)
 
 
 def split_parity_colouring(n: int) -> ColouredCompleteGraph:
@@ -169,12 +186,6 @@ class PerturbedParams:
         return cls(n, e, d, range(0, size_a), range(size_a, n))
 
 
-def mod_to_one_based(value: int, y: int) -> int:
-    """The representative of value mod y within {1, ..., y}."""
-    r = value % y
-    return y if r == 0 else r
-
-
 def perturbed_colouring(params: PerturbedParams) -> ColouredCompleteGraph:
     """Two-block colouring: blue inside A, red inside B, modular rule across.
 
@@ -201,17 +212,20 @@ def perturbed_colouring(params: PerturbedParams) -> ColouredCompleteGraph:
 
 
 def perturbed_red_count(params: PerturbedParams) -> int:
-    """Closed-form red-edge count of the perturbed colouring (exact)."""
+    """Closed-form red-edge count of the perturbed colouring (exact).
+
+    F(t) = (t // y) x + min(t mod y, x) counts the s in {1, ..., t} whose
+    residue mod y lands in {1, ..., x}, so the i-th vertex of A has
+    F(i + |B|) - F(i) red cross edges; all edges inside B are red.
+    """
     x = params.d.numerator
     y = params.d.denominator
-    size_a = len(params.part_a)
     size_b = len(params.part_b)
-    cross = sum(
-        1
-        for i in range(1, size_a + 1)
-        for j in range(1, size_b + 1)
-        if mod_to_one_based(i + j, y) <= x
-    )
+
+    def red_upto(t: int) -> int:
+        return (t // y) * x + min(t % y, x)
+
+    cross = sum(red_upto(i + size_b) - red_upto(i) for i in range(1, len(params.part_a) + 1))
     return size_b * (size_b - 1) // 2 + cross
 
 
@@ -232,7 +246,16 @@ class ForestSpec:
 
 
 def make_forest(spec: ForestSpec) -> Forest:
-    """Build a forest from a spec.  Star, path and broom are deterministic."""
+    """Build a forest from a spec.  Star, path and broom are deterministic.
+
+    ``random`` is seeded sequential attachment: each vertex v >= 1 draws
+    ``rng.random()`` and, below the attach probability, joins a vertex drawn
+    by ``rng.choice`` from the earlier vertices still below the degree cap
+    (none when that list is empty).  The list is kept ascending as v
+    advances, dropping a vertex when it reaches the cap and appending v
+    after its own step when v is below it, so the build is linear in n and
+    draws exactly what rebuilding the list for every v would.
+    """
     n = spec.n
     if spec.kind == "star":
         if spec.max_degree is not None and spec.max_degree != n - 1:
@@ -262,16 +285,17 @@ def make_forest(spec: ForestSpec) -> Forest:
     rng = random.Random(spec.seed)
     degree = [0] * n
     edges = []
+    eligible = [0]  # the earlier vertices below the cap, ascending
     for v in range(1, n):
-        if rng.random() >= _ATTACH_PROB:
-            continue
-        eligible = [u for u in range(v) if degree[u] < cap]
-        if not eligible:
-            continue
-        u = rng.choice(eligible)
-        edges.append((u, v))
-        degree[u] += 1
-        degree[v] += 1
+        if rng.random() < _ATTACH_PROB and eligible:
+            u = rng.choice(eligible)
+            edges.append((u, v))
+            degree[u] += 1
+            degree[v] = 1
+            if degree[u] == cap:
+                del eligible[bisect.bisect_left(eligible, u)]
+        if degree[v] < cap:
+            eligible.append(v)
     forest = Forest(n, edges)
     if forest.max_degree > cap:
         raise AssertionError("degree cap violated by construction")

@@ -24,6 +24,7 @@ from .bounds import (
     universal_bound,
 )
 from .core import (
+    ColouredCompleteGraph,
     Embedding,
     Forest,
     InvalidInputError,
@@ -433,9 +434,10 @@ BENCH_COLUMNS = (
 )
 
 
-def _bench_cell(n: int, family: str, seed: int, base_seed: int, redact: bool) -> dict:
-    colour_seed = _sub_seed(base_seed, n * 101 + seed)
-    g = random_balanced_colouring(n, colour_seed)
+def _bench_cell(
+    g: ColouredCompleteGraph, colour_seed: int, family: str, seed: int, base_seed: int, redact: bool
+) -> dict:
+    n = g.n
     if family == "random":
         forest = make_forest(
             ForestSpec("random", n, max_degree=max(2, n // 8), seed=colour_seed + 1)
@@ -482,12 +484,13 @@ def run_bench(
     for n in n_list:
         if (n * (n - 1) // 2) % 2 != 0:
             raise InvalidInputError(f"bench needs balanced colourings; n={n} has odd edge count")
-    rows = [
-        _bench_cell(n, family, s, seed, redact_millis)
-        for n in n_list
-        for family in families
-        for s in range(seeds)
-    ]
+    rows = []
+    for n in n_list:
+        for s in range(seeds):
+            # one colouring per (n, seed), shared by every family
+            colour_seed = _sub_seed(seed, n * 101 + s)
+            g = random_balanced_colouring(n, colour_seed)
+            rows.extend(_bench_cell(g, colour_seed, family, s, seed, redact_millis) for family in families)
     rows.sort(key=lambda r: (r["n"], r["family"], r["seed"]))
     return rows
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -20,12 +21,59 @@ from forestbalance.generators import (
     degree_interval,
     density_interval,
     make_forest,
-    mod_to_one_based,
     perturbed_colouring,
     perturbed_red_count,
     random_balanced_colouring,
     split_parity_colouring,
 )
+
+# the cases pinned before the generator ran only the red-deciding half of the shuffle
+_PINNED_SHUFFLE_CASES = [(4, 0), (5, 3), (8, 11), (9, 123), (16, 7), (17, 2), (32, 5)]
+# n = 0 and 1 (mod 4) up to 256, seeds 0-4
+_SHUFFLE_CASES = _PINNED_SHUFFLE_CASES + [
+    case
+    for case in product((4, 5, 8, 9, 12, 13, 16, 17, 32, 33, 64, 65, 128, 129, 256), range(5))
+    if case not in _PINNED_SHUFFLE_CASES
+]
+
+
+def mod_to_one_based(value: int, y: int) -> int:
+    """The representative of value mod y within {1, ..., y}."""
+    r = value % y
+    return y if r == 0 else r
+
+
+def reference_red_count(params: PerturbedParams) -> int:
+    """perturbed_red_count by counting every cross pair, one at a time."""
+    x = params.d.numerator
+    y = params.d.denominator
+    size_a = len(params.part_a)
+    size_b = len(params.part_b)
+    cross = sum(
+        1
+        for i in range(1, size_a + 1)
+        for j in range(1, size_b + 1)
+        if mod_to_one_based(i + j, y) <= x
+    )
+    return size_b * (size_b - 1) // 2 + cross
+
+
+def reference_random_forest(n: int, cap: int, seed: int) -> list[tuple[int, int]]:
+    """make_forest's random kind, rebuilding the list of vertices below the cap for every v."""
+    rng = random.Random(seed)
+    degree = [0] * n
+    edges = []
+    for v in range(1, n):
+        if rng.random() >= 0.9:
+            continue
+        eligible = [u for u in range(v) if degree[u] < cap]
+        if not eligible:
+            continue
+        u = rng.choice(eligible)
+        edges.append((u, v))
+        degree[u] += 1
+        degree[v] += 1
+    return sorted(edges)
 
 
 class TestRandomBalanced:
@@ -46,7 +94,7 @@ class TestRandomBalanced:
         assert a != c
         assert is_balanced(a)
 
-    @pytest.mark.parametrize("n,seed", [(4, 0), (5, 3), (8, 11), (9, 123), (16, 7), (17, 2), (32, 5)])
+    @pytest.mark.parametrize("n,seed", _SHUFFLE_CASES)
     def test_matches_edge_shuffle_reference(self, n, seed):
         # reference construction: shuffle the edge tuples, paint the first half red
         rng = random.Random(seed)
@@ -150,6 +198,17 @@ class TestPerturbed:
         g = perturbed_colouring(params)
         assert g.red_edge_count == perturbed_red_count(params)
 
+    @pytest.mark.parametrize("k", [1, 5, 10, 17, 25, 33, 40, 49])
+    def test_red_count_matches_pairwise_count(self, k):
+        eps = Fraction(k, 100)
+        for n in (3, 7, 20, 51, 100, 333):
+            if (Fraction(1, 2) - eps) * n >= 1:  # otherwise A would be empty
+                params = PerturbedParams.for_ratio(n, eps)
+                assert perturbed_red_count(params) == reference_red_count(params), n
+        # a ratio outside the admissible window, with a residue class wider than one
+        params = PerturbedParams(90, eps, Fraction(4, 5), range(0, 37), range(37, 90))
+        assert perturbed_red_count(params) == reference_red_count(params)
+
     def test_block_colours(self):
         params = PerturbedParams.for_ratio(20, Fraction(1, 10))
         g = perturbed_colouring(params)
@@ -232,6 +291,13 @@ class TestMakeForest:
         assert a == b
         assert a != c
         assert a.max_degree <= 5
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_random_matches_per_vertex_rebuild(self, n):
+        for cap in sorted({1, 2, 3, n // 8, n - 1} - {0}):
+            for seed in range(6):
+                forest = make_forest(ForestSpec("random", n, max_degree=cap, seed=seed))
+                assert list(forest.edges) == reference_random_forest(n, cap, seed), (cap, seed)
 
     def test_random_cap_respected_over_many_seeds(self):
         for seed in range(50):

@@ -19,6 +19,13 @@ def test_grid_reaches_every_mechanism_and_repeats_itself():
     assert len(rows) == 11 * 3 * 7 * 2 * 2
     assert {"exact", "interpolation", "heuristic"} <= {row.get("mechanism") for row in rows}
     assert all(row["stats"].keys() == {"samples_drawn"} for row in rows if row["error"] is None)
+    # one digest per (n, colouring, forest, seed) input, the same under both thresholds;
+    # None only where the colouring itself was refused
+    instances = {}
+    for row in rows:
+        instances.setdefault((row["n"], row["colouring"], row["forest"], row["seed"]), set()).add(row["instance"])
+    assert all(len(digests) == 1 for digests in instances.values())
+    assert all(len(row["instance"]) == 16 for row in rows if "embedding" in row)
 
 
 def test_oracle_grid_covers_twin_leaves_and_partials_and_repeats_itself():
@@ -49,6 +56,19 @@ def test_oracle_grid_covers_twin_leaves_and_partials_and_repeats_itself():
             forest = solve_sweep._oracle_forest(kind, n, 0)
             assert forest.edge_count == forest.max_degree == degree(n), kind
     assert all(row["value"] == 0 for row in mins if row["forest"] == "edgeless")
+    assert all(len(row["instance"]) == 16 for row in rows)
+
+
+def test_instance_digest_tells_inputs_apart():
+    from forestbalance.core import Forest
+    from forestbalance.generators import random_balanced_colouring
+
+    graph = random_balanced_colouring(8, 0)
+    path = Forest(8, [(v, v + 1) for v in range(7)])
+    digest = solve_sweep.instance_digest(graph, path)
+    assert digest == solve_sweep.instance_digest(random_balanced_colouring(8, 0), Forest(8, path.edges))
+    assert digest != solve_sweep.instance_digest(random_balanced_colouring(8, 1), path)
+    assert digest != solve_sweep.instance_digest(graph, Forest(8, path.edges[:-1]))
 
 
 def test_compare_counts_differing_rows_per_field():

@@ -104,6 +104,22 @@ class TestBench:
         b = run_bench(n_list=(16,), families=("path",), seeds=2, seed=3, redact_millis=True)
         assert bench_csv(a) == bench_csv(b)
 
+    def test_one_colouring_per_size_and_seed(self, monkeypatch):
+        import forestbalance.verify as verify
+
+        calls = []
+        real = verify.random_balanced_colouring
+
+        def counting(n, seed):
+            calls.append((n, seed))
+            return real(n, seed)
+
+        monkeypatch.setattr(verify, "random_balanced_colouring", counting)
+        rows = run_bench(n_list=(16, 17), families=("path", "star", "random"), seeds=2, seed=4,
+                         redact_millis=True)
+        assert len(rows) == 2 * 3 * 2
+        assert len(calls) == len(set(calls)) == 2 * 2
+
     def test_odd_edge_count_rejected(self):
         with pytest.raises(InvalidInputError):
             run_bench(n_list=(6,), families=("path",), seeds=1)

@@ -17,13 +17,17 @@ and without twin leaves (leaves of one parent, isolated vertices), on forests
 whose edges all meet one vertex (d = 0, 1 and n // 2), and with 0-2 fixed
 vertices: an ``exact_min_imbalance`` row holds the value and witness,
 an ``exact_sign`` row the min and max sums, both witnesses and
-``extensions``.  The tool prints how many rows differ, how many differ in
-each field, and the first few differing rows.
+``extensions``.  Every row of both grids also holds ``instance``, a digest
+of the serialised colouring and forest, so a changed generator shows as a
+differing field of its own and not only through changed answers.  The tool
+prints how many rows differ, how many differ in each field, and the first
+few differing rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -126,7 +130,8 @@ def oracle_lines() -> list[str]:
                 graph = ColouredCompleteGraph.from_red_matrix(red | red.T)
                 for forest_kind in ORACLE_FORESTS:
                     forest = _oracle_forest(forest_kind, n, seed)
-                    cell = {"n": n, "colouring": colouring, "forest": forest_kind, "seed": seed}
+                    cell = {"n": n, "colouring": colouring, "forest": forest_kind, "seed": seed,
+                            "instance": instance_digest(graph, forest)}
                     queries = [("min", None), *(("sign", fixed) for fixed in ({}, {0: n - 1}, {n - 1: 0, 2: 1}))]
                     for query, fixed in queries:
                         row = {**cell, "query": query, "error": None}
@@ -146,6 +151,14 @@ def oracle_lines() -> list[str]:
     return lines
 
 
+def instance_digest(graph, forest) -> str:
+    """A digest of the serialised colouring and forest, so a changed input shows as its own field."""
+    from forestbalance.core import serialize_colouring, serialize_forest
+
+    text = serialize_colouring(graph) + serialize_forest(forest)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def grid_lines() -> list[str]:
     """One JSON line per grid cell, solved with the forestbalance found on the path."""
     from forestbalance.solver import SolverConfig, solve
@@ -159,13 +172,17 @@ def grid_lines() -> list[str]:
                 except Exception as exc:  # the error itself is the answer to compare
                     graph, error = None, f"{type(exc).__name__}: {exc}"
                 for forest_kind in FORESTS:
+                    forest = instance = None
+                    if graph is not None:
+                        forest = _forest(forest_kind, n, seed)
+                        instance = instance_digest(graph, forest)
                     for threshold in THRESHOLDS:
                         row = {"n": n, "colouring": colouring, "forest": forest_kind, "seed": seed,
-                               "exact_threshold": threshold, "error": error}
+                               "exact_threshold": threshold, "error": error, "instance": instance}
                         cfg = {"seed": seed} if threshold is None else {"seed": seed, "exact_threshold": threshold}
                         if graph is not None:
                             try:
-                                result = solve(_forest(forest_kind, n, seed), graph, SolverConfig(**cfg))
+                                result = solve(forest, graph, SolverConfig(**cfg))
                             except Exception as exc:
                                 row["error"] = f"{type(exc).__name__}: {exc}"
                             else:
