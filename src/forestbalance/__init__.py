@@ -54,7 +54,6 @@ from .oracle import (
     exact_sign,
 )
 from .solver import (
-    SignSearchFailure,
     SolveResult,
     SolverConfig,
     find_signed_pair,

@@ -104,7 +104,6 @@ def build_parser() -> _Parser:
     p.add_argument("--colouring", required=True)
     p.add_argument("--forest", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-budget", type=int, default=5000)
     p.add_argument("--exact-threshold", type=int, default=8)
     p.add_argument("--json", dest="json_out", default=None)
     p.add_argument("--trace", dest="trace_out", default=None,
@@ -170,12 +169,7 @@ def _cmd_gen_forest(args) -> int:
 
 def _cmd_solve(args) -> int:
     forest, graph = _load_instance(args)
-    cfg = SolverConfig(
-        seed=args.seed,
-        sample_budget=args.sample_budget,
-        exact_threshold=args.exact_threshold,
-    )
-    result = solve(forest, graph, cfg)
+    result = solve(forest, graph, SolverConfig(seed=args.seed, exact_threshold=args.exact_threshold))
     balanced = is_balanced(graph)
     out = {
         "embedding": embedding_to_json(result.embedding),

@@ -364,8 +364,11 @@ class PartialEmbedding:
 
 
 def serialize_colouring(g: ColouredCompleteGraph) -> str:
-    letters = np.where(g.matrix == RED, np.uint8(ord("R")), np.uint8(ord("B")))
-    lines = [str(g.n)] + [letters[i, :i].tobytes().decode() for i in range(1, g.n)]
+    n = g.n
+    # the strict lower triangle in row order, as one string; row i is its slice [i(i-1)/2, i(i+1)/2)
+    body = np.where(g.matrix[np.tri(n, k=-1, dtype=bool)] == RED, np.uint8(ord("R")), np.uint8(ord("B")))
+    text = body.tobytes().decode()
+    lines = [str(n)] + [text[i * (i - 1) // 2 : i * (i + 1) // 2] for i in range(1, n)]
     return "\n".join(lines) + "\n"
 
 

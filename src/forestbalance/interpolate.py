@@ -1,10 +1,11 @@
-"""Swap interpolation between two opposite-sign embeddings.
+"""Swap interpolation between two embeddings on either side of a window centre.
 
-Given embeddings with colour sums on either side of zero, repeatedly swapping
-two images changes the sum by a bounded amount, so somewhere along the way an
-embedding of small imbalance must appear.  Routing every swap through a
-minimum-degree vertex keeps each step's sum change at most
-2 * (disagreement max degree + forest min degree).
+Given embeddings with colour sums on either side of a centre T (0 unless the
+sums cannot straddle it), repeatedly swapping two images changes the sum by a
+bounded amount, so somewhere along the way an embedding within that amount
+of T must appear.  Routing every swap through a minimum-degree vertex keeps
+each step's sum change at most 2 * (disagreement max degree + forest min
+degree), so the walk certifies |T| + disagreement max degree + min degree.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .core import (
 
 @dataclass(frozen=True)
 class SignedPair:
-    """Two embeddings with sums on opposite sides of zero.
+    """Two embeddings with sums on opposite sides of ``centre``: h_neg's at most, h_pos's at least.
 
     disagreement is the sorted set of forest vertices the two maps send to
     different targets; disagreement_max_degree is the largest forest degree
@@ -38,23 +39,24 @@ class SignedPair:
     h_pos: Embedding
     disagreement: tuple[int, ...]
     disagreement_max_degree: int
+    centre: int = 0
 
     @classmethod
-    def of(cls, first: Embedding, second: Embedding, forest: Forest) -> "SignedPair":
-        """Order two embeddings by sign and compute their disagreement data."""
-        if first.colour_sum <= 0 <= second.colour_sum:
+    def of(cls, first: Embedding, second: Embedding, forest: Forest, centre: int = 0) -> "SignedPair":
+        """Order two embeddings by their side of the centre and compute their disagreement data."""
+        if first.colour_sum <= centre <= second.colour_sum:
             neg, pos = first, second
-        elif second.colour_sum <= 0 <= first.colour_sum:
+        elif second.colour_sum <= centre <= first.colour_sum:
             neg, pos = second, first
         else:
             raise InvalidInputError(
                 f"sums {first.colour_sum} and {second.colour_sum} are strictly on "
-                "the same side of zero"
+                f"the same side of {centre}"
             )
         n = forest.n
         dis = np.flatnonzero(np.fromiter(neg.forward, np.intp, n) != np.fromiter(pos.forward, np.intp, n))
         dmax = int(np.fromiter(forest.degree, np.intp, n)[dis].max(initial=0))
-        return cls(neg, pos, tuple(dis.tolist()), dmax)
+        return cls(neg, pos, tuple(dis.tolist()), dmax, centre)
 
     def bound(self, forest: Forest) -> int:
         return self.disagreement_max_degree + forest.min_degree
@@ -76,17 +78,17 @@ class InterpolationTrace:
 def interpolate_traced(
     pair: SignedPair, forest: Forest, graph: ColouredCompleteGraph
 ) -> tuple[Embedding, InterpolationTrace]:
-    """Interpolate and return the qualifying embedding together with its trace.
+    """Walk from h_pos towards h_neg until the sum is within ``pair.bound`` of the centre.
 
     The walk swaps entries of one forward list in place and keeps the sum as
     a running int; the only Embedding it builds is the one it returns.
     """
-    bound = pair.bound(forest)
+    bound, centre = pair.bound(forest), pair.centre
     trace = InterpolationTrace(achieved_bound=bound)
     steps = trace.steps
 
     for end in (pair.h_pos, pair.h_neg):
-        if abs(end.colour_sum) <= bound:
+        if abs(end.colour_sum - centre) <= bound:
             steps.append((None, end.colour_sum))
             trace.result = end
             return end, trace
@@ -118,12 +120,12 @@ def interpolate_traced(
             fwd[a], fwd[b] = tb, ta
             holder[ta], holder[tb] = b, a
             steps.append(((a, b), total))
-            if abs(total) <= bound:
+            if abs(total - centre) <= bound:
                 # each step is a transposition, so fwd is still a bijection
                 trace.result = Embedding.of_bijection(tuple(fwd), total)
                 return trace.result, trace
-    # Unreachable: the walk ends at h_neg with sum < -bound while it started
-    # above +bound, and no step moves the sum by more than 2*bound.
+    # Unreachable: the walk ends at h_neg with sum < centre - bound while it
+    # started above centre + bound, and no step moves the sum by more than 2*bound.
     raise AssertionError("interpolation walk finished without entering the bound window")
 
 

@@ -181,23 +181,31 @@ def exact_min_imbalance(
     return best, Embedding.build(best_map, forest, graph)
 
 
+def red_leaf_count(d, offset, red, blue):
+    """How many k of d leaves go on red edges so that offset + 2k - d is nearest 0.
+
+    With ``red`` free red and ``blue`` free blue edges at the host, k ranges over
+    [max(0, d - blue), min(d, red)]; (d - offset) // 2 clipped to it is best.
+    """
+    return np.clip((d - offset) // 2, np.maximum(0, d - blue), np.minimum(d, red))
+
+
 def _star_min_imbalance(forest: Forest, graph: ColouredCompleteGraph) -> tuple[int, Embedding]:
     """Closed-form optimum of a forest whose d edges all meet one centre, in one pass over the hosts.
 
     The centre is the first vertex of maximum degree d (vertex 0 when d = 0,
     the lower endpoint when d = 1).  With the centre on a host with r red
-    and b blue edges, k of the d leaves on red neighbours give the sum
-    2k - d, for any k in [max(0, d - b), min(d, r)]; the k nearest d/2 is
-    best.  The host of least reachable |sum| wins, ties to the lowest index.
-    The witness puts the leaves, ascending, on the first k red and d - k
-    blue neighbours in ascending order, and the isolated vertices on the
-    remaining hosts.  A spanning star has k = r, so its value is the host's
-    |signed degree|.
+    and b blue edges, k = red_leaf_count(d, 0, r, b) of the d leaves on red
+    neighbours give the least |sum|; the host of least such |sum| wins, ties
+    to the lowest index.  The witness puts the leaves, ascending, on the
+    first k red and d - k blue neighbours in ascending order, and the
+    isolated vertices on the remaining hosts.  A spanning star has k = r, so
+    its value is the host's |signed degree|.
     """
     n, d = forest.n, forest.max_degree
     centre = forest.degree.index(d)
     red = graph.red_degrees()
-    k = np.clip(d // 2, np.maximum(0, d - (n - 1 - red)), np.minimum(d, red))
+    k = red_leaf_count(d, 0, red, n - 1 - red)
     x = int(np.abs(2 * k - d).argmin())
     row = graph.matrix[x]
     leaf_hosts = np.sort(np.concatenate([np.flatnonzero(row > 0)[: k[x]], np.flatnonzero(row < 0)[: d - k[x]]]))

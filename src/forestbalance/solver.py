@@ -14,16 +14,17 @@ degree: the refined bound.  Below max degree 16 no admissible eps leaves L
 non-empty, and sampling is unanchored.  On a balanced colouring an
 unanchored embedding has mean sum zero, so both signs exist; when the one
 search still misses (an anchor or an unbalanced colouring can pin the sign
-of every extension), the result is the polished best sample and says it is
-heuristic.  The explicit two-anchor block construction (greedy_star_balance)
-stays a library function; solve() never calls it.
+of every extension), hub_split_pair builds a pair around a window centre
+instead, so every result carries a proven value.  The explicit two-anchor
+block construction (greedy_star_balance) stays a library function; solve()
+never calls it.
 
 Sampling works in blocks: ExtensionSampler draws a block of uniform
 extensions of the anchor at once (one argsort of random 64-bit keys per row,
 taken from the caller's random.Random) and scores the whole block with one
 gather from the int8 colour matrix.  Blocks start small and double, so a
 search that succeeds early draws little more than it uses, and a search that
-fails spends its budget in a run of numpy blocks instead of one Python
+misses spends its budget in a run of numpy blocks instead of one Python
 shuffle per sample.
 """
 
@@ -49,24 +50,14 @@ from .core import (
     swap_images,
 )
 from .interpolate import InterpolationTrace, SignedPair, interpolate_traced
-from .oracle import DEFAULT_BUDGET, exact_min_imbalance
+from .oracle import DEFAULT_BUDGET, exact_min_imbalance, red_leaf_count
 
 CERT_EXACT = "exact"
 CERT_INTERPOLATION = "interpolation"
-CERT_HEURISTIC = "heuristic"
+CERT_HUB_SPLIT = "hub-split"
 
-
-class SignSearchFailure(Exception):
-    """Sampling exhausted its budget without seeing both signs.
-
-    Carries the best sample found so the caller can polish it instead.
-    This legitimately happens when an anchor pins the sign of every extension.
-    """
-
-    def __init__(self, message: str, best: Embedding):
-        super().__init__(message)
-        self.best = best
-
+#: samples the sign search draws before hub-split takes over; also caps polish evaluations
+SAMPLE_BUDGET = 5000
 
 #: the largest n whose n! embeddings the oracle enumerates within its default budget
 _EXACT_CEILING = next(n for n in count() if math.factorial(n + 1) > DEFAULT_BUDGET)
@@ -75,12 +66,9 @@ _EXACT_CEILING = next(n for n in count() if math.factorial(n + 1) > DEFAULT_BUDG
 @dataclass(frozen=True)
 class SolverConfig:
     seed: int = 0
-    sample_budget: int = 5000
     exact_threshold: int = 8
 
     def __post_init__(self):
-        if self.sample_budget < 1:
-            raise InvalidInputError(f"sample_budget must be positive, got {self.sample_budget}")
         if self.exact_threshold < 0:
             raise InvalidInputError(f"exact_threshold must be non-negative, got {self.exact_threshold}")
         if self.exact_threshold > _EXACT_CEILING:
@@ -95,7 +83,7 @@ class SolveResult:
     embedding: Embedding
     achieved: int
     certified: str
-    certified_value: float | None
+    certified_value: float
     bound_report: BoundReport
     within_bound: bool
     stats: dict = field(default_factory=dict)
@@ -185,26 +173,23 @@ def find_signed_pair(
     forest: Forest,
     graph: ColouredCompleteGraph,
     anchor: PartialEmbedding | None = None,
-    cfg: SolverConfig | None = None,
     rng: random.Random | None = None,
     stats: dict | None = None,
-) -> SignedPair:
+    budget: int = SAMPLE_BUDGET,
+) -> SignedPair | None:
     """Sample embeddings extending the anchor until both signs are seen.
 
     On a balanced colouring the sum of a uniform unanchored embedding has mean
     zero, so both signs exist and are found quickly.  Samples are drawn in
     blocks (see ExtensionSampler); the pair is the first sample with sum >= 0
     and the first with sum <= 0 in stream order, and ``samples_drawn`` counts
-    samples up to the later of the two.  Raises SignSearchFailure (with the
-    first sample of least |sum| attached) once the budget is spent.
+    samples up to the later of the two.  None once ``budget`` samples are spent.
     """
-    cfg = cfg or SolverConfig()
     sampler = ExtensionSampler(forest, graph, anchor)
-    if rng is None:
-        rng = random.Random(cfg.seed)
-    non_neg = non_pos = best = None
+    rng = rng or random.Random(0)
+    non_neg = non_pos = None
     drawn = 0
-    for images, sums in sampler.blocks(rng, cfg.sample_budget):
+    for images, sums in sampler.blocks(rng, budget):
         if non_neg is None:
             non_neg = _first(images, sums, sums >= 0, drawn)
         if non_pos is None:
@@ -213,16 +198,10 @@ def find_signed_pair(
             if stats is not None:
                 stats["samples_drawn"] = max(non_neg[0], non_pos[0]) + 1
             return SignedPair.of(non_pos[1], non_neg[1], forest)
-        r = int(np.argmin(np.abs(sums)))
-        if best is None or abs(sums[r]) < abs(best.colour_sum):
-            best = _row(images, sums, r)
         drawn += len(sums)
     if stats is not None:
-        stats["samples_drawn"] = cfg.sample_budget
-    raise SignSearchFailure(
-        f"no embedding pair of opposite signs within {cfg.sample_budget} samples",
-        best=best,
-    )
+        stats["samples_drawn"] = budget
+    return None
 
 
 def _row(images: np.ndarray, sums: np.ndarray, r: int) -> Embedding:
@@ -271,6 +250,34 @@ def large_degree_anchor(
     balance = np.abs(graph.signed_degrees())
     hosts = np.argsort(balance, kind="stable")[: len(large)].tolist()
     return PartialEmbedding(dict(zip(large, hosts)))
+
+
+def hub_split_pair(
+    forest: Forest, graph: ColouredCompleteGraph, anchor: PartialEmbedding | None, rng: random.Random
+) -> SignedPair:
+    """A pair that straddles a window centre by construction, for when the sign search misses.
+
+    Each anchored vertex in turn (descending degree) sends its d unpinned
+    neighbours, ascending, k onto its host's first free red neighbours and
+    d - k onto its first free blue ones, with k from red_leaf_count so that S,
+    the sum over the edges with both ends pinned, lands nearest 0.  T, the
+    value nearest 0 within one block of extensions of that map, lies between
+    the block's first row <= T and first row >= T; the walk certifies |T| + bound.
+    """
+    fwd = dict(anchor.mapping) if anchor is not None else {}
+    for v, x in list(fwd.items()):  # the anchor's own vertices, not the ones pinned below
+        s = sum(int(graph.matrix[fwd[a], fwd[b]]) for a, b in forest.edges if a in fwd and b in fwd)
+        nbrs = [u for u in forest.neighbours[v] if u not in fwd]
+        used = set(fwd.values())
+        red = [t for t in graph.red_neighbours(x) if t not in used]
+        blue = [t for t in graph.blue_neighbours(x) if t not in used]
+        k = int(red_leaf_count(len(nbrs), s, len(red), len(blue)))
+        fwd.update(zip(nbrs, red[:k] + blue[: len(nbrs) - k]))
+    sampler = ExtensionSampler(forest, graph, PartialEmbedding(fwd))
+    images, sums = sampler.draw(rng, sampler.cap)
+    centre = int(np.clip(0, sums.min(), sums.max()))
+    low, high = _first(images, sums, sums <= centre, 0), _first(images, sums, sums >= centre, 0)
+    return SignedPair.of(low[1], high[1], forest, centre)
 
 
 def _top_two_degree_vertices(forest: Forest) -> tuple[int, int]:
@@ -416,11 +423,10 @@ def solve(
     forest whose edges all meet one vertex (stars and edgeless forests, at
     any size; the oracle's closed form draws no sample); otherwise one
     both-sign sampling search with the large-degree set anchored (see
-    large_degree_anchor) and interpolation, in every degree regime.  The
-    result then gets a polish pass of strictly improving swaps, which
-    certifies nothing: the interpolation result keeps its certificate, and a
-    missed search polishes its best sample and ends heuristic.  ``stats``
-    is always ``{"samples_drawn": N}``.
+    large_degree_anchor) and interpolation, in every degree regime; when the
+    search misses, hub_split_pair supplies the pair instead.  The result then
+    gets a polish pass of strictly improving swaps, which only lowers the sum
+    under the walk's certificate.  ``stats`` is always ``{"samples_drawn": N}``.
     """
     cfg = cfg or SolverConfig()
     n = forest.n
@@ -433,11 +439,11 @@ def solve(
     def finish(
         emb: Embedding,
         certified: str,
-        certified_value: float | None,
+        certified_value: float,
         trace: InterpolationTrace | None = None,
     ) -> SolveResult:
         achieved = abs(emb.colour_sum)
-        if certified_value is not None and not fits(achieved, certified_value):
+        if not fits(achieved, certified_value):
             raise CertificateError(f"certificate violated: |sum| = {achieved} > {certified_value}")
         return SolveResult(
             embedding=emb,
@@ -457,11 +463,9 @@ def solve(
 
     anchor = large_degree_anchor(forest, graph, report)
     rng = random.Random(_sub_seed(cfg.seed, 0))
-    try:
-        pair = find_signed_pair(forest, graph, anchor, cfg, rng=rng, stats=stats)
-    except SignSearchFailure as failure:
-        emb, _ = local_search(forest, graph, failure.best, cfg.sample_budget)
-        return finish(emb, CERT_HEURISTIC, None)
+    pair, certified = find_signed_pair(forest, graph, anchor, rng, stats), CERT_INTERPOLATION
+    if pair is None:
+        pair, certified = hub_split_pair(forest, graph, anchor, rng), CERT_HUB_SPLIT
     emb, trace = interpolate_traced(pair, forest, graph)
-    emb, _ = local_search(forest, graph, emb, cfg.sample_budget)
-    return finish(emb, CERT_INTERPOLATION, float(pair.bound(forest)), trace)
+    emb, _ = local_search(forest, graph, emb, SAMPLE_BUDGET)
+    return finish(emb, certified, float(abs(pair.centre) + pair.bound(forest)), trace)

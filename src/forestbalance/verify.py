@@ -51,7 +51,6 @@ from .interpolate import (
 from .oracle import exact_min_imbalance
 from .solver import (
     ExtensionSampler,
-    SignSearchFailure,
     SolverConfig,
     _sub_seed,
     find_signed_pair,
@@ -117,17 +116,16 @@ def suite_interpolation(n_list=(8, 9, 12, 13), trials=500, seed=0) -> dict:
     violations = []
     runs = 0
     families = ("path", "random", "star")
-    cfg = SolverConfig(sample_budget=2000)
+    budget = 2000
     for t in range(trials):
         n = n_list[t % len(n_list)]
         kind = families[t % len(families)]
         g = random_balanced_colouring(n, _sub_seed(seed, 2 * t))
         forest = _trial_forest(kind, n, _sub_seed(seed, 2 * t + 1))
         rng = random.Random(_sub_seed(seed, 90_000 + t))
-        try:
-            pair = find_signed_pair(forest, g, cfg=cfg, rng=rng)
-        except SignSearchFailure as exc:
-            violations.append({"trial": t, "error": f"sign search failed: {exc}"})
+        pair = find_signed_pair(forest, g, rng=rng, budget=budget)
+        if pair is None:
+            violations.append({"trial": t, "error": f"no pair of opposite signs within {budget} samples"})
             continue
         result, trace = interpolate_traced(pair, forest, g)
         runs += 1
@@ -457,7 +455,7 @@ def _bench_cell(
         "achieved": result.achieved,
         "bound": f"{result.bound_report.refined:.6f}",
         "mechanism": result.certified,
-        "certified_value": "" if result.certified_value is None else f"{result.certified_value:.6f}",
+        "certified_value": f"{result.certified_value:.6f}",
         "millis": millis,
     }
 

@@ -154,14 +154,11 @@ def test_criterion_08_oracle_dominance():
                     forest = make_forest(ForestSpec(family, n))
                 optimum, _ = exact_min_imbalance(forest, g)
                 exact_result = solve(forest, g, SolverConfig(seed=s, exact_threshold=8))
-                heuristic = solve(
-                    forest, g,
-                    SolverConfig(seed=s, exact_threshold=0, sample_budget=1500),
-                )
+                sampled = solve(forest, g, SolverConfig(seed=s, exact_threshold=0))
                 instances += 1
                 if exact_result.achieved != optimum:
                     violations += 1
-                if heuristic.achieved < optimum:
+                if sampled.achieved < optimum:
                     violations += 1
                 if forest.max_degree >= 1 and not fits(
                     optimum, refined_bound(n, forest.max_degree)
@@ -170,7 +167,7 @@ def test_criterion_08_oracle_dominance():
     elapsed = time.monotonic() - started
     ok = instances >= 1000 and violations == 0
     _outcome(8, "oracle minimum is reproduced at the exact threshold and never "
-                "beaten by the heuristic pipeline",
+                "beaten by the sampling pipeline",
              ok, f"{instances} instances, {violations} violations, {elapsed:.1f}s")
 
 

@@ -99,6 +99,17 @@ class TestSolveCommand:
         assert lines[0]["swap"] is None
         assert all(set(ln) == {"step", "swap", "sum"} for ln in lines)
 
+    def test_split_parity_broom_certifies_by_hub_split(self, tmp_path):
+        # the L-anchored search misses on the paper's extremal colouring here
+        cpath, fpath, jpath = tmp_path / "c.txt", tmp_path / "f.txt", tmp_path / "result.json"
+        assert main(["gen-colouring", "--kind", "split-parity", "--n", "32", "--out", str(cpath)]) == 0
+        assert main(["gen-forest", "--kind", "broom", "--n", "32", "--max-degree", "24", "--out", str(fpath)]) == 0
+        assert main(["solve", "--colouring", str(cpath), "--forest", str(fpath), "--json", str(jpath)]) == 0
+        payload = json.loads(jpath.read_text())
+        assert payload["certified"] == "hub-split"
+        assert type(payload["certified_value"]) is float
+        assert payload["achieved"] <= payload["certified_value"] <= payload["bounds"]["refined"]
+
     def test_solve_deterministic_output(self, instance, tmp_path):
         cpath, fpath = instance
         j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -133,6 +144,7 @@ class TestSolveCommand:
         (["--strategy", "local-search"], "error: unrecognized arguments: --strategy local-search"),
         (["--strategy", "interpolate-only"], "error: unrecognized arguments: --strategy interpolate-only"),
         (["--strategy", "greedy-star"], "error: unrecognized arguments: --strategy greedy-star"),
+        (["--sample-budget", "10"], "error: unrecognized arguments: --sample-budget 10"),
     ])
     def test_removed_options_are_usage_errors(self, instance, argv, message, capsys):
         cpath, fpath = instance
@@ -463,9 +475,8 @@ class TestBenchCommand:
         for line in lines[1:]:
             cells = line.split(",")
             assert int(cells[4]) <= float(cells[5])
-            assert cells[6] in ("exact", "interpolation", "heuristic")
-            if cells[7]:
-                assert int(cells[4]) <= float(cells[7])
+            assert cells[6] in ("exact", "interpolation", "hub-split")
+            assert int(cells[4]) <= float(cells[7])  # never an empty cell
 
     def test_broom_family_gets_a_dominant_max_degree(self, tmp_path):
         out = tmp_path / "broom.csv"

@@ -18,12 +18,11 @@ from forestbalance.interpolate import (
     interpolate_traced,
     partial_interpolation_sequence,
 )
-from forestbalance.solver import ExtensionSampler, SolverConfig, find_signed_pair
+from forestbalance.solver import ExtensionSampler, find_signed_pair
 
 
 def signed_pair_by_search(forest, graph, seed, budget=3000):
-    rng = random.Random(seed)
-    return find_signed_pair(forest, graph, cfg=SolverConfig(sample_budget=budget), rng=rng)
+    return find_signed_pair(forest, graph, rng=random.Random(seed), budget=budget)
 
 
 def trace_branch(pair, forest, graph):
@@ -91,6 +90,15 @@ class TestSignedPair:
         with pytest.raises(InvalidInputError):
             SignedPair.of(embs[0], embs[1], p8)
 
+    def test_orders_by_side_of_the_centre(self):
+        forest = Forest(4, [(0, 1), (1, 2), (2, 3)])
+        low, high = Embedding([0, 1, 2, 3], 1), Embedding([1, 0, 2, 3], 3)
+        pair = SignedPair.of(high, low, forest, centre=2)
+        assert (pair.h_neg, pair.h_pos, pair.centre) == (low, high, 2)
+        for centre in (0, 4):
+            with pytest.raises(InvalidInputError, match=f"strictly on the same side of {centre}"):
+                SignedPair.of(low, high, forest, centre=centre)
+
 
 class TestInterpolate:
     def test_early_exit_returns_h_pos_unchanged(self):
@@ -152,6 +160,15 @@ class TestInterpolate:
         assert all(forest.min_degree in (forest.degree[u], forest.degree[v]) for u, v in steps)
         assert sum(w in swap for swap in steps) > len(steps) // 2
 
+    def test_walk_stops_within_the_bound_of_the_centre(self):
+        g = random_balanced_colouring(40, 3)
+        forest = make_forest(ForestSpec("path", 40))
+        for seed in range(10):
+            pair = extreme_pair(forest, g, None, seed, centre=5)
+            out, trace = interpolate_traced(pair, forest, g)
+            assert abs(out.colour_sum - 5) <= pair.bound(forest) == trace.achieved_bound
+            assert all(abs(s - 5) > pair.bound(forest) for _, s in trace.steps[:-1])
+
     def test_isolated_vertex_strengthens_bound(self):
         # forest with an isolated vertex has min degree 0: certified at
         # disagreement max degree alone
@@ -167,14 +184,14 @@ class TestInterpolate:
 
 def reference_interpolate_traced(pair, forest, graph):
     """The walk as it was before it swapped in place: one new Embedding per step, via swap_images."""
-    bound = pair.bound(forest)
+    bound, centre = pair.bound(forest), pair.centre
     trace = InterpolationTrace(achieved_bound=bound)
 
-    if abs(pair.h_pos.colour_sum) <= bound:
+    if abs(pair.h_pos.colour_sum - centre) <= bound:
         trace.steps.append((None, pair.h_pos.colour_sum))
         trace.result = pair.h_pos
         return pair.h_pos, trace
-    if abs(pair.h_neg.colour_sum) <= bound:
+    if abs(pair.h_neg.colour_sum - centre) <= bound:
         trace.steps.append((None, pair.h_neg.colour_sum))
         trace.result = pair.h_neg
         return pair.h_neg, trace
@@ -190,7 +207,7 @@ def reference_interpolate_traced(pair, forest, graph):
         holder[current.forward[u]], holder[current.forward[v]] = v, u
         current = swap_images(current, u, v, forest, graph)
         trace.steps.append(((u, v), current.colour_sum))
-        if abs(current.colour_sum) <= bound:
+        if abs(current.colour_sum - centre) <= bound:
             return current
         return None
 
@@ -215,12 +232,12 @@ def reference_interpolate_traced(pair, forest, graph):
     raise AssertionError("interpolation walk finished without entering the bound window")
 
 
-def extreme_pair(forest, graph, anchor, seed, samples=40):
+def extreme_pair(forest, graph, anchor, seed, samples=40, centre=0):
     """The least and greatest of a few sampled extensions: far apart, so the walk is long."""
     images, sums = ExtensionSampler(forest, graph, anchor).draw(random.Random(seed), samples)
     lo, hi = int(np.argmin(sums)), int(np.argmax(sums))
     return SignedPair.of(
-        Embedding(images[lo].tolist(), int(sums[lo])), Embedding(images[hi].tolist(), int(sums[hi])), forest
+        Embedding(images[lo].tolist(), int(sums[lo])), Embedding(images[hi].tolist(), int(sums[hi])), forest, centre
     )
 
 
@@ -251,8 +268,8 @@ class TestInPlaceWalk:
         for forest in (path, spider):
             for a in (None, anchor):
                 pairs += [(forest, extreme_pair(forest, g, a, seed)) for seed in range(3)]
-                cfg = SolverConfig(sample_budget=5000)
-                pairs += [(forest, find_signed_pair(forest, g, a, cfg, random.Random(seed))) for seed in range(3)]
+                pairs += [(forest, extreme_pair(forest, g, a, seed, centre=3)) for seed in range(3)]
+                pairs += [(forest, find_signed_pair(forest, g, a, random.Random(seed))) for seed in range(3)]
         kinds = set()
         for forest, pair in pairs:
             out, trace = interpolate_traced(pair, forest, g)

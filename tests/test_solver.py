@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from forestbalance.bounds import BoundReport, refined_bound
+from forestbalance.bounds import BoundReport, fits, refined_bound
 from forestbalance.core import (
     BLUE,
     RED,
@@ -22,14 +22,15 @@ from forestbalance.generators import ForestSpec, make_forest, random_balanced_co
 from forestbalance.oracle import exact_min_imbalance
 from forestbalance.solver import (
     CERT_EXACT,
-    CERT_HEURISTIC,
+    CERT_HUB_SPLIT,
     CERT_INTERPOLATION,
+    SAMPLE_BUDGET,
     ExtensionSampler,
-    SignSearchFailure,
     SolverConfig,
     find_signed_pair,
     greedy_star_balance,
     greedy_star_certificate,
+    hub_split_pair,
     large_degree_anchor,
     large_degree_set,
     local_search,
@@ -103,35 +104,30 @@ class TestFindSignedPair:
     def test_edgeless_forest_zero_serves_both(self):
         g = random_balanced_colouring(8, 1)
         forest = Forest(8, [])
-        pair = find_signed_pair(forest, g, cfg=SolverConfig(sample_budget=5))
+        pair = find_signed_pair(forest, g, budget=5)
         assert pair.h_neg.colour_sum == 0 == pair.h_pos.colour_sum
 
-    def test_all_red_fails_with_best_sample(self):
+    def test_all_red_misses_and_returns_none(self):
+        # every sum is +m, so no sample is <= 0 and the whole budget goes
         g = all_red(6)
         forest = make_forest(ForestSpec("path", 6))
-        with pytest.raises(SignSearchFailure) as err:
-            find_signed_pair(forest, g, cfg=SolverConfig(sample_budget=50))
-        assert err.value.best is not None
-        assert err.value.best.colour_sum == forest.edge_count  # every sum is +m
+        stats = {}
+        assert find_signed_pair(forest, g, stats=stats, budget=50) is None
+        assert stats == {"samples_drawn": 50}
 
     def test_success_rate_on_balanced_paths(self):
         forest = make_forest(ForestSpec("path", 9))
-        cfg = SolverConfig(sample_budget=5000)
-        successes = 0
-        for seed in range(200):
-            g = random_balanced_colouring(9, seed)
-            try:
-                find_signed_pair(forest, g, cfg=cfg, rng=random.Random(seed))
-                successes += 1
-            except SignSearchFailure:
-                pass
+        successes = sum(
+            find_signed_pair(forest, random_balanced_colouring(9, seed), rng=random.Random(seed)) is not None
+            for seed in range(200)
+        )
         assert successes >= 198
 
     def test_anchor_respected(self):
         g = random_balanced_colouring(9, 4)
         forest = make_forest(ForestSpec("path", 9))
         anchor = PartialEmbedding({0: 5})
-        pair = find_signed_pair(forest, g, anchor, SolverConfig(sample_budget=5000))
+        pair = find_signed_pair(forest, g, anchor)
         assert pair.h_neg.forward[0] == 5 == pair.h_pos.forward[0]
         assert 0 not in pair.disagreement
 
@@ -139,7 +135,7 @@ class TestFindSignedPair:
         g = random_balanced_colouring(8, 2)
         forest = make_forest(ForestSpec("path", 8))
         stats = {}
-        find_signed_pair(forest, g, cfg=SolverConfig(sample_budget=100), stats=stats)
+        find_signed_pair(forest, g, stats=stats, budget=100)
         assert stats["samples_drawn"] >= 1
 
 
@@ -186,8 +182,7 @@ class TestExtensionSampler:
         for seed in range(20):
             g = random_balanced_colouring(9, seed)
             stats = {}
-            pair = find_signed_pair(forest, g, cfg=SolverConfig(sample_budget=5000),
-                                    rng=random.Random(seed), stats=stats)
+            pair = find_signed_pair(forest, g, rng=random.Random(seed), stats=stats)
             # scalar replay of the same blocks, one row at a time
             rows = (
                 (row, s)
@@ -214,11 +209,9 @@ class TestExtensionSampler:
         star = make_forest(ForestSpec("star", 16))
         anchor = PartialEmbedding({0: 3})
         stats = {}
-        with pytest.raises(SignSearchFailure) as err:
-            find_signed_pair(star, g, anchor, SolverConfig(sample_budget=budget), stats=stats)
+        assert find_signed_pair(star, g, anchor, stats=stats, budget=budget) is None
         assert stats["samples_drawn"] == budget
-        assert err.value.best.colour_sum == g.signed_degree(3)
-        assert err.value.best.forward[0] == 3
+        assert g.signed_degree(3) % 2 == 1
 
     def test_same_seed_same_pair(self):
         g = random_balanced_colouring(32, 3)
@@ -309,7 +302,7 @@ class TestSolve:
         for n in (8, 12):
             g = split_parity_colouring(n)
             star = make_forest(ForestSpec("star", n))
-            result = solve(star, g, SolverConfig(seed=1, sample_budget=400))
+            result = solve(star, g, SolverConfig(seed=1))
             assert result.achieved == (n - 2) // 2, n
             assert result.within_bound
 
@@ -385,38 +378,47 @@ class TestSolve:
                 assert result.certified_value <= result.bound_report.refined
                 assert result.achieved <= greedy
 
-    def test_unbalanced_input_degrades_to_heuristic(self):
+    def test_unbalanced_input_certifies_by_hub_split(self):
+        # every embedding is all-red, so the search misses and hub-split's
+        # block centres the window on the one sum, 11, with half-width 0 + 1
         g = all_red(12)
         forest = make_forest(ForestSpec("path", 12))
-        result = solve(forest, g, SolverConfig(seed=0, sample_budget=100))
-        assert result.certified == CERT_HEURISTIC
-        assert result.achieved == forest.edge_count  # every embedding is all-red
-        assert result.stats["samples_drawn"] >= 100
+        result = solve(forest, g, SolverConfig(seed=0))
+        assert result.certified == CERT_HUB_SPLIT
+        assert result.achieved == forest.edge_count == 11
+        assert result.certified_value == 12.0
+        assert result.stats == {"samples_drawn": SAMPLE_BUDGET}
 
-    def test_missed_search_polishes_its_best_sample_once(self, monkeypatch):
+    def test_missed_search_walks_and_polishes_the_hub_split_pair_once(self, monkeypatch):
         # every embedding into an all-red graph has sum |E| > 0, so the one
-        # search spends its budget and its best sample is polished once
+        # search spends its budget; hub-split's pair is walked, and the walk's
+        # result is polished once under the walk's certificate
         g = all_red(12)
         forest = make_forest(ForestSpec("random", 12, max_degree=4, seed=1))
-        misses, polished = [], []
+        searched, split, polished = [], [], []
 
         def recording_pair(*args, **kwargs):
-            try:
-                return find_signed_pair(*args, **kwargs)
-            except SignSearchFailure as failure:
-                misses.append(failure.best)
-                raise
+            searched.append(find_signed_pair(*args, **kwargs))
+            return searched[-1]
+
+        def recording_split(*args):
+            split.append(hub_split_pair(*args))
+            return split[-1]
 
         def recording_polish(forest, graph, start, budget):
-            polished.append(start)
+            polished.append((start, budget))
             return local_search(forest, graph, start, budget)
 
         monkeypatch.setattr("forestbalance.solver.find_signed_pair", recording_pair)
+        monkeypatch.setattr("forestbalance.solver.hub_split_pair", recording_split)
         monkeypatch.setattr("forestbalance.solver.local_search", recording_polish)
-        result = solve(forest, g, SolverConfig(seed=3, sample_budget=64))
-        assert result.certified == CERT_HEURISTIC and result.certified_value is None
-        assert len(misses) == 1 and polished == misses and polished[0] is misses[0]
-        assert result.stats == {"samples_drawn": 64}
+        result = solve(forest, g, SolverConfig(seed=3))
+        assert searched == [None] and len(split) == 1
+        pair = split[0]
+        assert result.certified == CERT_HUB_SPLIT
+        assert result.certified_value == abs(pair.centre) + pair.bound(forest)
+        assert polished == [(result.trace.result, SAMPLE_BUDGET)]
+        assert result.stats == {"samples_drawn": SAMPLE_BUDGET}
 
     def test_edgeless_forest(self):
         g = random_balanced_colouring(8, 3)
@@ -547,10 +549,10 @@ class TestSolverConfig:
         with pytest.raises(TypeError, match="unexpected keyword argument 'strategy'"):
             SolverConfig(strategy=strategy)
 
-    def test_three_fields_and_no_restart_budget(self):
-        assert [f.name for f in fields(SolverConfig)] == ["seed", "sample_budget", "exact_threshold"]
-        with pytest.raises(InvalidInputError, match="sample_budget must be positive, got 0"):
-            SolverConfig(sample_budget=0)
+    def test_two_fields_and_no_sample_budget(self):
+        assert [f.name for f in fields(SolverConfig)] == ["seed", "exact_threshold"]
+        with pytest.raises(TypeError, match="unexpected keyword argument 'sample_budget'"):
+            SolverConfig(sample_budget=5000)
 
 
 class TestLocalSearch:
@@ -794,6 +796,54 @@ class TestRefinedCertificate:
             n = forest.n
             g = random_balanced_colouring(n, 500 + k)
             result = solve(forest, g, SolverConfig(seed=k))
-            if result.certified_value is None or not result.certified_value <= result.bound_report.refined:
+            if not result.certified_value <= result.bound_report.refined:
                 failures.append((n, name, result.certified, result.certified_value))
         assert failures == []
+
+
+def _split_parity_cases(n):
+    for d in (n // 2, 3 * n // 4, n - 3):
+        yield f"broom{d}", make_forest(ForestSpec("broom", n, d))
+    for k in (n // 2, 3 * n // 4):
+        yield f"double-star{k}", double_star(n, k)
+    for hubs in (2, 3, 4, 6):
+        yield f"spider{hubs}", spider(n, hubs)
+
+
+class TestHubSplit:
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_split_parity_certifies_the_refined_bound(self, n):
+        # the paper's extremal colouring: the L-anchored search misses on most
+        # of these, and hub-split's certificate still proves the refined bound
+        g = split_parity_colouring(n)
+        failures = []
+        for name, forest in _split_parity_cases(n):
+            result = solve(forest, g, SolverConfig(seed=0))
+            assert result.certified in (CERT_INTERPOLATION, CERT_HUB_SPLIT), name
+            if not (result.certified_value <= result.bound_report.refined
+                    and fits(result.achieved, result.certified_value)):
+                failures.append((name, result.certified, result.achieved, result.certified_value))
+        assert failures == []
+
+    def test_pinned_star_splits_its_leaves_nearest_zero(self):
+        # with its centre on host 3, a star's leaves all get pinned: k on the
+        # host's first red neighbours, the rest on its first blue ones
+        g = random_balanced_colouring(16, 2)
+        star = make_forest(ForestSpec("star", 16))
+        pair = hub_split_pair(star, g, PartialEmbedding({0: 3}), random.Random(0))
+        red, blue = g.red_neighbours(3), g.blue_neighbours(3)
+        feasible = range(max(0, 15 - len(blue)), min(15, len(red)) + 1)
+        k = min(feasible, key=lambda k: abs(2 * k - 15))
+        assert pair.h_neg == pair.h_pos and pair.disagreement == ()
+        assert pair.centre == pair.h_neg.colour_sum == 2 * k - 15
+        assert list(pair.h_neg.forward) == [3, *red[:k], *blue[: 15 - k]]
+
+    def test_pair_straddles_its_centre(self):
+        g = split_parity_colouring(64)
+        forest = make_forest(ForestSpec("broom", 64, 48))
+        anchor = large_degree_anchor(forest, g, BoundReport.compute(64, 48))
+        pair = hub_split_pair(forest, g, anchor, random.Random(1))
+        assert pair.h_neg.colour_sum <= pair.centre <= pair.h_pos.colour_sum
+        assert all(pair.h_neg.forward[v] == pair.h_pos.forward[v] == t for v, t in anchor.mapping.items())
+        for emb in (pair.h_neg, pair.h_pos):
+            assert subgraph_sum(g, emb, forest) == emb.colour_sum

@@ -1,7 +1,6 @@
 import pytest
 
 from forestbalance.core import InvalidInputError
-from forestbalance.solver import SignSearchFailure
 from forestbalance.verify import (
     bench_csv,
     run_bench,
@@ -28,15 +27,17 @@ class TestSuitesSmall:
         assert report["details"]["runs"] == 40
 
     def test_interpolation_reports_a_missed_search_as_a_violation(self, monkeypatch):
-        def missed(forest, graph, cfg, rng):
-            raise SignSearchFailure("no pair", best=None)
+        def missed(forest, graph, rng, budget):
+            return None
 
         monkeypatch.setattr("forestbalance.verify.find_signed_pair", missed)
         report = suite_interpolation(n_list=(8,), trials=2)
-        assert report["violations"] == [{"trial": t, "error": "sign search failed: no pair"} for t in range(2)]
+        assert report["violations"] == [
+            {"trial": t, "error": "no pair of opposite signs within 2000 samples"} for t in range(2)
+        ]
 
     def test_interpolation_lets_a_programming_error_through(self, monkeypatch):
-        def broken(forest, graph, cfg, rng):
+        def broken(forest, graph, rng, budget):
             raise TypeError("a defect, not a falsified property")
 
         monkeypatch.setattr("forestbalance.verify.find_signed_pair", broken)
@@ -94,9 +95,8 @@ class TestBench:
         assert rows == sorted(rows, key=lambda r: (r["n"], r["family"], r["seed"]))
         for row in rows:
             assert row["achieved"] <= float(row["bound"])
-            assert row["mechanism"] in ("exact", "interpolation", "heuristic")
-            if row["certified_value"]:
-                assert row["achieved"] <= float(row["certified_value"])
+            assert row["mechanism"] in ("exact", "interpolation", "hub-split")
+            assert row["achieved"] <= float(row["certified_value"])
             assert row["millis"] == 0
 
     def test_deterministic_with_redacted_millis(self):

@@ -33,6 +33,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,10 @@ import numpy as np
 # compares the two sides' rows, and each side's process has its own src on the path
 ROOT = Path(__file__).resolve().parent.parent
 N_LIST = (5, 8, 9, 12, 16, 17, 32, 33, 64, 128, 256)
-COLOURINGS = ("random", "split-parity", "red-poor")
-FORESTS = ("edgeless", "path", "star", "star-isolated", "broom", "random", "double-star")
+#: split-parity and perturbed are the paper's two extremal constructions
+COLOURINGS = ("random", "split-parity", "perturbed", "red-poor")
+#: spider (four hubs of degree ~n/4) is a middle-regime forest from n = 64 on
+FORESTS = ("edgeless", "path", "star", "star-isolated", "broom", "random", "double-star", "spider")
 SEEDS = (0, 1)
 #: 0 sends only stars and edgeless forests to the oracle; None keeps SolverConfig's default
 THRESHOLDS = (0, None)
@@ -59,10 +62,17 @@ ORACLE_COLOURINGS = {"even": 0.5, "red-heavy": 0.85}
 
 def _colouring(kind: str, n: int, seed: int):
     from forestbalance.core import ColouredCompleteGraph
-    from forestbalance.generators import random_balanced_colouring, split_parity_colouring
+    from forestbalance.generators import (
+        PerturbedParams,
+        perturbed_colouring,
+        random_balanced_colouring,
+        split_parity_colouring,
+    )
 
     if kind == "split-parity":
         return split_parity_colouring(n)
+    if kind == "perturbed":
+        return perturbed_colouring(PerturbedParams.for_ratio(n, Fraction(1, 10)))
     if kind == "random":
         return random_balanced_colouring(n, seed)
     # red-poor: vertex 0 keeps n // 8 red edges; the dropped red edges go back
@@ -92,6 +102,9 @@ def _forest(kind: str, n: int, seed: int):
     if kind == "double-star":
         k = (n + 1) // 2
         return Forest(n, [(0, 1), *((0, v) for v in range(2, k + 1)), *((1, v) for v in range(k + 1, n))])
+    if kind == "spider":
+        # hubs 0-1-2-3 on a path; every other vertex is a leaf of hub v % 4
+        return Forest(n, [(0, 1), (1, 2), (2, 3), *((v % 4, v) for v in range(4, n))])
     return make_forest(ForestSpec(kind, n))
 
 
