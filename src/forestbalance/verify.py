@@ -317,14 +317,15 @@ def suite_perturbed(n=2000, epsilon=Fraction(1, 10)) -> dict:
     d = choose_density_ratio(eps)
     params = PerturbedParams.for_ratio(n, eps, d)
     g = perturbed_colouring(params)
-    density = g.red_edge_count / g.edge_count
+    red_count = g.red_edge_count
+    density = red_count / g.edge_count
     lo, hi = float(Fraction(1, 2) - eps), float(Fraction(1, 2) + eps)
     if not lo <= density <= hi:
         violations.append({"kind": "density", "density": density})
-    if g.red_edge_count != perturbed_red_count(params):
+    if red_count != perturbed_red_count(params):
         violations.append({"kind": "red-count"})
     floor_value = float((Fraction(1, 2) + eps * eps) * n) - 4
-    worst = min(abs(g.signed_degree(v)) for v in range(n))
+    worst = int(np.abs(g.signed_degrees()).min())
     if worst < floor_value:
         violations.append({"kind": "star-imbalance", "worst": worst, "floor": floor_value})
     return _report(

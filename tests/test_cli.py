@@ -179,7 +179,8 @@ class TestSolveCommand:
     @pytest.mark.parametrize("text, message", [
         ("4\nR\nBR\nRBx\n", "row 3 must be 3 characters over RB, got 'RBx'"),
         ("4\nRR\nB\nRRB\n", "row 1 must be 1 characters over RB, got 'RR'"),
-        ("0\n", "expected -1 colour rows, found 0"),
+        ("0\n", "need at least 2 vertices, got n=0"),
+        ("-3\n", "need at least 2 vertices, got n=-3"),
         ("1\n", "need at least 2 vertices, got n=1"),
     ])
     def test_malformed_colouring_is_usage_error(self, instance, tmp_path, text, message, capsys):
@@ -330,6 +331,13 @@ class TestOracleCommand:
         fpath.write_text("9 1\n0 x\n")
         assert main(["oracle", "--colouring", str(cpath), "--forest", str(fpath)]) == 1
         assert "bad edge line" in capsys.readouterr().err
+
+    def test_negative_forest_edge_count_is_usage_error(self, instance, tmp_path, capsys):
+        cpath, _ = instance
+        fpath = tmp_path / "bad.txt"
+        fpath.write_text("9 -1\n")
+        assert main(["solve", "--colouring", str(cpath), "--forest", str(fpath)]) == 1
+        assert capsys.readouterr().err == "error: need a non-negative edge count, got m=-1\n"
 
     @pytest.mark.parametrize("mode", ["min", "sign", "sign-fixing"])
     def test_max_n_flag_is_gone(self, instance, mode, capsys):

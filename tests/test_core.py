@@ -6,7 +6,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forestbalance.core import (
@@ -40,6 +40,16 @@ def random_colouring(n, seed):
     rng = random.Random(seed)
     lower = np.array([[j < i and rng.random() < 0.5 for j in range(n)] for i in range(n)])
     return ColouredCompleteGraph.from_red_matrix(lower | lower.T)
+
+
+#: sizes on both sides of every band edge of from_lower_triangle's 64-column bands
+BAND_EDGE_SIZES = (2, 3, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513, 1000)
+
+
+def random_red_matrix(n, seed):
+    """A symmetric boolean matrix, each pair red with probability 1/2, from numpy's generator."""
+    lower = np.tril(np.random.default_rng(seed).random((n, n)) < 0.5, k=-1)
+    return lower | lower.T
 
 
 def random_instance(n, seed):
@@ -102,6 +112,52 @@ class TestColouredCompleteGraph:
             for j in range(8):
                 if i != j:
                     assert m[i, j] in (RED, BLUE)
+
+    @pytest.mark.parametrize("n", BAND_EDGE_SIZES)
+    def test_lower_triangle_matches_red_matrix_at_band_edges(self, n):
+        red = random_red_matrix(n, n)
+        signs = np.where(red[np.tri(n, k=-1, dtype=bool)], np.int8(RED), np.int8(BLUE))
+        m = ColouredCompleteGraph.from_lower_triangle(n, signs).matrix
+        assert np.array_equal(m, ColouredCompleteGraph.from_red_matrix(red).matrix)
+        assert m.dtype == np.int8 and not m.flags.writeable and m.flags.c_contiguous
+        assert not m.diagonal().any()
+
+
+def _degree_reference(g):
+    """Signed degrees, total sum and red edge count summed over an int64 copy of the matrix."""
+    wide = g.matrix.astype(np.int64)
+    signed = wide.sum(axis=1)
+    red_edges = int(np.count_nonzero(np.tril(wide, k=-1) == RED))
+    return signed, int(wide.sum()) // 2, red_edges
+
+
+class TestDegreeKernels:
+    # K_n has a balanced colouring only for n = 0, 1 mod 4
+    @pytest.mark.parametrize("kind, n", [
+        (kind, n)
+        for kind in ("all-red", "all-blue", "random", "balanced")
+        for n in (2, 3, 64, 65, 128, 129, 256, 257, 512, 1025)
+        if kind != "balanced" or n % 4 in (0, 1)
+    ])
+    def test_exact_and_int64(self, kind, n):
+        if kind == "balanced":
+            g = random_balanced_colouring(n, n)
+        else:
+            red = {"all-red": np.ones((n, n), dtype=bool), "all-blue": np.zeros((n, n), dtype=bool),
+                   "random": random_red_matrix(n, n)}[kind]
+            g = ColouredCompleteGraph.from_red_matrix(red)
+        signed, total, red_edges = _degree_reference(g)
+        sd = g.signed_degrees()
+        assert sd.dtype == np.int64 and np.array_equal(sd, signed)
+        reds = g.red_degrees()
+        assert reds.dtype == np.int64 and np.array_equal(reds, (n - 1 + signed) // 2)
+        assert type(g.total_sum()) is int and g.total_sum() == total
+        assert type(g.red_edge_count) is int and g.red_edge_count == red_edges
+        assert is_balanced(g) is (2 * red_edges == g.edge_count)
+        if kind == "all-red":
+            assert sd.tolist() == [n - 1] * n and total == g.edge_count
+        if kind == "balanced":
+            assert is_balanced(g) and total == 0
 
 
 class TestBalance:
@@ -444,6 +500,8 @@ def reference_parse_colouring(text):
         n = int(lines[0])
     except ValueError:
         raise InvalidInputError(f"bad vertex count line: {lines[0]!r}") from None
+    if n < 2:
+        raise InvalidInputError(f"need at least 2 vertices, got n={n}")
     if len(lines) != n:
         raise InvalidInputError(f"expected {n - 1} colour rows, found {len(lines) - 1}")
     red = np.zeros((n, n), dtype=bool)
@@ -513,6 +571,8 @@ def reference_parse_forest(text):
         n, m = map(int, head)
     except ValueError:
         raise InvalidInputError(f"bad header line: {lines[0]!r}") from None
+    if m < 0:
+        raise InvalidInputError(f"need a non-negative edge count, got m={m}")
     if len(lines) - 1 != m:
         raise InvalidInputError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -542,6 +602,10 @@ def mutate(text, pos, char, kind):
 
 class TestColouringParser:
     @given(st.integers(2, 64), st.integers(0, 2**32 - 1))
+    @example(65, 1)
+    @example(128, 2)
+    @example(129, 3)
+    @example(257, 4)
     @settings(max_examples=60, deadline=None)
     def test_matches_row_by_row_reference(self, n, seed):
         rng = random.Random(seed)
@@ -568,8 +632,10 @@ class TestColouringParser:
         ("4\nR\nR B\nRRB\n", "row 2 must be 2 characters over RB, got 'R B'"),
         ("4\nR\nBR\n", "expected 3 colour rows, found 2"),
         ("3\nR\nBR\nRRB\n", "expected 2 colour rows, found 3"),
-        ("0\n", "expected -1 colour rows, found 0"),
+        ("0\n", "need at least 2 vertices, got n=0"),
+        ("-3\n", "need at least 2 vertices, got n=-3"),
         ("1\n", "need at least 2 vertices, got n=1"),
+        ("1\nR\n", "need at least 2 vertices, got n=1"),
         ("three\nR\n", "bad vertex count line: 'three'"),
         ("2.0\nR\n", "bad vertex count line: '2.0'"),
     ])
@@ -579,7 +645,7 @@ class TestColouringParser:
         assert str(err.value) == message
         assert outcome(reference_parse_colouring, text) == f"InvalidInputError: {message}"
 
-    @pytest.mark.parametrize("n", [2, 3, 512])
+    @pytest.mark.parametrize("n", BAND_EDGE_SIZES)
     def test_serialize_round_trip(self, n):
         g = random_balanced_colouring(n, 5) if n % 4 in (0, 1) else random_colouring(n, 5)
         text = serialize_colouring(g)
@@ -662,6 +728,8 @@ class TestForestParser:
         ("3 2\n0 9223372036854775807\n0 x\n", "bad edge line: '0 x'"),
         ("3 2\n2 1\n1 2\n", "duplicate edge (1,2)"),
         ("3 3\n0 1\n1 2\n2 0\n", "edge (0,2) closes a cycle"),
+        ("3 -1\n", "need a non-negative edge count, got m=-1"),
+        ("3 -2\n0 1\n", "need a non-negative edge count, got m=-2"),
     ])
     def test_malformed_text_message(self, text, message):
         with pytest.raises(InvalidInputError) as err:

@@ -16,7 +16,7 @@ def test_grid_reaches_every_mechanism_and_repeats_itself():
     first, second = solve_sweep.grid_lines(), solve_sweep.grid_lines()
     assert first == second
     rows = [json.loads(line) for line in first]
-    assert len(rows) == 11 * 4 * 8 * 2 * 2
+    assert len(rows) == 13 * 4 * 8 * 2 * 2
     assert {row.get("mechanism") for row in rows} == {"exact", "interpolation", "hub-split", None}
     assert all(row["stats"].keys() == {"samples_drawn"} for row in rows if row["error"] is None)
     # one digest per (n, colouring, forest, seed) input, the same under both thresholds;

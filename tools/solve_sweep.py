@@ -41,7 +41,7 @@ import numpy as np
 # forestbalance is imported inside the functions below: this process only
 # compares the two sides' rows, and each side's process has its own src on the path
 ROOT = Path(__file__).resolve().parent.parent
-N_LIST = (5, 8, 9, 12, 16, 17, 32, 33, 64, 128, 256)
+N_LIST = (5, 8, 9, 12, 16, 17, 32, 33, 64, 128, 129, 256, 257)
 #: split-parity and perturbed are the paper's two extremal constructions
 COLOURINGS = ("random", "split-parity", "perturbed", "red-poor")
 #: spider (four hubs of degree ~n/4) is a middle-regime forest from n = 64 on
