@@ -7,6 +7,8 @@ scoring loops index ``rows()``, read-only memoryview slices of that matrix.
 
 from __future__ import annotations
 
+import functools
+import re
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -45,10 +47,10 @@ class ColouredCompleteGraph:
     The colouring is one read-only n x n int8 ``matrix`` with the colour of
     edge ij at [i, j] and [j, i] and 0 on the diagonal; build it with
     ``from_red_matrix``, which checks its input.  The constructor takes a
-    matrix as is: ``from_lower_triangle``, which ``parse_colouring`` and
-    ``random_balanced_colouring`` call, builds one that holds these
-    invariants by construction, mirroring the lower triangle one band of
-    64 columns at a time.  Degree sums reduce each row in int32, which
+    matrix as is: ``from_lower_triangle``, which ``random_balanced_colouring``
+    calls, and ``parse_colouring`` build one that holds these invariants by
+    construction, mirroring the lower triangle one band of 64 columns at a
+    time.  Degree sums reduce each row in int32, which
     holds any signed degree (|sd| <= n - 1), and return int64.  Immutable;
     safe to share across threads for reading.
     """
@@ -81,19 +83,26 @@ class ColouredCompleteGraph:
 
         The matrix is symmetric with a zero diagonal by construction, so
         nothing is re-checked; ``signs`` must hold n(n-1)/2 values in {-1, +1}.
+        """
+        matrix = np.zeros((n, n), dtype=np.int8)
+        # the strict lower triangle is the inclusive one of the (n-1) x (n-1) block
+        # below row 0; boolean-mask assignment fills it row by row, in the pairs' order
+        matrix[1:, :-1][_triangle_layout(n - 1)[0]] = signs
+        return cls._mirrored(matrix)
+
+    @classmethod
+    def _mirrored(cls, matrix: np.ndarray) -> "ColouredCompleteGraph":
+        """Wrap a zero-diagonal int8 matrix with a filled lower triangle, after mirroring that upwards.
 
         The upper triangle is written in place, one band of ``_BAND`` columns
         at a time: the block above the diagonal block is the transpose of the
         band's rows left of it, and the diagonal block adds its own
         transpose.  Each copy then reads at most ``_BAND`` rows per column,
         which stay in L1; one whole-matrix transpose walks n rows per column
-        and, at n = 512, takes about twice as long.  A matrix of at most two
-        bands (n <= 128, 16 KB) takes one in-place add, as the loop's
-        per-block calls would cost more there than they save.
+        and, at n = 512, takes about twice as long.  At most two bands
+        (n <= 128, 16 KB) take one in-place add, cheaper than the loop there.
         """
-        matrix = np.zeros((n, n), dtype=np.int8)
-        # boolean-mask assignment fills the lower triangle row by row, in the pairs' order
-        matrix[np.tri(n, k=-1, dtype=bool)] = signs
+        n = matrix.shape[0]
         if n <= 2 * _BAND:
             matrix += matrix.T
         else:
@@ -387,15 +396,29 @@ class PartialEmbedding:
 # Forest file: line 1 is "n m"; then m lines "u v".
 #
 # Embedding JSON: {"map": [t0, ..., t_{n-1}], "sum": s}.
+#
+# Canonical text (serialize_*) has LF line ends, no padding and no blank lines;
+# the parsers also accept CRLF, padding and blank lines.  From the header's own
+# "\n" on, a canonical colouring file is the inclusive lower triangle of an
+# n x n matrix in row order with "\n" in every diagonal cell: row i and its
+# line end are i + 1 bytes at offset i(i+1)/2, its "\n" at offset i(i+3)/2.
+
+
+@functools.lru_cache(maxsize=4)
+def _triangle_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inclusive lower triangle of an n x n matrix: its read-only boolean mask, and its diagonal cells' offsets."""
+    i = np.arange(n)
+    mask, diagonal = np.tri(n, dtype=bool), i * (i + 3) // 2
+    mask.flags.writeable = diagonal.flags.writeable = False
+    return mask, diagonal
 
 
 def serialize_colouring(g: ColouredCompleteGraph) -> str:
-    n = g.n
-    # the strict lower triangle in row order, as one string; row i is its slice [i(i-1)/2, i(i+1)/2)
-    body = np.where(g.matrix[np.tri(n, k=-1, dtype=bool)] == RED, np.uint8(ord("R")), np.uint8(ord("B")))
-    text = body.tobytes().decode()
-    lines = [str(n)] + [text[i * (i - 1) // 2 : i * (i + 1) // 2] for i in range(1, n)]
-    return "\n".join(lines) + "\n"
+    mask, diagonal = _triangle_layout(g.n)
+    # "R" and "B" are 74 + 8 and 74 - 8, so 8 * colour + 74 spells each cell
+    body = g.matrix[mask] * np.int8(8) + np.int8(74)
+    body[diagonal] = ord("\n")
+    return str(g.n) + body.tobytes().decode()
 
 
 def _content_lines(text: str) -> list[str]:
@@ -404,6 +427,21 @@ def _content_lines(text: str) -> list[str]:
 
 
 def parse_colouring(text: str) -> ColouredCompleteGraph:
+    # "replace" turns each non-ASCII character into one "?" byte, so the
+    # bytes line up with the characters and a file passes only if all are R or B
+    data = text.encode("ascii", "replace")
+    k = data.find(b"\n")
+    n = int(data[:k]) if 0 < k <= 18 and data[:k].isdigit() else 0
+    # canonical text; its length is checked before anything n x n is allocated
+    if n >= 2 and len(data) - k == n * (n + 1) // 2:
+        mask, diagonal = _triangle_layout(n)
+        body = np.frombuffer(data, dtype=np.uint8, offset=k)
+        signs = (body == ord("R")).view(np.int8)
+        signs -= (body == ord("B")).view(np.int8)  # R -> +1, B -> -1, any other byte ("\n") -> 0
+        if np.count_nonzero(signs) == n * (n - 1) // 2 and body[diagonal].tobytes() == b"\n" * n:
+            matrix = np.zeros((n, n), dtype=np.int8)
+            matrix[mask] = signs
+            return ColouredCompleteGraph._mirrored(matrix)
     lines = _content_lines(text)
     if not lines:
         raise InvalidInputError("empty colouring file")
@@ -415,21 +453,11 @@ def parse_colouring(text: str) -> ColouredCompleteGraph:
         raise InvalidInputError(f"need at least 2 vertices, got n={n}")
     if len(lines) != n:
         raise InvalidInputError(f"expected {n - 1} colour rows, found {len(lines) - 1}")
-    rows = lines[1:]
-    # "replace" turns each non-ASCII character into one "?" byte, so the
-    # bytes line up with the characters and a file passes only if all are R or B
-    body = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
-    red = body == ord("R")
-    if (
-        list(map(len, rows)) != list(range(1, n))
-        or np.count_nonzero(red) + np.count_nonzero(body == ord("B")) != body.size
-    ):
-        for i, row in enumerate(rows, 1):
-            if len(row) != i or not set(row) <= {"R", "B"}:
-                raise InvalidInputError(f"row {i} must be {i} characters over RB, got {row!r}")
-    # the file lists the lower triangle row by row, the order from_lower_triangle takes
-    signs = red.view(np.int8) * np.int8(2) - np.int8(1)  # R -> +1, B -> -1
-    return ColouredCompleteGraph.from_lower_triangle(n, signs)
+    for i, row in enumerate(lines[1:], 1):
+        if len(row) != i or row.strip("RB"):  # any character but R and B outlives the strip
+            raise InvalidInputError(f"row {i} must be {i} characters over RB, got {row!r}")
+    # stripped lines hold no line end, so the rejoined text is canonical
+    return parse_colouring("\n".join([str(n), *lines[1:], ""]))
 
 
 def serialize_forest(forest: Forest) -> str:
@@ -438,16 +466,22 @@ def serialize_forest(forest: Forest) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: a forest file as serialize_forest writes it, which one C conversion reads: 18 digits always fit in int64
+_CANONICAL_FOREST = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n)+")
+
+
 def parse_forest(text: str, graph_n: int | None = None) -> Forest:
     """Parse a forest file; given graph_n, a header with another n is refused before allocating."""
+    if _CANONICAL_FOREST.fullmatch(text):
+        ends = np.fromstring(text, dtype=np.int64, sep=" ")
+        n, m = int(ends[0]), int(ends[1])
+        if (graph_n is None or n == graph_n) and ends.size == 2 * m + 2:
+            return Forest(n, zip(ends[2::2].tolist(), ends[3::2].tolist()))
     lines = _content_lines(text)
     if not lines:
         raise InvalidInputError("empty forest file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InvalidInputError(f"bad header line: {lines[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = map(int, lines[0].split())  # a header without two tokens fails to unpack
     except ValueError:
         raise InvalidInputError(f"bad header line: {lines[0]!r}") from None
     if graph_n is not None and n != graph_n:
@@ -456,27 +490,13 @@ def parse_forest(text: str, graph_n: int | None = None) -> Forest:
         raise InvalidInputError(f"need a non-negative edge count, got m={m}")
     if len(lines) - 1 != m:
         raise InvalidInputError(f"expected {m} edge lines, found {len(lines) - 1}")
-    body = lines[1:]
-    # One split with a "|" token between lines: as "|" is no integer, every line
-    # has two tokens exactly when every third token is a "|" and the rest convert.
-    tokens = " | ".join(body).split()
-    separators = tokens[2::3]
-    del tokens[2::3]
-    try:
-        if len(tokens) != 2 * m or separators != ["|"] * (m - 1):
-            raise ValueError("not two tokens on every edge line")
-        # converts each token as int() does; an end beyond int64 raises OverflowError
-        edges = np.array(tokens, dtype=np.int64).reshape(m, 2).tolist()
-    except (ValueError, OverflowError):
-        # line by line, to name the first line without two integers; if there is
-        # none, an end lies beyond int64 and Forest raises its out-of-range error
-        edges = []
-        for ln in body:
-            try:
-                u, v = map(int, ln.split())
-            except ValueError:
-                raise InvalidInputError(f"bad edge line: {ln!r}") from None
-            edges.append((u, v))
+    edges = []
+    for ln in lines[1:]:
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise InvalidInputError(f"bad edge line: {ln!r}") from None
+        edges.append((u, v))
     return Forest(n, edges)
 
 

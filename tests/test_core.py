@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from forestbalance import core
 from forestbalance.core import (
     BLUE,
     RED,
@@ -483,6 +485,17 @@ class TestFormats:
             parse_forest("1000000 0\n", graph_n=9)
         assert parse_forest("3 1\n0 2\n", graph_n=3) == parse_forest("3 1\n0 2\n")
 
+    def test_colouring_length_checked_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError) as err:
+                parse_colouring("100000000\nR\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "expected 99999999 colour rows, found 1"
+        assert peak < 1 << 20
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_round_trip_random_balanced(self, seed):
@@ -585,6 +598,44 @@ def reference_parse_forest(text):
     return reference_forest(n, edges)
 
 
+def _underscored_header(text):
+    """The text with its first number spelt with an underscore, as int() accepts: "5_12", or "0_9" for one digit."""
+    k = len(text.split(maxsplit=1)[0])
+    head = f"{text[0]}_{text[1:k]}" if k > 1 else f"0_{text[0]}"
+    return head + text[k:]
+
+
+#: the canonical text, and copies of it that are not canonical but that the
+#: line-by-line route reads as the same object
+PERTURBATIONS = {
+    "canonical": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "trailing-spaces": lambda text: text.replace("\n", "  \n"),
+    "blank-line": lambda text: text.replace("\n", "\n\n", 1),
+    "no-final-newline": lambda text: text[:-1],
+    "header-space": lambda text: " " + text,
+    "header-plus": lambda text: "+" + text,
+    "header-underscore": _underscored_header,
+}
+
+#: the benchmark's n = 9 and 512, and sizes at and just past the mirror's band edges
+PARSE_SIZES = (2, 9, 64, 65, 128, 129, 257, 512)
+
+
+@pytest.fixture
+def slow_route_calls(monkeypatch):
+    """The texts that reached the line-by-line route of either parser, recorded as it is entered."""
+    calls = []
+    content_lines = core._content_lines
+
+    def spy(text):
+        calls.append(text)
+        return content_lines(text)
+
+    monkeypatch.setattr(core, "_content_lines", spy)
+    return calls
+
+
 def outcome(parse, text):
     """The parsed value, or the message of the InvalidInputError; anything else propagates."""
     try:
@@ -652,6 +703,25 @@ class TestColouringParser:
         back = parse_colouring(text)
         assert back == g
         assert serialize_colouring(back) == text
+
+    @pytest.mark.parametrize("perturb", PERTURBATIONS)
+    @pytest.mark.parametrize("n", PARSE_SIZES)
+    def test_canonical_and_perturbed_text_agree(self, n, perturb, slow_route_calls):
+        g = random_colouring(n, n)
+        text = PERTURBATIONS[perturb](serialize_colouring(g))
+        assert parse_colouring(text) == g == reference_parse_colouring(text)
+        # only canonical text skips the line-by-line route
+        assert slow_route_calls == ([] if perturb == "canonical" else [text])
+
+    @pytest.mark.parametrize("n, row", [(64, 2), (64, 31), (64, 62), (129, 2), (129, 64), (129, 127)])
+    def test_moved_diagonal_newline_gives_the_reference_message(self, n, row):
+        text = serialize_colouring(random_colouring(n, row))
+        end = row * (row + 3) // 2 + len(str(n))  # the row's line end
+        moved = text[:end - 1] + "\n" + text[end - 1] + text[end + 1:]  # swapped with the row's last colour
+        assert len(moved) == len(text) and sorted(moved) == sorted(text)
+        message = outcome(parse_colouring, moved)
+        assert message == outcome(reference_parse_colouring, moved)
+        assert message.startswith(f"InvalidInputError: row {row} must be {row} characters over RB")
 
     @given(
         st.lists(st.sampled_from(["R", "B", "RB", "BR", "X", "É", " ", "2", "3", "\n", "\n\n", "\t"]), max_size=24)
@@ -741,6 +811,29 @@ class TestForestParser:
         f = parse_forest("12 2\n1_0 \u0663\n+0 1_1\n")
         assert f.edges == ((0, 11), (3, 10))
         assert all(type(x) is int for edge in f.edges for x in edge)
+
+    @pytest.mark.parametrize("perturb", PERTURBATIONS)
+    @pytest.mark.parametrize("n", PARSE_SIZES)
+    def test_canonical_and_perturbed_text_agree(self, n, perturb, slow_route_calls):
+        forest = make_forest(ForestSpec("random", n, max_degree=max(2, n // 8), seed=n))
+        text = PERTURBATIONS[perturb](serialize_forest(forest))
+        parsed = parse_forest(text, n)
+        assert parsed == forest and forest_attrs(parsed) == forest_attrs(reference_parse_forest(text))
+        assert slow_route_calls == ([] if perturb == "canonical" else [text])
+
+    @pytest.mark.parametrize("text", [
+        "12 2\n0000000000000000001 2\n3 4\n",
+        "12 2\n1 2\n3 0000000000000000000004\n",
+        "12 1\n9999999999999999999 2\n",
+        "0000000000000000012 1\n1 2\n",
+        "12 2\n1\t2\n3 4\n",
+        "12\t2\n1 2\n3 4\n",
+        "12 2\n1  2\n3 4\n",
+        "12  2\n1 2\n3 4\n",
+    ])
+    def test_non_canonical_tokens_take_the_int_route(self, text, slow_route_calls):
+        assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
+        assert slow_route_calls == [text]
 
 
 #: JSON values for the embedding loader fuzz: ints, bools, floats, strings, lists and objects
