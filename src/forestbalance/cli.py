@@ -262,11 +262,11 @@ def _cmd_oracle(args) -> int:
             "fixing": res.fixing,
             "placements_checked": res.placements_checked,
         }
-        if res.counterexample is not None:
+        if res.verdict is not None:
             out["counterexample"] = {
-                "placement": dict(res.counterexample.placement.mapping),
-                "min_sum": res.counterexample.verdict.min_sum,
-                "max_sum": res.counterexample.verdict.max_sum,
+                "placement": res.placement.mapping,
+                "min_sum": res.verdict.min_sum,
+                "max_sum": res.verdict.max_sum,
             }
     text = json.dumps(out, sort_keys=True, indent=2)
     if args.json_out:

@@ -47,10 +47,10 @@ class ColouredCompleteGraph:
     The colouring is one read-only n x n int8 ``matrix`` with the colour of
     edge ij at [i, j] and [j, i] and 0 on the diagonal; build it with
     ``from_red_matrix``, which checks its input.  The constructor takes a
-    matrix as is: ``from_lower_triangle``, which ``random_balanced_colouring``
-    calls, and ``parse_colouring`` build one that holds these invariants by
-    construction, mirroring the lower triangle one band of 64 columns at a
-    time.  Degree sums reduce each row in int32, which
+    matrix as is.  Every builder (``from_red_matrix``, ``from_lower_triangle``
+    and ``parse_colouring``) writes the lower triangle and mirrors it, one
+    band of 64 columns at a time, so the invariants hold by construction.
+    Degree sums reduce each row in int32, which
     holds any signed degree (|sd| <= n - 1), and return int64.  Immutable;
     safe to share across threads for reading.
     """
@@ -72,10 +72,9 @@ class ColouredCompleteGraph:
         red = red.astype(bool)
         if not np.array_equal(red, red.T):
             raise InvalidInputError("red matrix must be symmetric")
-        matrix = np.where(red, np.int8(RED), np.int8(BLUE))
-        np.fill_diagonal(matrix, 0)
-        matrix.flags.writeable = False
-        return cls(matrix)
+        # the lower triangle in pair order; True/False viewed as int8 is 1/0, so 2 * red - 1 is RED/BLUE
+        signs = red[1:, :-1][_triangle_layout(n - 1)[0]].view(np.int8) * 2 - 1
+        return cls.from_lower_triangle(n, signs)
 
     @classmethod
     def from_lower_triangle(cls, n: int, signs: np.ndarray) -> "ColouredCompleteGraph":
@@ -347,7 +346,10 @@ def swap_images(f: Embedding, u: int, v: int, forest: Forest, g: ColouredComplet
 
 
 class PartialEmbedding:
-    """An injective map from a subset of forest vertices into K_n vertices."""
+    """An injective map from a subset of forest vertices into K_n vertices.
+
+    ``mapping`` and iteration keep the caller's order; ``domain`` is ascending; equality ignores order.
+    """
 
     __slots__ = ("mapping",)
 
@@ -357,11 +359,11 @@ class PartialEmbedding:
             raise InvalidInputError("partial embedding is not injective")
         if any(v < 0 for v in mapping) or any(t < 0 for t in vals):
             raise InvalidInputError("negative vertex index")
-        self.mapping = dict(sorted(mapping.items()))
+        self.mapping = dict(mapping)
 
     @property
     def domain(self) -> tuple[int, ...]:
-        return tuple(self.mapping)
+        return tuple(sorted(self.mapping))
 
     def image(self) -> set[int]:
         return set(self.mapping.values())

@@ -166,29 +166,22 @@ def partial_interpolation_sequence(
     free.sort(key=lambda v: (target[v] == spare, v))
     r = len(free)
 
+    # one map rewritten in place: each PartialEmbedding appended takes its own copy
     seq = [source]
     current = {v: source[v] for v in dom}
     for i, vi in enumerate(free, start=1):
-        before = dict(current)
-        want = target[vi]
-        # step 3i-2: park whoever sits on the wanted target
-        parked = None
-        if before[vi] != want:
-            for j in range(i, r):
-                vj = free[j]
-                if current[vj] == want:
-                    parked = vj
-                    current[vj] = spare
-                    break
+        old, want = current[vi], target[vi]
+        # step 3i-2: park whoever sits on the wanted target (nobody, when vi does)
+        parked = next((vj for vj in free[i:] if current[vj] == want), None)
+        if parked is not None:
+            current[parked] = spare
         seq.append(PartialEmbedding(current))
         # step 3i-1: put vi in place
-        current = dict(current)
         current[vi] = want
         seq.append(PartialEmbedding(current))
         # step 3i: release the parked vertex onto vi's old slot
-        current = dict(current)
         if parked is not None:
-            current[parked] = before[vi]
+            current[parked] = old
         seq.append(PartialEmbedding(current))
 
     if len(seq) != 3 * r + 1:

@@ -294,17 +294,12 @@ def _full_map(fixed: Mapping[int, int], free_images: np.ndarray) -> list[int]:
 
 
 @dataclass(frozen=True)
-class SignFixingCounterexample:
-    """A placement of the candidate set whose extensions reach both strict signs."""
-
-    placement: PartialEmbedding
-    verdict: SignVerdict
-
-
-@dataclass(frozen=True)
 class SignFixingResult:
+    """Whether a set is sign-fixing; if not, the first placement whose extensions reach both strict signs."""
+
     fixing: bool
-    counterexample: SignFixingCounterexample | None = None
+    placement: PartialEmbedding | None = None
+    verdict: SignVerdict | None = None
     placements_checked: int = 0
 
     def __bool__(self) -> bool:
@@ -321,27 +316,22 @@ def is_sign_fixing(
     """Whether every placement of l_set inside u_set pins the sign of all extensions.
 
     Vacuously true when |l_set| > |u_set| (no placements exist).  On failure
-    the first mixed placement (lexicographic) is returned as a counterexample.
+    the first mixed placement (lexicographic) and its verdict are returned as
+    ``placement`` and ``verdict``; both are None when the set is fixing.
     """
     l_list = sorted(set(l_set))
     u_list = sorted(set(u_set))
     n = forest.n
     if any(v >= n for v in l_list) or any(t >= graph.n for t in u_list):
         raise InvalidInputError("l_set or u_set out of range")
-    if len(l_list) > len(u_list):
-        return SignFixingResult(fixing=True, placements_checked=0)
-    total = math.factorial(n - len(l_list)) * math.perm(len(u_list), len(l_list))
+    # no placement exists when |l_set| > |u_set|: math.perm is 0 and permutations yields nothing
+    placements = math.perm(len(u_list), len(l_list))
+    total = math.factorial(n - len(l_list)) * placements
     if total > budget:
         raise BudgetExceededError(f"{total} total extensions exceed the budget of {budget}")
-    checked = 0
-    for image in permutations(u_list, len(l_list)):
+    for checked, image in enumerate(permutations(u_list, len(l_list)), start=1):
         placement = PartialEmbedding(dict(zip(l_list, image)))
         verdict = exact_sign(forest, graph, placement, budget=budget)
-        checked += 1
         if verdict.kind == "mixed":
-            return SignFixingResult(
-                fixing=False,
-                counterexample=SignFixingCounterexample(placement, verdict),
-                placements_checked=checked,
-            )
-    return SignFixingResult(fixing=True, placements_checked=checked)
+            return SignFixingResult(False, placement, verdict, checked)
+    return SignFixingResult(fixing=True, placements_checked=placements)

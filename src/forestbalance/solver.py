@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import chain, combinations, count
 
 import numpy as np
 
@@ -392,23 +392,18 @@ def local_search(
     """
     emb = start
     evals = 0
-    n = forest.n
     floor = forest.edge_count % 2
-    improved = True
-    while improved and evals < budget and abs(emb.colour_sum) > floor:
-        improved = False
-        for u in range(n):
-            for v in range(u + 1, n):
-                if evals >= budget:
-                    return emb, evals
-                evals += 1
-                delta = swap_delta(emb.forward, u, v, forest, graph)
-                if abs(emb.colour_sum + delta) < abs(emb.colour_sum):
-                    emb = swap_images(emb, u, v, forest, graph)
-                    improved = True
-                    break
-            if improved:
-                break
+    while evals < budget and abs(emb.colour_sum) > floor:
+        for u, v in combinations(range(forest.n), 2):
+            if evals >= budget:
+                return emb, evals
+            evals += 1
+            delta = swap_delta(emb.forward, u, v, forest, graph)
+            if abs(emb.colour_sum + delta) < abs(emb.colour_sum):
+                emb = swap_images(emb, u, v, forest, graph)
+                break  # rescan from the first pair
+        else:
+            break  # no pair improves
     return emb, evals
 
 

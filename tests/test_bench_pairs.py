@@ -103,3 +103,20 @@ def test_rows_seeds_alone_prints_the_comparison_and_writes_no_file(tmp_path, mon
     assert calls == [("export", "abc123"), (tmp_path, ["w1", "w2"], [1, 2, 3])]
     assert capsys.readouterr().out == "0 rows differ\n"
     assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
+
+
+def test_traced_runs_go_abba_and_a_linear_drift_cancels_in_the_means(monkeypatch):
+    # the machine slows by 0.1 ms per run: 1.0, 1.1, 1.2, 1.3 in call order
+    calls = []
+
+    def run_bench(side, workload, seed, seconds, trace):
+        calls.append((side, workload, seed, seconds, trace))
+        return {"metrics": {"solver.pair_ms": {"value": 1.0 + 0.1 * (len(calls) - 1)}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    sides = {"parent": Path("parent"), "change": Path("change")}
+    entry = bench_pairs.trace_layers(sides, "sampled-large", 5, 30)
+    assert [c[0] for c in calls] == [sides[s] for s in ("parent", "change", "change", "parent")]
+    assert all(c[1:] == ("sampled-large", 5, 30, 1) for c in calls)
+    assert entry["layers"]["solver.pair_ms"] == {"parent": 1.15, "change": 1.15}
+    assert entry["readings"]["solver.pair_ms"] == {"parent": [1.0, 1.3], "change": [1.1, 1.2]}

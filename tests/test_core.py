@@ -117,12 +117,25 @@ class TestColouredCompleteGraph:
 
     @pytest.mark.parametrize("n", BAND_EDGE_SIZES)
     def test_lower_triangle_matches_red_matrix_at_band_edges(self, n):
+        # both builders share one kernel, so each is checked against a matrix built without it
         red = random_red_matrix(n, n)
+        expected = np.where(red, RED, BLUE).astype(np.int8)
+        np.fill_diagonal(expected, 0)
         signs = np.where(red[np.tri(n, k=-1, dtype=bool)], np.int8(RED), np.int8(BLUE))
-        m = ColouredCompleteGraph.from_lower_triangle(n, signs).matrix
-        assert np.array_equal(m, ColouredCompleteGraph.from_red_matrix(red).matrix)
-        assert m.dtype == np.int8 and not m.flags.writeable and m.flags.c_contiguous
-        assert not m.diagonal().any()
+        built = [
+            ColouredCompleteGraph.from_lower_triangle(n, signs),
+            ColouredCompleteGraph.from_red_matrix(red),
+            ColouredCompleteGraph.from_red_matrix(red.astype(int) * 3),  # not bool: nonzero is red
+            ColouredCompleteGraph.from_red_matrix(red | np.eye(n, dtype=bool)),  # the diagonal is ignored
+        ]
+        for g in built:
+            m = g.matrix
+            assert np.array_equal(m, expected)
+            assert m.dtype == np.int8 and not m.flags.writeable and m.flags.c_contiguous
+        asymmetric = red.copy()
+        asymmetric[n - 1, 0] = not asymmetric[n - 1, 0]
+        with pytest.raises(InvalidInputError, match="red matrix must be symmetric"):
+            ColouredCompleteGraph.from_red_matrix(asymmetric)
 
 
 def _degree_reference(g):
@@ -433,6 +446,12 @@ class TestPartialEmbedding:
     def test_image_holds_the_targets(self):
         p = PartialEmbedding({0: 3, 2: 5})
         assert p.image() == {3, 5}
+
+    def test_keeps_insertion_order_with_an_ascending_domain(self):
+        p = PartialEmbedding({7: 0, 2: 5, 4: 1})
+        assert list(p.mapping) == list(p) == [7, 2, 4]
+        assert p.domain == (2, 4, 7)
+        assert p == PartialEmbedding({2: 5, 4: 1, 7: 0})
 
 
 class TestFormats:

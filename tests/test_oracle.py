@@ -562,7 +562,7 @@ class TestSignFixing:
         forest = make_forest(ForestSpec("path", 4))
         res = is_sign_fixing(forest, g, [], list(range(4)))
         assert not res
-        v = res.counterexample.verdict
+        v = res.verdict
         assert v.min_sum < 0 < v.max_sum
 
     def test_vacuous_when_l_bigger_than_u(self):
@@ -608,7 +608,7 @@ def minimal_sign_fixing_subset(forest, graph, l_set, u_set):
     l_list = sorted(set(l_set))
     start = is_sign_fixing(forest, graph, l_list, u_set)
     if not start:
-        raise PreconditionError("the given set is not sign-fixing", start.counterexample)
+        raise PreconditionError("the given set is not sign-fixing", start.placement)
     m_set = list(l_list)
     for v in l_list:
         candidate = [x for x in m_set if x != v]

@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from forestbalance.core import (
     is_balanced,
     subgraph_sum,
 )
-from forestbalance.generators import ForestSpec, make_forest, random_balanced_colouring, split_parity_colouring
+from forestbalance.generators import (
+    ForestSpec,
+    PerturbedParams,
+    make_forest,
+    perturbed_colouring,
+    random_balanced_colouring,
+    split_parity_colouring,
+)
 from forestbalance.oracle import exact_min_imbalance
 from forestbalance.solver import (
     CERT_EXACT,
@@ -837,6 +845,18 @@ class TestHubSplit:
         assert pair.h_neg == pair.h_pos and pair.disagreement == ()
         assert pair.centre == pair.h_neg.colour_sum == 2 * k - 15
         assert list(pair.h_neg.forward) == [3, *red[:k], *blue[: 15 - k]]
+
+    def test_hubs_are_pinned_in_descending_degree(self):
+        # four hubs 0-1-2-3 on a path, every other vertex a leaf of hub v % 4:
+        # degrees 64, 65, 65, 64, so the anchor and hub-split take hubs 1, 2, 0, 3
+        n = 256
+        spider = Forest(n, [(0, 1), (1, 2), (2, 3), *((v % 4, v) for v in range(4, n))])
+        g = perturbed_colouring(PerturbedParams.for_ratio(n, Fraction(1, 10)))
+        anchor = large_degree_anchor(spider, g, BoundReport.compute(n, spider.max_degree))
+        assert list(anchor.mapping) == [1, 2, 0, 3]
+        result = solve(spider, g, SolverConfig(seed=0))
+        assert result.certified == CERT_HUB_SPLIT
+        assert result.achieved == 1 and result.certified_value == 20.0
 
     def test_pair_straddles_its_centre(self):
         g = split_parity_colouring(64)

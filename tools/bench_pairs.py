@@ -20,8 +20,11 @@ favour by more than the parent's interquartile range) and ``within_bound``
 (the change's median is no worse than the parent's by more than the
 metric's BENCHMARK.json bound, relative to the parent's median).
 
-``--trace-workload`` adds one ``--trace 1`` run per side and records every
-per-layer metric.  ``--rows-seeds`` adds ``--seconds 0`` runs of every
+``--trace-workload`` adds two ``--trace 1`` runs per side, in the order
+parent, change, change, parent, so a drift of the machine's speed that is
+linear in time cancels in each side's mean; it records every per-layer
+metric's per-side mean and both readings, and takes 4 x ``run_seconds``.
+``--rows-seeds`` adds ``--seconds 0`` runs of every
 workload and compares their per-op rows on the answer fields; it prints the
 comparison, and given without ``--seeds`` it runs alone and writes no file.
 """
@@ -64,6 +67,29 @@ def run_bench(side: Path, workload: str, seed: int, seconds: float, trace: int) 
         cwd=side, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+#: the order of the traced runs (ABBA): a linear drift adds the same to both sides' means
+TRACE_ORDER = ("parent", "change", "change", "parent")
+
+
+def trace_layers(sides: dict, workload: str, seed: int, seconds: float) -> dict:
+    """Run ``--trace 1`` in TRACE_ORDER; per layer, each side's mean and its two readings (None where absent)."""
+    runs = {side: [] for side in sides}
+    for side in TRACE_ORDER:
+        runs[side].append(run_bench(sides[side], workload, seed, seconds, 1)["metrics"])
+    names = sorted({name for side_runs in runs.values() for run in side_runs for name in run})
+    readings = {name: {side: [round(run[name]["value"], 6) if name in run else None for run in runs[side]]
+                       for side in sides} for name in names}
+    layers = {name: {side: None if None in values else round(statistics.mean(values), 6)
+                     for side, values in readings[name].items()} for name in names}
+    return {
+        "note": (f"two --trace 1 runs per side, seed {seed}, in the order {', '.join(TRACE_ORDER)}; "
+                 "layers holds each side's mean of its two readings, readings both; per-layer values "
+                 "per op (ms are self time, unscaled)"),
+        "layers": layers,
+        "readings": readings,
+    }
 
 
 def quartiles(values: list[float]) -> dict:
@@ -181,16 +207,8 @@ def main(argv=None) -> int:
             result["workloads"][workload] = summarise(spec, runs, args.seeds)
 
         if args.trace_workload:
-            traced = {side: run_bench(path, args.trace_workload, args.trace_seed, seconds, 1)
-                      for side, path in sides.items()}
-            names = sorted(set(traced["parent"]["metrics"]) | set(traced["change"]["metrics"]))
-            result[f"trace_{args.trace_workload.replace('-', '_')}_seed{args.trace_seed}"] = {
-                "note": (f"one --trace 1 run per side, seed {args.trace_seed}; per-layer values per op "
-                         "(ms are self time, unscaled)"),
-                "layers": {name: {side: round(traced[side]["metrics"][name]["value"], 6)
-                                  if name in traced[side]["metrics"] else None for side in sides}
-                           for name in names},
-            }
+            result[f"trace_{args.trace_workload.replace('-', '_')}_seed{args.trace_seed}"] = trace_layers(
+                sides, args.trace_workload, args.trace_seed, seconds)
         if args.rows_seeds:
             result[f"rows_seeds_{args.rows_seeds[0]}_{args.rows_seeds[-1]}"] = rows
 
