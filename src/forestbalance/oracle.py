@@ -6,7 +6,10 @@ or two isolated vertices, can swap images without changing any sum) with
 numpy in lexicographic order, in chunks of at most 8! rows.  A row's sum is
 read from small per-chunk lookup tables, one per pair of terms over the
 permuted tail, so a row costs at most 8 gathers whatever n is.  Budgets count extensions, and exceeding one raises
-instead of silently skipping work.
+instead of silently skipping work.  Each scan stops after the first chunk that
+reaches a proven bound (``imbalance_floor`` for the minimum, the colour-count
+range for the sign's extremes); chunks come in lexicographic order, so values
+and witnesses are those of a full scan.
 """
 
 from __future__ import annotations
@@ -144,6 +147,35 @@ def _extensions(
         yield order, slots, sums
 
 
+def _sum_range(forest: Forest, graph: ColouredCompleteGraph) -> tuple[int, int]:
+    """The least and greatest colour sums the colour counts allow: [m - 2 min(m, blue), m - 2 max(0, m - red)].
+
+    An embedding of m edges puts some B of them on blue edges, with
+    max(0, m - red) <= B <= min(m, blue), and its sum is m - 2B.
+    """
+    m, red = forest.edge_count, graph.red_edge_count
+    return m - 2 * min(m, graph.edge_count - red), m - 2 * max(0, m - red)
+
+
+def imbalance_floor(forest: Forest, graph: ColouredCompleteGraph) -> int:
+    """A proven lower bound on |colour sum| over every embedding: the largest of three floors.
+
+    - parity: a sum of m terms of +-1 is at least |E| mod 2 = m mod 2 away from 0;
+    - colour counts: every sum lies in [low, high] = _sum_range, so |sum| >= max(low, -high);
+    - the max-degree star: with a vertex of degree D on host x, its D edges
+      sum to at least |sd(x)| - (n - 1 - D) in absolute value and the other
+      m - D edges move the total by at most m - D, so
+      |sum| >= min_x |sd(x)| - (n - 1 - D) - (m - D).
+
+    Every floor has the parity of m (sd(x) has the parity of n - 1), as
+    every sum does.
+    """
+    n, m, d = forest.n, forest.edge_count, forest.max_degree
+    low, high = _sum_range(forest, graph)
+    star = int(np.abs(graph.signed_degrees()).min()) - (n - 1 - d) - (m - d)
+    return max(m % 2, low, -high, star)
+
+
 def exact_min_imbalance(
     forest: Forest,
     graph: ColouredCompleteGraph,
@@ -153,9 +185,10 @@ def exact_min_imbalance(
 
     Forests whose edges all meet one vertex (stars, one edge, no edge;
     isolated vertices included) are solved in closed form at any n (see
-    _star_min_imbalance); everything else is a full scan of the n!
-    embeddings, refused above the budget, with an early exit once the
-    parity floor |E| mod 2 is reached.  The witness is the first optimal
+    _star_min_imbalance); everything else is a scan of the n!
+    embeddings, refused above the budget, that stops after the first chunk
+    reaching imbalance_floor (parity, colour counts or the max-degree
+    star), past which no embedding can go.  The witness is the first optimal
     map in lexicographic order.  Raise the budget to enumerate past 10
     vertices at your own expense.
     """
@@ -169,7 +202,7 @@ def exact_min_imbalance(
     if count > budget:
         raise BudgetExceededError(f"{count} extensions exceed the budget of {budget}")
 
-    floor = m % 2
+    floor = imbalance_floor(forest, graph)
     best, best_map = m + 1, None
     for order, slots, sums in _extensions(forest, graph, {}):
         score = np.abs(sums)
@@ -259,7 +292,11 @@ def exact_sign(
     partial: PartialEmbedding,
     budget: int = DEFAULT_BUDGET,
 ) -> SignVerdict:
-    """Exact min/max colour sum over all full embeddings extending partial."""
+    """Exact min/max colour sum over all full embeddings extending partial.
+
+    The scan stops after the first chunk in which both extremes reach the
+    ends of _sum_range, which no embedding can pass.
+    """
     n = forest.n
     if n != graph.n:
         raise InvalidInputError(f"forest has {n} vertices but graph has {graph.n}")
@@ -271,6 +308,7 @@ def exact_sign(
         raise BudgetExceededError(f"{count} extensions exceed the budget of {budget}")
 
     m = forest.edge_count
+    low, high = _sum_range(forest, graph)
     min_sum, max_sum = m + 1, -m - 1
     for order, slots, sums in _extensions(forest, graph, partial.mapping):
         lo, hi = int(sums.argmin()), int(sums.argmax())
@@ -278,6 +316,8 @@ def exact_sign(
             min_sum, min_free = int(sums[lo]), order[slots[lo]]
         if sums[hi] > max_sum:
             max_sum, max_free = int(sums[hi]), order[slots[hi]]
+        if min_sum == low and max_sum == high:
+            break
     return SignVerdict(
         min_sum=min_sum,
         max_sum=max_sum,

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, combinations, count
 
 import numpy as np
@@ -377,6 +378,12 @@ def greedy_star_certificate(forest: Forest) -> int:
     return max(m - 2 * blue_min, m - 2 * ((3 * n) // 8))
 
 
+@cache
+def _vertex_tuple(n: int) -> tuple[int, ...]:
+    """tuple(range(n)), built once per n: ``combinations`` copies any argument but a tuple into one."""
+    return tuple(range(n))
+
+
 def local_search(
     forest: Forest,
     graph: ColouredCompleteGraph,
@@ -394,7 +401,7 @@ def local_search(
     evals = 0
     floor = forest.edge_count % 2
     while evals < budget and abs(emb.colour_sum) > floor:
-        for u, v in combinations(range(forest.n), 2):
+        for u, v in combinations(_vertex_tuple(forest.n), 2):
             if evals >= budget:
                 return emb, evals
             evals += 1

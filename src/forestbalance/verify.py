@@ -48,7 +48,7 @@ from .interpolate import (
     interpolate_traced,
     partial_interpolation_sequence,
 )
-from .oracle import exact_min_imbalance
+from .oracle import DEFAULT_BUDGET, exact_min_imbalance, imbalance_floor
 from .solver import (
     ExtensionSampler,
     SolverConfig,
@@ -373,6 +373,48 @@ def suite_anchored_expectation(n=64, trials=10_000, seed=0, delta=None) -> dict:
     )
 
 
+# ---------------------------------------------------------------------------
+# lower-bound: the proven floor never exceeds the exact optimum
+# ---------------------------------------------------------------------------
+
+
+def suite_lower_bound(n_list=(5, 6, 7, 8, 9), trials=50, seed=0) -> dict:
+    """imbalance_floor <= exact_min_imbalance on every instance drawn, at n the oracle reaches.
+
+    Each trial draws a colouring whose edges are red with a probability drawn
+    uniformly from [0, 1] (so near-monochromatic ones, where the colour
+    counts bind, come up) and a broom or a random forest whose max degree
+    (cap) is drawn from [1, n - 1], so paths and stars come up too.  At n
+    divisible by 4 the same forest is also checked on the split-parity
+    colouring, where the max-degree star floor can bind.  ``tight`` counts
+    the checks whose floor equals the optimum.
+    """
+    for n in n_list:
+        if n < 2 or math.factorial(n) > DEFAULT_BUDGET:
+            raise InvalidInputError(f"lower-bound needs 2 <= n with n! <= {DEFAULT_BUDGET}, got {n}")
+    violations = []
+    checks = tight = 0
+    for n in n_list:
+        for t in range(trials):
+            rng = random.Random(_sub_seed(seed, n * 10_000 + t))
+            p_red = rng.random()
+            red = np.triu(np.array([[rng.random() < p_red for _ in range(n)] for _ in range(n)]), 1)
+            kind = rng.choice(("broom", "random"))
+            forest = make_forest(ForestSpec(kind, n, max_degree=rng.randint(1, n - 1), seed=t))
+            graphs = [("random", ColouredCompleteGraph.from_red_matrix(red | red.T))]
+            if n % 4 == 0:
+                graphs.append(("split-parity", split_parity_colouring(n)))
+            for colouring, g in graphs:
+                floor = imbalance_floor(forest, g)
+                value, _ = exact_min_imbalance(forest, g)
+                checks += 1
+                tight += floor == value
+                if floor > value:
+                    violations.append({"n": n, "trial": t, "colouring": colouring, "forest": kind,
+                                       "floor": floor, "optimum": value})
+    return _report("lower-bound", violations, {"n_list": list(n_list), "checks": checks, "tight": tight})
+
+
 SUITES = {
     "balanced-vertices": suite_balanced_vertices,
     "interpolation": suite_interpolation,
@@ -381,6 +423,7 @@ SUITES = {
     "split-parity-star": suite_split_parity_star,
     "perturbed": suite_perturbed,
     "anchored-expectation": suite_anchored_expectation,
+    "lower-bound": suite_lower_bound,
 }
 
 

@@ -391,6 +391,18 @@ class TestVerifyCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
 
+    def test_lower_bound_suite_passes(self, capsys):
+        assert main(["verify", "--suite", "lower-bound", "--n", "6,8", "--trials", "10", "--seed", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["suite"] == "lower-bound" and out["passed"] is True
+        assert out["details"]["checks"] == 30
+
+    def test_lower_bound_suite_past_the_oracle_is_usage_error(self, capsys):
+        assert main(["verify", "--suite", "lower-bound", "--n", "11"]) == 1
+        err = capsys.readouterr().err
+        assert "lower-bound needs 2 <= n with n! <= 3628800, got 11" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("n", ["0", "1", "-5"])
     def test_bounds_suite_small_n_is_usage_error(self, n, capsys):
         assert main(["verify", "--suite", "bounds", "--n", n]) == 1

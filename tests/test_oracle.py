@@ -25,6 +25,7 @@ from forestbalance.oracle import (
     BudgetExceededError,
     exact_min_imbalance,
     exact_sign,
+    imbalance_floor,
     is_sign_fixing,
 )
 from forestbalance.core import CertificateError, PreconditionError
@@ -110,6 +111,20 @@ def partials(n):
     ]
 
 
+def count_chunks(monkeypatch):
+    """Route oracle._extensions through a wrapper; the returned list gets each yielded chunk's row count."""
+    yielded = []
+    real = oracle._extensions
+
+    def counting(*args):
+        for order, slots, sums in real(*args):
+            yielded.append(len(sums))
+            yield order, slots, sums
+
+    monkeypatch.setattr(oracle, "_extensions", counting)
+    return yielded
+
+
 class TestExactMinImbalance:
     def test_star_in_split_parity(self):
         g = split_parity_colouring(8)
@@ -165,15 +180,7 @@ class TestExactMinImbalance:
         chunk, row = divmod(rank, math.factorial(oracle._TAIL))
         assert chunk >= 1 and 0 < row < math.factorial(oracle._TAIL) - 1
 
-        yielded = []
-        real = oracle._extensions
-
-        def counting(*args):
-            for order, slots, sums in real(*args):
-                yielded.append(len(sums))
-                yield order, slots, sums
-
-        monkeypatch.setattr(oracle, "_extensions", counting)
+        yielded = count_chunks(monkeypatch)
         value, witness = exact_min_imbalance(forest, g)
         assert value == 0 and witness.forward == first
         assert len(yielded) == chunk + 1 < n
@@ -210,6 +217,108 @@ class TestExactMinImbalance:
     def test_edgeless_forest_keeps_the_identity(self):
         value, witness = exact_min_imbalance(Forest(7, []), random_colouring(7, 3), budget=1)
         assert value == 0 and witness.forward == tuple(range(7))
+
+
+def colour_count_range(forest, graph):
+    """[m - 2 min(m, blue), m - 2 max(0, m - red)], with red and blue counted off the upper triangle."""
+    m = forest.edge_count
+    upper = graph.matrix[np.triu_indices(graph.n, 1)]
+    red, blue = int((upper == RED).sum()), int((upper != RED).sum())
+    return m - 2 * min(m, blue), m - 2 * max(0, m - red)
+
+
+def one_blue(n):
+    red = np.ones((n, n), dtype=bool)
+    red[0, 1] = red[1, 0] = False
+    return ColouredCompleteGraph.from_red_matrix(red)
+
+
+class TestImbalanceFloor:
+    @staticmethod
+    def check(forest, g):
+        floor = imbalance_floor(forest, g)
+        value, _ = exact_min_imbalance(forest, g)
+        assert floor <= value
+        assert floor % 2 == forest.edge_count % 2
+        low, high = colour_count_range(forest, g)
+        assert floor >= max(low, -high, forest.edge_count % 2)
+        return floor, value
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("kind", ["path", "star", "random", "relabelled-path"])
+    def test_never_exceeds_the_optimum_on_random_colourings(self, kind, n):
+        for seed in range(6):
+            self.check(forest_of(kind, n), random_colouring(n, 2000 + 10 * n + seed))
+
+    @pytest.mark.parametrize("p_red", [0.85, 0.9, 0.95, 0.99])
+    def test_never_exceeds_the_optimum_on_biased_colourings(self, p_red):
+        for n in (5, 6, 7, 8):
+            for seed in range(4):
+                g = biased_colouring(n, 2100 + 10 * n + seed, red=p_red)
+                for kind in ("path", "random", "relabelled-path"):
+                    self.check(forest_of(kind, n), g)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_is_the_optimum_on_all_red_and_one_blue(self, n):
+        # all red: every sum is m; one blue edge: the least sum m - 2 is reached
+        for kind in ("path", "random", "relabelled-path"):
+            forest = forest_of(kind, n)
+            m = forest.edge_count
+            assert self.check(forest, all_red(n)) == (m, m)
+            assert self.check(forest, one_blue(n)) == (m - 2, m - 2)
+
+    @pytest.mark.parametrize("delta", range(2, 8))
+    def test_is_the_optimum_on_split_parity_brooms(self, delta):
+        # every |sd| is 3, so the star floor 2*delta - 11 first passes parity at delta = 7
+        forest = make_forest(ForestSpec("broom", 8, delta))
+        floor, value = self.check(forest, split_parity_colouring(8))
+        assert floor == value == (3 if delta == 7 else 1)
+
+    def test_star_floor_ends_the_broom_scan_at_n12(self, monkeypatch):
+        # |sd| = 5 everywhere and the delta = 10 hub misses one host edge: |sum| >= 5 - 1 - 1 = 3
+        forest = make_forest(ForestSpec("broom", 12, 10))
+        g = split_parity_colouring(12)
+        assert imbalance_floor(forest, g) == 3
+        yielded = count_chunks(monkeypatch)
+        value, witness = exact_min_imbalance(forest, g, budget=math.factorial(12))
+        assert value == abs(subgraph_sum(g, witness, forest)) == 3
+        assert len(yielded) < 12 * 11 * 10 * 9
+
+    def test_colour_count_floor_ends_the_min_scan_after_one_chunk(self, monkeypatch):
+        # two blue edges: every sum of the 8 edges lies in [4, 8], and the
+        # first chunk already reaches 4
+        n = 9
+        forest = forest_of("random", n)
+        g = biased_colouring(n, 0, red=0.93)
+        assert colour_count_range(forest, g) == (4, 8)
+        maps, sums = numpy_extensions(forest, g, {})
+        i = int(np.abs(sums).argmin())
+        yielded = count_chunks(monkeypatch)
+        value, witness = exact_min_imbalance(forest, g)
+        assert (value, witness.forward) == (4, tuple(maps[i].tolist()))
+        assert len(yielded) == 1
+
+    @pytest.mark.parametrize("n", [4, 6, 7, 8])
+    def test_sign_extremes_lie_in_the_colour_count_range(self, n):
+        for kind in ("path", "random", "star"):
+            forest = forest_of(kind, n)
+            for g in (random_colouring(n, 2200 + n), biased_colouring(n, 2300 + n, red=0.95), one_blue(n)):
+                low, high = colour_count_range(forest, g)
+                for mapping in partials(n):
+                    v = exact_sign(forest, g, PartialEmbedding(mapping))
+                    assert low <= v.min_sum <= v.max_sum <= high
+
+    def test_sign_scan_ends_once_both_ends_of_the_range_are_reached(self, monkeypatch):
+        # both -8 and +8 first appear in the third chunk of nine
+        n = 9
+        forest = forest_of("random", n)
+        g = random_colouring(n, 8)
+        expected = numpy_verdict(forest, g, {})
+        yielded = count_chunks(monkeypatch)
+        v = exact_sign(forest, g, PartialEmbedding({}))
+        assert verdict_tuple(v) == expected
+        assert (v.min_sum, v.max_sum) == (-8, 8)
+        assert len(yielded) == 3
 
 
 class TestExactSign:
@@ -518,19 +627,23 @@ class TestHeadSlots:
         value, witness = exact_min_imbalance(make_forest(ForestSpec("path", 9)), hub_red(9))
         assert value == 4 and witness.forward[:2] == (1, 0)
 
-    def test_min_scan_stays_under_the_int32_images_peak(self):
-        # the scan runs to the end (optimum 4 > parity floor 0); materialising
-        # each chunk's full maps as int32 peaks at 4.59 MB here
+    def test_min_scan_stays_under_the_int32_images_peak(self, monkeypatch):
+        # the scan runs to the end (optimum 2 > floor 0: 8 red edges allow
+        # sums in [-8, 8]); materialising each chunk's full maps as int32
+        # peaks at 4.59 MB here
         oracle._permutation_table(8)
         forest = forest_of("random", 9)
-        g = biased_colouring(9, 0, red=0.93)
+        g = hub_red(9)
+        assert imbalance_floor(forest, g) == 0
+        yielded = count_chunks(monkeypatch)
         tracemalloc.start()
         try:
             value, _ = exact_min_imbalance(forest, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert value == 4
+        assert value == 2
+        assert len(yielded) == 9
         assert peak < 4_500_000
 
 

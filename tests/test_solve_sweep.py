@@ -32,7 +32,7 @@ def test_oracle_grid_covers_twin_leaves_and_partials_and_repeats_itself():
     first, second = solve_sweep.oracle_lines(), solve_sweep.oracle_lines()
     assert first == second
     rows = [json.loads(line) for line in first]
-    assert len(rows) == 5 * 2 * 2 * 8 * 4
+    assert len(rows) == 5 * 3 * 2 * 8 * 4
     assert all(row["error"] is None for row in rows)
     assert {row["n"] for row in rows} == {5, 6, 7, 8, 9}
     signs = [row for row in rows if row["query"] == "sign"]

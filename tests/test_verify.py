@@ -9,6 +9,7 @@ from forestbalance.verify import (
     suite_balanced_vertices,
     suite_bounds,
     suite_interpolation,
+    suite_lower_bound,
     suite_partial_interpolation,
     suite_perturbed,
     suite_split_parity_star,
@@ -73,6 +74,24 @@ class TestSuitesSmall:
     def test_anchored_expectation_needs_a_large_degree_vertex(self):
         with pytest.raises(InvalidInputError, match="no large-degree vertex"):
             suite_anchored_expectation(n=32, trials=10, delta=15)
+
+    def test_lower_bound(self):
+        report = suite_lower_bound(n_list=(6, 8, 9), trials=30, seed=5)
+        assert report["passed"], report["violations"]
+        # n = 8 adds a split-parity check per trial
+        assert report["details"]["checks"] == 4 * 30
+        assert 0 < report["details"]["tight"] <= 4 * 30
+
+    def test_lower_bound_reports_a_floor_above_the_optimum(self, monkeypatch):
+        monkeypatch.setattr("forestbalance.verify.imbalance_floor", lambda forest, graph: forest.edge_count + 2)
+        report = suite_lower_bound(n_list=(5,), trials=3)
+        assert not report["passed"] and report["violation_count"] == 3
+        assert report["details"]["tight"] == 0
+
+    @pytest.mark.parametrize("n", [1, 11])
+    def test_lower_bound_refuses_n_the_oracle_cannot_reach(self, n):
+        with pytest.raises(InvalidInputError, match=f"lower-bound needs 2 <= n with n! <= 3628800, got {n}"):
+            suite_lower_bound(n_list=(n,), trials=1)
 
     def test_run_verify_dispatch(self):
         report = run_verify("split-parity-star", n_list=(8,))

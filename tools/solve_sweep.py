@@ -12,7 +12,8 @@ tree.  Each side runs this file's grid in its own process with that side's
 parameters.  A row holds the embedding, the achieved value, the mechanism,
 the certified value, ``within_bound``, the bound report, the interpolation
 trace steps and ``stats`` of one solve, or the type and message of the error
-it raised.  A second grid queries the exact oracle at n = 5-9 on forests with
+it raised.  A second grid queries the exact oracle at n = 5-9, on colourings
+with red-edge probability 0.5, 0.85 and 0.95, on forests with
 and without twin leaves (leaves of one parent, isolated vertices), on forests
 whose edges all meet one vertex (d = 0, 1 and n // 2), and with 0-2 fixed
 vertices: an ``exact_min_imbalance`` row holds the value and witness,
@@ -56,8 +57,9 @@ ORACLE_N = (5, 6, 7, 8, 9)
 #: path has no twins; broom, caterpillar and isolated have twin leaves or two isolated vertices;
 #: edgeless, one-edge and star-isolated take exact_min_imbalance's closed form at d = 0, 1 and n // 2
 ORACLE_FORESTS = ("path", "broom", "caterpillar", "isolated", "random", "edgeless", "one-edge", "star-isolated")
-#: red-edge probability of each oracle colouring, which need not be balanced
-ORACLE_COLOURINGS = {"even": 0.5, "red-heavy": 0.85}
+#: red-edge probability of each oracle colouring, which need not be balanced; near-red leaves so few
+#: blue edges that the colour counts alone bound |sum| away from 0 and can end exact_min_imbalance's scan
+ORACLE_COLOURINGS = {"even": 0.5, "red-heavy": 0.85, "near-red": 0.95}
 
 
 def _colouring(kind: str, n: int, seed: int):
