@@ -1,8 +1,9 @@
 """Core types: +/-1 edge-coloured complete graphs, forests, and embeddings.
 
-All quantities are exact integers.  Edge colours are stored as one read-only
-n x n int8 matrix: +1 (red) or -1 (blue) off the diagonal, 0 on it.  Scalar
-scoring loops index ``rows()``, read-only memoryview slices of that matrix.
+All quantities are exact integers.  Edge colours, +1 (red) or -1 (blue), are
+stored as one read-only int8 array: the packed inclusive lower triangle of the
+colour matrix, with 0 in the diagonal cells.  Scoring reads the colour of an
+edge straight from it; the n x n matrix is built only when something reads it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class PreconditionError(InvalidInputError):
 RED = 1
 BLUE = -1
 
-#: columns per band when from_lower_triangle mirrors the lower triangle: a
+#: columns per band when the matrix is mirrored from its lower triangle: a
 #: 64 x 64 int8 block and its transpose take 8 KB of L1
 _BAND = 64
 
@@ -44,22 +45,41 @@ _BAND = 64
 class ColouredCompleteGraph:
     """A symmetric {-1,+1} colouring of the edges of K_n.
 
-    The colouring is one read-only n x n int8 ``matrix`` with the colour of
-    edge ij at [i, j] and [j, i] and 0 on the diagonal; build it with
-    ``from_red_matrix``, which checks its input.  The constructor takes a
-    matrix as is.  Every builder (``from_red_matrix``, ``from_lower_triangle``
-    and ``parse_colouring``) writes the lower triangle and mirrors it, one
-    band of 64 columns at a time, so the invariants hold by construction.
-    Degree sums reduce each row in int32, which
-    holds any signed degree (|sd| <= n - 1), and return int64.  Immutable;
-    safe to share across threads for reading.
+    The colouring is stored as ``triangle``: one read-only int8 array of the
+    n(n+1)/2 cells of the colour matrix's inclusive lower triangle in row
+    order.  Row i starts at offset i(i+1)/2, so edge ij (i > j) has its
+    colour at i(i+1)/2 + j, and every diagonal cell holds 0.  Canonical
+    colouring text spells exactly this array, so ``parse_colouring`` wraps
+    what it decodes; ``from_lower_triangle`` inserts the diagonal cells and
+    ``from_red_matrix`` (which checks its input) reads the triangle off the
+    matrix.  The constructor takes an n x n matrix as is and derives the
+    triangle on first use.
+
+    The read-only n x n int8 ``matrix``, with the colour of ij at [i, j] and
+    [j, i] and 0 on the diagonal, is built from the triangle on first read
+    and cached: degree sums, neighbour lists and the oracle read it.  Scoring
+    (``_score``, ``swap_delta`` and ``edge_colours``) reads the triangle, so
+    a solve that never asks for a degree never builds the matrix.  Degree
+    sums reduce each row in int32, which holds any signed degree
+    (|sd| <= n - 1), and return int64.  Immutable; safe to share across
+    threads for reading (two threads that both build the matrix build equal
+    ones).
     """
 
-    __slots__ = ("matrix", "_rows")
+    __slots__ = ("n", "_triangle", "_matrix", "_cells")
 
     def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-        self._rows = None
+        self.n = matrix.shape[0]
+        self._matrix = matrix
+        self._triangle = self._cells = None
+
+    @classmethod
+    def _of_triangle(cls, n: int, triangle: np.ndarray) -> "ColouredCompleteGraph":
+        """Wrap the packed inclusive lower triangle of a colouring of K_n, made read-only in place."""
+        triangle.flags.writeable = False
+        g = cls.__new__(cls)
+        g.n, g._triangle, g._matrix, g._cells = n, triangle, None, None
+        return g
 
     @classmethod
     def from_red_matrix(cls, red: np.ndarray) -> "ColouredCompleteGraph":
@@ -72,63 +92,60 @@ class ColouredCompleteGraph:
         red = red.astype(bool)
         if not np.array_equal(red, red.T):
             raise InvalidInputError("red matrix must be symmetric")
-        # the lower triangle in pair order; True/False viewed as int8 is 1/0, so 2 * red - 1 is RED/BLUE
-        signs = red[1:, :-1][_triangle_layout(n - 1)[0]].view(np.int8) * 2 - 1
-        return cls.from_lower_triangle(n, signs)
+        mask, diagonal, _ = _triangle_layout(n)
+        # True/False viewed as int8 is 1/0, so 2 * red - 1 is RED/BLUE
+        triangle = red[mask].view(np.int8) * 2 - 1
+        triangle[diagonal] = 0
+        return cls._of_triangle(n, triangle)
 
     @classmethod
     def from_lower_triangle(cls, n: int, signs: np.ndarray) -> "ColouredCompleteGraph":
         """Build from the int8 colours (+1 red, -1 blue) of the pairs (1,0), (2,0), (2,1), ... in that order.
 
-        The matrix is symmetric with a zero diagonal by construction, so
+        The colouring is symmetric with a zero diagonal by construction, so
         nothing is re-checked; ``signs`` must hold n(n-1)/2 values in {-1, +1}.
         """
-        matrix = np.zeros((n, n), dtype=np.int8)
-        # the strict lower triangle is the inclusive one of the (n-1) x (n-1) block
-        # below row 0; boolean-mask assignment fills it row by row, in the pairs' order
-        matrix[1:, :-1][_triangle_layout(n - 1)[0]] = signs
-        return cls._mirrored(matrix)
-
-    @classmethod
-    def _mirrored(cls, matrix: np.ndarray) -> "ColouredCompleteGraph":
-        """Wrap a zero-diagonal int8 matrix with a filled lower triangle, after mirroring that upwards.
-
-        The upper triangle is written in place, one band of ``_BAND`` columns
-        at a time: the block above the diagonal block is the transpose of the
-        band's rows left of it, and the diagonal block adds its own
-        transpose.  Each copy then reads at most ``_BAND`` rows per column,
-        which stay in L1; one whole-matrix transpose walks n rows per column
-        and, at n = 512, takes about twice as long.  At most two bands
-        (n <= 128, 16 KB) take one in-place add, cheaper than the loop there.
-        """
-        n = matrix.shape[0]
-        if n <= 2 * _BAND:
-            matrix += matrix.T
-        else:
-            for i in range(0, n, _BAND):
-                j = min(i + _BAND, n)
-                matrix[:i, i:j] = matrix[i:j, :i].T
-                block = matrix[i:j, i:j]
-                block += block.T
-        matrix.flags.writeable = False
-        return cls(matrix)
+        triangle = np.zeros(n * (n + 1) // 2, dtype=np.int8)
+        # boolean-mask assignment fills the off-diagonal cells in order, row by row
+        triangle[_triangle_layout(n)[2]] = signs
+        return cls._of_triangle(n, triangle)
 
     @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    def triangle(self) -> np.ndarray:
+        """The read-only int8 inclusive lower triangle, n(n+1)/2 cells in row order (see the class docstring)."""
+        if self._triangle is None:
+            triangle = self._matrix[_triangle_layout(self.n)[0]]
+            triangle.flags.writeable = False
+            self._triangle = triangle
+        return self._triangle
 
-    def rows(self) -> list[memoryview]:
-        """One read-only memoryview (format ``b``) per matrix row, built on first use.
+    @property
+    def matrix(self) -> np.ndarray:
+        """The read-only n x n int8 colour matrix, built from the triangle on first read."""
+        if self._matrix is None:
+            matrix = np.zeros((self.n, self.n), dtype=np.int8)
+            matrix[_triangle_layout(self.n)[0]] = self._triangle
+            _mirror(matrix)
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
 
-        Indexing a row gives a Python int as fast as indexing a list, and
-        several times faster than indexing the array; the rows share the
-        matrix's memory, so building them copies nothing.
+    def _lookup(self) -> tuple[memoryview, tuple[int, ...]]:
+        """The triangle as a read-only memoryview (format ``b``) and its row offsets, built on first use.
+
+        The colour of ij with i >= j is ``cells[off[i] + j]``.  Indexing the
+        view gives a Python int several times faster than indexing the
+        array; the view shares the triangle's memory.
         """
-        if self._rows is None:
-            n = self.n
-            flat = memoryview(self.matrix.ravel()).toreadonly()
-            self._rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-        return self._rows
+        if self._cells is None:
+            self._cells = memoryview(self.triangle).toreadonly(), _row_offsets(self.n)[0]
+        return self._cells
+
+    def edge_colours(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The int8 colours of the edges a[k]b[k] (intp arrays of one shape): one gather from the triangle."""
+        cells = _row_offsets(self.n)[1][np.maximum(a, b)]
+        cells += np.minimum(a, b)
+        return self.triangle[cells]
 
     def signed_degrees(self) -> np.ndarray:
         """Signed degree of every vertex (see signed_degree), as an int64 vector.
@@ -158,8 +175,8 @@ class ColouredCompleteGraph:
         return self.n * (self.n - 1) // 2
 
     def total_sum(self) -> int:
-        """Colour sum over all edges of K_n: half the sum of the signed degrees."""
-        return int(self.signed_degrees().sum()) // 2
+        """Colour sum over all edges of K_n: the sum of the triangle, whose diagonal cells are 0."""
+        return int(self.triangle.sum(dtype=np.int64))
 
     def red_neighbours(self, v: int) -> list[int]:
         return np.flatnonzero(self.matrix[v] == RED).tolist()
@@ -168,17 +185,40 @@ class ColouredCompleteGraph:
         return np.flatnonzero(self.matrix[v] == BLUE).tolist()
 
     def __reduce__(self):
-        # the memoryview rows cannot be pickled or copied; rebuild them lazily
-        return ColouredCompleteGraph, (self.matrix,)
+        # the triangle alone: a copy builds its own matrix and memoryview when read
+        return ColouredCompleteGraph._of_triangle, (self.n, self.triangle)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ColouredCompleteGraph) and np.array_equal(self.matrix, other.matrix)
+        return (isinstance(other, ColouredCompleteGraph) and self.n == other.n
+                and np.array_equal(self.triangle, other.triangle))
 
     def __hash__(self):
-        return hash((self.n, self.matrix.tobytes()))
+        return hash((self.n, self.triangle.tobytes()))
 
     def __repr__(self):
         return f"ColouredCompleteGraph(n={self.n}, red={self.red_edge_count}/{self.edge_count})"
+
+
+def _mirror(matrix: np.ndarray) -> None:
+    """Copy the lower triangle of a zero-diagonal int8 matrix into its upper triangle, in place.
+
+    The upper triangle is written one band of ``_BAND`` columns at a time:
+    the block above the diagonal block is the transpose of the band's rows
+    left of it, and the diagonal block adds its own transpose.  Each copy
+    then reads at most ``_BAND`` rows per column, which stay in L1; one
+    whole-matrix transpose walks n rows per column and, at n = 512, takes
+    about twice as long.  At most two bands (n <= 128, 16 KB) take one
+    in-place add, cheaper than the loop there.
+    """
+    n = matrix.shape[0]
+    if n <= 2 * _BAND:
+        matrix += matrix.T
+    else:
+        for i in range(0, n, _BAND):
+            j = min(i + _BAND, n)
+            matrix[:i, i:j] = matrix[i:j, :i].T
+            block = matrix[i:j, i:j]
+            block += block.T
 
 
 def is_balanced(g: ColouredCompleteGraph) -> bool:
@@ -297,10 +337,11 @@ class Embedding:
 
 
 def _score(forward: tuple[int, ...], forest: Forest, graph: ColouredCompleteGraph) -> int:
-    rows = graph.rows()
+    cells, off = graph._lookup()
     total = 0
     for u, v in forest.edges:
-        total += rows[forward[u]][forward[v]]
+        a, b = forward[u], forward[v]
+        total += cells[off[a] + b] if a > b else cells[off[b] + a]
     return total
 
 
@@ -323,15 +364,21 @@ def swap_delta(forward: Sequence[int], u: int, v: int, forest: Forest, g: Colour
     an in-place walk swaps.  Only edges incident to u or v are rescored; the
     edge uv (if present) is unaffected because the colouring is symmetric.
     """
-    rows = g.rows()
-    row_u, row_v = rows[forward[u]], rows[forward[v]]
+    cells, off = g._lookup()
+    a, b = forward[u], forward[v]
+    row_a, row_b = off[a], off[b]
     delta = 0
+    # t is neither a nor b, so each cell is in row max(t, a) or max(t, b) of the triangle
     for w in forest.neighbours[u]:
         if w != v:
-            delta += row_v[forward[w]] - row_u[forward[w]]
+            t = forward[w]
+            delta += ((cells[row_b + t] if t < b else cells[off[t] + b])
+                      - (cells[row_a + t] if t < a else cells[off[t] + a]))
     for w in forest.neighbours[v]:
         if w != u:
-            delta += row_u[forward[w]] - row_v[forward[w]]
+            t = forward[w]
+            delta += ((cells[row_a + t] if t < a else cells[off[t] + a])
+                      - (cells[row_b + t] if t < b else cells[off[t] + b]))
     return delta
 
 
@@ -401,25 +448,39 @@ class PartialEmbedding:
 #
 # Canonical text (serialize_*) has LF line ends, no padding and no blank lines;
 # the parsers also accept CRLF, padding and blank lines.  From the header's own
-# "\n" on, a canonical colouring file is the inclusive lower triangle of an
-# n x n matrix in row order with "\n" in every diagonal cell: row i and its
-# line end are i + 1 bytes at offset i(i+1)/2, its "\n" at offset i(i+3)/2.
+# "\n" on, a canonical colouring file is the graph's ``triangle`` with "\n" in
+# every diagonal cell: row i and its line end are i + 1 bytes at offset
+# i(i+1)/2, its "\n" at offset i(i+3)/2.
 
 
 @functools.lru_cache(maxsize=4)
-def _triangle_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The inclusive lower triangle of an n x n matrix: its read-only boolean mask, and its diagonal cells' offsets."""
+def _triangle_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inclusive lower triangle of an n x n matrix, all read-only.
+
+    Its boolean n x n mask, its diagonal cells' offsets in the packed
+    triangle, and a boolean vector over the packed cells, True off the diagonal.
+    """
     i = np.arange(n)
     mask, diagonal = np.tri(n, dtype=bool), i * (i + 3) // 2
-    mask.flags.writeable = diagonal.flags.writeable = False
-    return mask, diagonal
+    off_diagonal = np.ones(n * (n + 1) // 2, dtype=bool)
+    off_diagonal[diagonal] = False
+    mask.flags.writeable = diagonal.flags.writeable = off_diagonal.flags.writeable = False
+    return mask, diagonal, off_diagonal
+
+
+@functools.lru_cache(maxsize=4)
+def _row_offsets(n: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Offset i(i+1)/2 of row i of the packed triangle, as a tuple (scalar loops) and a read-only array (gathers)."""
+    i = np.arange(n, dtype=np.intp)
+    offsets = i * (i + 1) // 2
+    offsets.flags.writeable = False
+    return tuple(offsets.tolist()), offsets
 
 
 def serialize_colouring(g: ColouredCompleteGraph) -> str:
-    mask, diagonal = _triangle_layout(g.n)
     # "R" and "B" are 74 + 8 and 74 - 8, so 8 * colour + 74 spells each cell
-    body = g.matrix[mask] * np.int8(8) + np.int8(74)
-    body[diagonal] = ord("\n")
+    body = g.triangle * np.int8(8) + np.int8(74)
+    body[_triangle_layout(g.n)[1]] = ord("\n")
     return str(g.n) + body.tobytes().decode()
 
 
@@ -434,16 +495,13 @@ def parse_colouring(text: str) -> ColouredCompleteGraph:
     data = text.encode("ascii", "replace")
     k = data.find(b"\n")
     n = int(data[:k]) if 0 < k <= 18 and data[:k].isdigit() else 0
-    # canonical text; its length is checked before anything n x n is allocated
+    # canonical text; its length is checked before any array is made
     if n >= 2 and len(data) - k == n * (n + 1) // 2:
-        mask, diagonal = _triangle_layout(n)
         body = np.frombuffer(data, dtype=np.uint8, offset=k)
         signs = (body == ord("R")).view(np.int8)
         signs -= (body == ord("B")).view(np.int8)  # R -> +1, B -> -1, any other byte ("\n") -> 0
-        if np.count_nonzero(signs) == n * (n - 1) // 2 and body[diagonal].tobytes() == b"\n" * n:
-            matrix = np.zeros((n, n), dtype=np.int8)
-            matrix[mask] = signs
-            return ColouredCompleteGraph._mirrored(matrix)
+        if np.count_nonzero(signs) == n * (n - 1) // 2 and body[_triangle_layout(n)[1]].tobytes() == b"\n" * n:
+            return ColouredCompleteGraph._of_triangle(n, signs)  # the graph's own packed triangle, as is
     lines = _content_lines(text)
     if not lines:
         raise InvalidInputError("empty colouring file")

@@ -132,18 +132,18 @@ def _extensions(
     codes += np.arange(len(codes))[:, None] * w**4
     dtype = np.min_scalar_type(-m - 2)
 
-    fixed_ts, k = list(fixed.values()), len(head_of)
+    fixed_ts, k, matrix = list(fixed.values()), len(head_of), graph.matrix
     for prefix in permutations(free_ts, lead):
         order = np.array([*prefix, *(t for t in free_ts if t not in prefix)], np.intp)
         targets = np.array([*fixed_ts, *order], np.intp)  # the head's targets, then the tail's
-        columns = graph.matrix[targets[:, None], order[lead:]]
+        columns = matrix[targets[:, None], order[lead:]]
         term = np.zeros((w + 2, w, w), dtype)  # source p: U_p[a] at (a, b); source w: B; w + 1: zero
         term[:w] = (incidence @ columns[:k])[:, :, None]
         term[w] = columns[k:]
         paired = term.reshape(w + 2, w * w)[positions[:, 2]]
         tables = (paired[0::2, :, None] + paired[1::2, None, :]).ravel()
         sums = tables.take(codes).sum(axis=0, dtype=dtype)
-        sums += int(graph.matrix[targets[inner[0]], targets[inner[1]]].sum())
+        sums += int(matrix[targets[inner[0]], targets[inner[1]]].sum())
         yield order, slots, sums
 
 

@@ -22,7 +22,7 @@ never calls it.
 Sampling works in blocks: ExtensionSampler draws a block of uniform
 extensions of the anchor at once (one argsort of random 64-bit keys per row,
 taken from the caller's random.Random) and scores the whole block with one
-gather from the int8 colour matrix.  Blocks start small and double, so a
+gather from the colouring's packed int8 triangle.  Blocks start small and double, so a
 search that succeeds early draws little more than it uses, and a search that
 misses spends its budget in a run of numpy blocks instead of one Python
 shuffle per sample.
@@ -110,10 +110,11 @@ class ExtensionSampler:
     caller's ``random.Random`` (k = number of free vertices) and argsorts them
     per row, which gives ``size`` independent uniform permutations of the free
     targets; the free vertices, in ascending order, take them.  Each row's
-    colour sum is one gather from the flat int8 colour matrix.
+    colour sum is one gather from the colouring's packed int8 triangle
+    (``ColouredCompleteGraph.edge_colours``).
     """
 
-    __slots__ = ("stride", "base", "free_vs", "free_ts", "us", "vs", "flat", "cap")
+    __slots__ = ("graph", "base", "free_vs", "free_ts", "us", "vs", "cap")
 
     def __init__(self, forest: Forest, graph: ColouredCompleteGraph, anchor: PartialEmbedding | None = None):
         n = forest.n
@@ -124,7 +125,7 @@ class ExtensionSampler:
             raise InvalidInputError("anchor out of range")
         vs = np.fromiter(fixed, dtype=np.intp, count=len(fixed))
         ts = np.fromiter(fixed.values(), dtype=np.intp, count=len(fixed))
-        self.stride = graph.n
+        self.graph = graph
         self.base = np.zeros(n, dtype=np.intp)
         self.base[vs] = ts
         free = np.ones((2, n), dtype=bool)
@@ -133,7 +134,6 @@ class ExtensionSampler:
         m = forest.edge_count
         edges = np.fromiter(chain.from_iterable(forest.edges), dtype=np.intp, count=2 * m).reshape(m, 2)
         self.us, self.vs = edges[:, 0], edges[:, 1]
-        self.flat = graph.matrix.reshape(-1)
         self.cap = max(1, _BLOCK_CELLS // n)
 
     def draw(self, rng: random.Random, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -144,10 +144,8 @@ class ExtensionSampler:
         images[:] = self.base
         images[:, self.free_vs] = self.free_ts[keys.argsort(axis=1)]
         del keys  # frees the key bytes before the gather below allocates
-        cells = images[:, self.us]
-        cells *= self.stride
-        cells += images[:, self.vs]
-        return images, self.flat[cells].sum(axis=1, dtype=np.int64)
+        colours = self.graph.edge_colours(images[:, self.us], images[:, self.vs])
+        return images, colours.sum(axis=1, dtype=np.int64)
 
     def blocks(self, rng: random.Random, total: int):
         """Yield (images, sums) blocks of exactly ``total`` samples in all, doubling in size."""

@@ -44,7 +44,7 @@ def random_colouring(n, seed):
     return ColouredCompleteGraph.from_red_matrix(lower | lower.T)
 
 
-#: sizes on both sides of every band edge of from_lower_triangle's 64-column bands
+#: sizes on both sides of every band edge of the matrix mirror's 64-column bands
 BAND_EDGE_SIZES = (2, 3, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513, 1000)
 
 
@@ -52,6 +52,25 @@ def random_red_matrix(n, seed):
     """A symmetric boolean matrix, each pair red with probability 1/2, from numpy's generator."""
     lower = np.tril(np.random.default_rng(seed).random((n, n)) < 0.5, k=-1)
     return lower | lower.T
+
+
+def canonical_text(red):
+    """Canonical colouring text written cell by cell from a red matrix, without the package."""
+    n = len(red)
+    rows = ("".join("R" if red[i, j] else "B" for j in range(i)) + "\n" for i in range(1, n))
+    return "".join([f"{n}\n", *rows])
+
+
+def reference_matrix(red):
+    expected = np.where(red, RED, BLUE).astype(np.int8)
+    np.fill_diagonal(expected, 0)
+    return expected
+
+
+def numpy_sum(g, fwd, edges):
+    """Colour sum of the edges under fwd, gathered from the matrix."""
+    fwd = np.asarray(fwd)
+    return int(g.matrix[fwd[edges[:, 0]], fwd[edges[:, 1]]].astype(np.int64).sum())
 
 
 def random_instance(n, seed):
@@ -91,10 +110,14 @@ class TestColouredCompleteGraph:
 
     def test_pickle_and_copy_after_rows(self):
         g = random_colouring(6, 2)
-        g.rows()
+        g._lookup()  # the scoring memoryview, which cannot be pickled
         for back in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
             assert back == g
-            assert [list(r) for r in back.rows()] == g.matrix.tolist()
+            assert not back.triangle.flags.writeable
+            cells, off = back._lookup()
+            rows = [list(cells[off[i]:off[i] + i + 1]) for i in range(6)]
+            assert rows == [g.matrix[i, :i + 1].tolist() for i in range(6)]
+            assert back.matrix.tolist() == g.matrix.tolist()
 
     def test_matrix_invariants(self):
         g = random_colouring(8, 5)
@@ -105,11 +128,17 @@ class TestColouredCompleteGraph:
             m[1, 0] = 0
         assert np.array_equal(m, m.T)
         assert not m.diagonal().any()
-        rows = g.rows()
-        assert [list(r) for r in rows] == m.tolist()
-        assert all(len(r) == 8 for r in rows)
+        t = g.triangle
+        assert t.dtype == np.int8 and t.shape == (36,) and not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[1] = 0
+        cells, off = g._lookup()
+        assert off == tuple(i * (i + 1) // 2 for i in range(8))
+        # row i of the triangle is row i of the matrix up to the diagonal, and mirrors its column i
+        assert [list(cells[off[i]:off[i] + i + 1]) for i in range(8)] == [m[i, :i + 1].tolist() for i in range(8)]
+        assert all(cells[off[i] + j] == m[j, i] for i in range(8) for j in range(i + 1))
         with pytest.raises(TypeError):
-            rows[1][0] = 0
+            cells[1] = 0
         for i in range(8):
             for j in range(8):
                 if i != j:
@@ -117,25 +146,84 @@ class TestColouredCompleteGraph:
 
     @pytest.mark.parametrize("n", BAND_EDGE_SIZES)
     def test_lower_triangle_matches_red_matrix_at_band_edges(self, n):
-        # both builders share one kernel, so each is checked against a matrix built without it
+        # every builder stores the packed triangle, and the matrix is built from it on first read;
+        # both are checked against a reference built without the package
         red = random_red_matrix(n, n)
-        expected = np.where(red, RED, BLUE).astype(np.int8)
-        np.fill_diagonal(expected, 0)
+        expected = reference_matrix(red)
+        triangle = expected[np.tril_indices(n)]  # row-major, so row i starts at i(i+1)/2
+        text = canonical_text(red)
         signs = np.where(red[np.tri(n, k=-1, dtype=bool)], np.int8(RED), np.int8(BLUE))
-        built = [
-            ColouredCompleteGraph.from_lower_triangle(n, signs),
-            ColouredCompleteGraph.from_red_matrix(red),
-            ColouredCompleteGraph.from_red_matrix(red.astype(int) * 3),  # not bool: nonzero is red
-            ColouredCompleteGraph.from_red_matrix(red | np.eye(n, dtype=bool)),  # the diagonal is ignored
-        ]
-        for g in built:
+        given = expected.copy()
+        given.flags.writeable = False  # the constructor takes its matrix as is
+        built = {
+            "canonical parse": parse_colouring(text),
+            "line-by-line parse": parse_colouring(text.replace("\n", "\r\n")),
+            "from_lower_triangle": ColouredCompleteGraph.from_lower_triangle(n, signs),
+            "from_red_matrix": ColouredCompleteGraph.from_red_matrix(red),
+            "not bool: nonzero is red": ColouredCompleteGraph.from_red_matrix(red.astype(int) * 3),
+            "the diagonal is ignored": ColouredCompleteGraph.from_red_matrix(red | np.eye(n, dtype=bool)),
+            "constructor": ColouredCompleteGraph(given),
+        }
+        for name, g in built.items():
+            assert g.n == n
+            t = g.triangle
+            assert np.array_equal(t, triangle), name
+            assert t.dtype == np.int8 and not t.flags.writeable, name
+            assert (g._matrix is None) == (name != "constructor"), name  # nothing has read the matrix yet
             m = g.matrix
-            assert np.array_equal(m, expected)
-            assert m.dtype == np.int8 and not m.flags.writeable and m.flags.c_contiguous
+            assert np.array_equal(m, expected), name
+            assert m.dtype == np.int8 and not m.flags.writeable and m.flags.c_contiguous, name
+            assert g.matrix is m, name  # built once
+            assert serialize_colouring(g) == text, name
         asymmetric = red.copy()
         asymmetric[n - 1, 0] = not asymmetric[n - 1, 0]
         with pytest.raises(InvalidInputError, match="red matrix must be symmetric"):
             ColouredCompleteGraph.from_red_matrix(asymmetric)
+
+
+class TestPackedTriangle:
+    @pytest.mark.parametrize("n", (2, 3, 9, 64, 65, 129))
+    def test_scoring_matches_a_numpy_reference(self, n):
+        rng = random.Random(n)
+        g = ColouredCompleteGraph.from_red_matrix(random_red_matrix(n, n))
+        for kind, max_degree in (("path", None), ("random", max(2, n // 3)), ("star", None)):
+            forest = make_forest(ForestSpec(kind, n, max_degree=max_degree, seed=n))
+            edges = np.array(forest.edges, dtype=np.intp).reshape(-1, 2)
+            for _ in range(5):
+                fwd = list(range(n))
+                rng.shuffle(fwd)
+                emb = Embedding.build(fwd, forest, g)
+                assert emb.colour_sum == numpy_sum(g, fwd, edges)
+                for _ in range(10):
+                    u, v = rng.sample(range(n), 2)
+                    swapped = list(fwd)
+                    swapped[u], swapped[v] = swapped[v], swapped[u]
+                    expected = numpy_sum(g, swapped, edges) - emb.colour_sum
+                    assert core.swap_delta(fwd, u, v, forest, g) == expected
+                    assert swap_images(emb, u, v, forest, g).colour_sum == emb.colour_sum + expected
+
+    @pytest.mark.parametrize("n", (2, 5, 64, 130))
+    def test_edge_colours_match_the_matrix(self, n):
+        g = random_colouring(n, n)
+        a = np.random.default_rng(n).integers(0, n, size=(7, 3 * n))
+        b = (a + np.random.default_rng(n + 1).integers(1, n, size=a.shape)) % n  # never equal to a
+        colours = g.edge_colours(a, b)
+        assert colours.dtype == np.int8 and colours.shape == a.shape
+        assert np.array_equal(colours, g.matrix[a, b])
+
+    def test_copies_equality_and_hash_never_build_the_matrix(self):
+        n = 65
+        text = canonical_text(random_red_matrix(n, 3))
+        g, twin = parse_colouring(text), parse_colouring(text)
+        other = parse_colouring(text.replace("R", "X", 1).replace("B", "R", 1).replace("X", "B", 1))
+        copies = [pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)]
+        assert all(c == g for c in copies) and g == twin and g != other
+        assert len({hash(c) for c in [g, twin, *copies]}) == 1
+        assert g.red_edge_count == text.count("R") and g.total_sum() == text.count("R") - text.count("B")
+        assert is_balanced(g) == (2 * text.count("R") == g.edge_count)
+        assert serialize_colouring(g) == text
+        assert all(x._matrix is None for x in (g, twin, other, *copies))
+        assert all(not c.triangle.flags.writeable for c in copies)
 
 
 def _degree_reference(g):

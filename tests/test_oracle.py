@@ -2,7 +2,7 @@ import math
 import random
 import tracemalloc
 from functools import cache
-from itertools import chain, islice, permutations
+from itertools import chain, count, islice, permutations
 
 import numpy as np
 import pytest
@@ -103,11 +103,13 @@ def forest_of(kind, n):
 
 def partials(n):
     """Partial maps with 0, 1, 2 and n - 1 fixed vertices."""
+    # v -> k * v + 1 is a bijection mod n for any k coprime to n; 5 unless 5 divides n
+    k = next(k for k in count(5) if math.gcd(k, n) == 1)
     return [
         {},
         {0: n - 1},
         {1: 0, n - 1: 2},
-        {v: (5 * v + 1) % n for v in range(n - 1)},
+        {v: (k * v + 1) % n for v in range(n - 1)},
     ]
 
 
@@ -298,7 +300,7 @@ class TestImbalanceFloor:
         assert (value, witness.forward) == (4, tuple(maps[i].tolist()))
         assert len(yielded) == 1
 
-    @pytest.mark.parametrize("n", [4, 6, 7, 8])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_sign_extremes_lie_in_the_colour_count_range(self, n):
         for kind in ("path", "random", "star"):
             forest = forest_of(kind, n)

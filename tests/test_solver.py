@@ -17,6 +17,8 @@ from forestbalance.core import (
     PartialEmbedding,
     PreconditionError,
     is_balanced,
+    parse_colouring,
+    serialize_colouring,
     subgraph_sum,
 )
 from forestbalance.generators import (
@@ -166,6 +168,31 @@ class TestExtensionSampler:
             for images, sums in ExtensionSampler(forest, g, anchor).blocks(random.Random(6), 60):
                 for row, s in zip(images.tolist(), sums.tolist()):
                     assert s == subgraph_sum(g, Embedding(row, s), forest)
+
+    @pytest.mark.parametrize("n", [2, 9, 64, 65, 130, 512])
+    def test_draw_sums_match_a_numpy_reference(self, n):
+        lower = np.tril(np.random.default_rng(n).random((n, n)) < 0.5, k=-1)
+        red = lower | lower.T
+        g = parse_colouring(serialize_colouring(ColouredCompleteGraph.from_red_matrix(red)))
+        forests = [make_forest(ForestSpec("path", n)),
+                   make_forest(ForestSpec("random", n, max_degree=max(2, n // 8), seed=n))]
+        for forest, anchor in zip(forests, (None, PartialEmbedding({0: n - 1}))):
+            edges = np.array(forest.edges, dtype=np.intp).reshape(-1, 2)
+            images, sums = ExtensionSampler(forest, g, anchor).draw(random.Random(n), 6)
+            hits = red[images[:, edges[:, 0]], images[:, edges[:, 1]]]
+            assert sums.dtype == np.int64
+            assert sums.tolist() == (2 * hits.sum(axis=1) - len(edges)).tolist()
+        assert g._matrix is None
+
+    def test_path_solve_at_512_never_builds_the_matrix(self):
+        n = 512
+        g = parse_colouring(serialize_colouring(random_balanced_colouring(n, 4)))
+        forest = make_forest(ForestSpec("path", n))
+        result = solve(forest, g, SolverConfig(seed=1))
+        assert result.certified == CERT_INTERPOLATION and result.within_bound
+        assert g._matrix is None
+        assert result.embedding.colour_sum == subgraph_sum(g, result.embedding, forest)
+        assert g._matrix is None
 
     @pytest.mark.parametrize("total", [1, 4, 5, 50, 5000])
     def test_blocks_draw_exactly_the_total(self, total):

@@ -9,7 +9,9 @@ The parent side is the committed files of ``--parent``, exported with
 tree.  Each side runs this file's grid in its own process with that side's
 ``src`` first on the path, so both build their inputs with their own
 ``forestbalance.core`` and ``forestbalance.generators`` from the same
-parameters.  A row holds the embedding, the achieved value, the mechanism,
+parameters.  Every solve and query reads its colouring as parsed back from
+the colouring's canonical text, so the parser's output is what both sides
+answer on.  A row holds the embedding, the achieved value, the mechanism,
 the certified value, ``within_bound``, the bound report, the interpolation
 trace steps and ``stats`` of one solve, or the type and message of the error
 it raised.  A second grid queries the exact oracle at n = 5-9, on colourings
@@ -60,6 +62,13 @@ ORACLE_FORESTS = ("path", "broom", "caterpillar", "isolated", "random", "edgeles
 #: red-edge probability of each oracle colouring, which need not be balanced; near-red leaves so few
 #: blue edges that the colour counts alone bound |sum| away from 0 and can end exact_min_imbalance's scan
 ORACLE_COLOURINGS = {"even": 0.5, "red-heavy": 0.85, "near-red": 0.95}
+
+
+def _parsed_back(graph):
+    """The colouring as parse_colouring reads it from the canonical text serialize_colouring writes."""
+    from forestbalance.core import parse_colouring, serialize_colouring
+
+    return parse_colouring(serialize_colouring(graph))
 
 
 def _colouring(kind: str, n: int, seed: int):
@@ -142,7 +151,7 @@ def oracle_lines() -> list[str]:
         for colouring, p_red in ORACLE_COLOURINGS.items():
             for seed in SEEDS:
                 red = np.triu(np.random.default_rng([n, seed]).random((n, n)) < p_red, 1)
-                graph = ColouredCompleteGraph.from_red_matrix(red | red.T)
+                graph = _parsed_back(ColouredCompleteGraph.from_red_matrix(red | red.T))
                 for forest_kind in ORACLE_FORESTS:
                     forest = _oracle_forest(forest_kind, n, seed)
                     cell = {"n": n, "colouring": colouring, "forest": forest_kind, "seed": seed,
@@ -183,7 +192,7 @@ def grid_lines() -> list[str]:
         for colouring in COLOURINGS:
             for seed in SEEDS:
                 try:
-                    graph, error = _colouring(colouring, n, seed), None
+                    graph, error = _parsed_back(_colouring(colouring, n, seed)), None
                 except Exception as exc:  # the error itself is the answer to compare
                     graph, error = None, f"{type(exc).__name__}: {exc}"
                 for forest_kind in FORESTS:
