@@ -51,9 +51,9 @@ class ColouredCompleteGraph:
     colour at i(i+1)/2 + j, and every diagonal cell holds 0.  Canonical
     colouring text spells exactly this array, so ``parse_colouring`` wraps
     what it decodes; ``from_lower_triangle`` inserts the diagonal cells and
-    ``from_red_matrix`` (which checks its input) reads the triangle off the
-    matrix.  The constructor takes an n x n matrix as is and derives the
-    triangle on first use.
+    ``from_red_matrix`` and the constructor read the triangle off a checked
+    n x n matrix (square, n >= 2, symmetric; for the constructor also +-1
+    off the diagonal and 0 on it), so every graph owns its triangle.
 
     The read-only n x n int8 ``matrix``, with the colour of ij at [i, j] and
     [j, i] and 0 on the diagonal, is built from the triangle on first read
@@ -69,9 +69,14 @@ class ColouredCompleteGraph:
     __slots__ = ("n", "_triangle", "_matrix", "_cells")
 
     def __init__(self, matrix: np.ndarray):
-        self.n = matrix.shape[0]
-        self._matrix = matrix
-        self._triangle = self._cells = None
+        matrix = np.asarray(matrix)
+        n = _checked_order(matrix, "colour")
+        off_diagonal = matrix[~np.eye(n, dtype=bool)]
+        if np.diagonal(matrix).any() or not ((off_diagonal == RED) | (off_diagonal == BLUE)).all():
+            raise InvalidInputError("colour matrix must hold +1 or -1 off the diagonal and 0 on it")
+        triangle = matrix[_triangle_layout(n)[0]].astype(np.int8)  # a copy: later writes to matrix do not reach it
+        triangle.flags.writeable = False
+        self.n, self._triangle, self._matrix, self._cells = n, triangle, None, None
 
     @classmethod
     def _of_triangle(cls, n: int, triangle: np.ndarray) -> "ColouredCompleteGraph":
@@ -84,14 +89,8 @@ class ColouredCompleteGraph:
     @classmethod
     def from_red_matrix(cls, red: np.ndarray) -> "ColouredCompleteGraph":
         """Build from a symmetric boolean matrix (True = red); diagonal ignored."""
-        n = red.shape[0]
-        if red.shape != (n, n):
-            raise InvalidInputError("matrix must be square")
-        if n < 2:
-            raise InvalidInputError(f"need at least 2 vertices, got n={n}")
-        red = red.astype(bool)
-        if not np.array_equal(red, red.T):
-            raise InvalidInputError("red matrix must be symmetric")
+        red = np.asarray(red, dtype=bool)
+        n = _checked_order(red, "red")
         mask, diagonal, _ = _triangle_layout(n)
         # True/False viewed as int8 is 1/0, so 2 * red - 1 is RED/BLUE
         triangle = red[mask].view(np.int8) * 2 - 1
@@ -113,10 +112,6 @@ class ColouredCompleteGraph:
     @property
     def triangle(self) -> np.ndarray:
         """The read-only int8 inclusive lower triangle, n(n+1)/2 cells in row order (see the class docstring)."""
-        if self._triangle is None:
-            triangle = self._matrix[_triangle_layout(self.n)[0]]
-            triangle.flags.writeable = False
-            self._triangle = triangle
         return self._triangle
 
     @property
@@ -197,6 +192,18 @@ class ColouredCompleteGraph:
 
     def __repr__(self):
         return f"ColouredCompleteGraph(n={self.n}, red={self.red_edge_count}/{self.edge_count})"
+
+
+def _checked_order(matrix: np.ndarray, kind: str) -> int:
+    """The n of an n x n symmetric ``kind`` matrix with n >= 2; raises InvalidInputError for any other array."""
+    n = matrix.shape[0] if matrix.ndim else 0
+    if matrix.shape != (n, n):
+        raise InvalidInputError("matrix must be square")
+    if n < 2:
+        raise InvalidInputError(f"need at least 2 vertices, got n={n}")
+    if not np.array_equal(matrix, matrix.T):
+        raise InvalidInputError(f"{kind} matrix must be symmetric")
+    return n
 
 
 def _mirror(matrix: np.ndarray) -> None:

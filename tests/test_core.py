@@ -108,6 +108,43 @@ class TestColouredCompleteGraph:
         with pytest.raises(InvalidInputError):
             all_red(1)
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            # equal to its pickled copy, by the lower triangle, with signed degrees [2, 0, 2] against [0, 0, 2]
+            ([[0, 1, 1], [-1, 0, 1], [1, 1, 0]], "symmetric"),
+            ([[0, 1, 1], [1, 1, 1], [1, 1, 0]], r"\+1 or -1 off the diagonal and 0 on it"),
+            ([[0, 2], [2, 0]], r"\+1 or -1 off the diagonal and 0 on it"),
+            ([[0, 0], [0, 0]], r"\+1 or -1 off the diagonal and 0 on it"),
+            ([[0, 0.5], [0.5, 0]], r"\+1 or -1 off the diagonal and 0 on it"),
+            ([[0, 1, 1], [1, 0, 1]], "square"),
+            ([0, 1], "square"),
+            (1, "square"),
+            # text the parser refuses
+            ([[0]], "need at least 2 vertices, got n=1"),
+            (np.zeros((0, 0)), "need at least 2 vertices, got n=0"),
+        ],
+    )
+    def test_constructor_refuses_a_matrix_that_is_no_colouring(self, matrix, message):
+        with pytest.raises(InvalidInputError, match=message):
+            ColouredCompleteGraph(matrix)
+
+    def test_constructor_copies_its_matrix(self):
+        given = [[0, 1, -1], [1, 0, 1], [-1, 1, 0]]
+        g = ColouredCompleteGraph(given)
+        assert g.matrix.dtype == np.int8 and not g.matrix.flags.writeable
+        assert g.matrix.tolist() == given and g.signed_degrees().tolist() == [0, 2, 0]
+        writable = np.array(given, dtype=np.int8)
+        read_only_view = writable.view()
+        read_only_view.flags.writeable = False
+        for matrix in (writable, read_only_view):  # a later write through the base array reaches neither graph
+            g = ColouredCompleteGraph(matrix)
+            writable[0, 1] = writable[1, 0] = -1
+            assert g.matrix.tolist() == given and g.signed_degrees().tolist() == [0, 2, 0]
+            assert g == ColouredCompleteGraph(given) and hash(g) == hash(ColouredCompleteGraph(given))
+            assert pickle.loads(pickle.dumps(g)).signed_degrees().tolist() == [0, 2, 0]
+            writable[0, 1] = writable[1, 0] = 1
+
     def test_pickle_and_copy_after_rows(self):
         g = random_colouring(6, 2)
         g._lookup()  # the scoring memoryview, which cannot be pickled
@@ -153,8 +190,6 @@ class TestColouredCompleteGraph:
         triangle = expected[np.tril_indices(n)]  # row-major, so row i starts at i(i+1)/2
         text = canonical_text(red)
         signs = np.where(red[np.tri(n, k=-1, dtype=bool)], np.int8(RED), np.int8(BLUE))
-        given = expected.copy()
-        given.flags.writeable = False  # the constructor takes its matrix as is
         built = {
             "canonical parse": parse_colouring(text),
             "line-by-line parse": parse_colouring(text.replace("\n", "\r\n")),
@@ -162,14 +197,14 @@ class TestColouredCompleteGraph:
             "from_red_matrix": ColouredCompleteGraph.from_red_matrix(red),
             "not bool: nonzero is red": ColouredCompleteGraph.from_red_matrix(red.astype(int) * 3),
             "the diagonal is ignored": ColouredCompleteGraph.from_red_matrix(red | np.eye(n, dtype=bool)),
-            "constructor": ColouredCompleteGraph(given),
+            "constructor": ColouredCompleteGraph(expected),
         }
         for name, g in built.items():
             assert g.n == n
             t = g.triangle
             assert np.array_equal(t, triangle), name
             assert t.dtype == np.int8 and not t.flags.writeable, name
-            assert (g._matrix is None) == (name != "constructor"), name  # nothing has read the matrix yet
+            assert g._matrix is None, name  # nothing has read the matrix yet
             m = g.matrix
             assert np.array_equal(m, expected), name
             assert m.dtype == np.int8 and not m.flags.writeable and m.flags.c_contiguous, name

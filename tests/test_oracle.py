@@ -127,6 +127,12 @@ def count_chunks(monkeypatch):
     return yielded
 
 
+def chunk_images(order, tails):
+    """Every row's free images in an oracle._extensions chunk, as a (rows, free) array."""
+    lead = len(order) - tails.shape[1]
+    return np.hstack([np.broadcast_to(order[:lead], (len(tails), lead)), order[lead:][tails]])
+
+
 class TestExactMinImbalance:
     def test_star_in_split_parity(self):
         g = split_parity_colouring(8)
@@ -170,22 +176,24 @@ class TestExactMinImbalance:
     def test_parity_floor_stops_the_scan_inside_a_later_chunk(self, monkeypatch):
         # Target 0 is all red, so with the broom's hub (5 of the 8 edges) on
         # it the sum is at least 2: the first zero sum lies past the first
-        # chunk, at a row in the middle of its chunk.
+        # lead prefix, at a row in the middle of its chunk, and the scan
+        # reads no row past that chunk.
         n = 9
         forest = make_forest(ForestSpec("broom", n, max_degree=5))
         g = random_colouring(n, 7)
         assert (g.matrix[0, 1:] == RED).all()
         rows = g.matrix.tolist()
-        rank, first = next(
-            (i, p) for i, p in enumerate(permutations(range(n))) if scalar_sum(rows, forest, p) == 0
-        )
-        chunk, row = divmod(rank, math.factorial(oracle._TAIL))
-        assert chunk >= 1 and 0 < row < math.factorial(oracle._TAIL) - 1
+        first = next(p for p in permutations(range(n)) if scalar_sum(rows, forest, p) == 0)
+        images, sums = canonical_reference(forest, g, {})
+        rank = int(np.flatnonzero(sums == 0)[0])
+        assert tuple(images[rank].tolist()) == first
 
         yielded = count_chunks(monkeypatch)
         value, witness = exact_min_imbalance(forest, g)
         assert value == 0 and witness.forward == first
-        assert len(yielded) == chunk + 1 < n
+        start = sum(yielded[:-1])
+        assert len(sums) // n <= start < rank < start + yielded[-1] - 1
+        assert sum(yielded) < len(sums)
 
     def test_refuses_large_n(self):
         g = random_colouring(11, 2)
@@ -298,7 +306,8 @@ class TestImbalanceFloor:
         yielded = count_chunks(monkeypatch)
         value, witness = exact_min_imbalance(forest, g)
         assert (value, witness.forward) == (4, tuple(maps[i].tolist()))
-        assert len(yielded) == 1
+        # the first block of the first lead prefix: 7! rows, not all 8! of the prefix
+        assert len(yielded) == 1 and sum(yielded) <= math.factorial(7)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_sign_extremes_lie_in_the_colour_count_range(self, n):
@@ -311,16 +320,20 @@ class TestImbalanceFloor:
                     assert low <= v.min_sum <= v.max_sum <= high
 
     def test_sign_scan_ends_once_both_ends_of_the_range_are_reached(self, monkeypatch):
-        # both -8 and +8 first appear in the third chunk of nine
+        # -8 and +8 have both appeared by the third lead prefix of nine; the
+        # scan reads no row past the chunk that holds the later of the two
         n = 9
         forest = forest_of("random", n)
         g = random_colouring(n, 8)
         expected = numpy_verdict(forest, g, {})
+        _, sums = canonical_reference(forest, g, {})
+        last = max(int(np.flatnonzero(sums == -8)[0]), int(np.flatnonzero(sums == 8)[0]))
+        assert last // (len(sums) // n) == 2
         yielded = count_chunks(monkeypatch)
         v = exact_sign(forest, g, PartialEmbedding({}))
         assert verdict_tuple(v) == expected
         assert (v.min_sum, v.max_sum) == (-8, 8)
-        assert len(yielded) == 3
+        assert sum(yielded[:-1]) <= last < sum(yielded) < len(sums)
 
 
 class TestExactSign:
@@ -426,6 +439,16 @@ def twin_partials(forest):
     return mappings if n > 9 else [{}, *mappings]
 
 
+def canonical_reference(forest, graph, fixed):
+    """The free images and sums of numpy_extensions' rows that are ascending on every tail twin group."""
+    maps, sums = numpy_extensions(forest, graph, fixed)
+    free_vs = [v for v in range(forest.n) if v not in fixed]
+    keep = np.ones(len(maps), bool)
+    for a, b in twin_pairs(forest, free_vs):
+        keep &= maps[:, free_vs[a]] < maps[:, free_vs[b]]
+    return maps[keep][:, free_vs], sums[keep]
+
+
 class TestExtensionChunks:
     @pytest.mark.parametrize("fixed", [{}, {4: 7}, {0: 9, 5: 0}])
     def test_chunks_are_capped_and_continue_lexicographic_order(self, fixed):
@@ -434,22 +457,55 @@ class TestExtensionChunks:
         rows = g.matrix.tolist()
         free_vs = [v for v in range(n) if v not in fixed]
         cap = math.factorial(oracle._TAIL)
-        # the random tree has no twin tail leaves; the caterpillar has two or three groups
+        # the random tree has no twin tail leaves; the caterpillar has two or three groups.
+        # Six chunks cross from the first lead prefix's blocks into whole later prefixes.
         for forest in (make_forest(ForestSpec("random", n, max_degree=3, seed=5)), TWIN_LEAF_FORESTS["caterpillar-10"]):
             expected = canonical_permutations(forest, fixed)
-            first_slots = None
-            for order, slots, sums in islice(oracle._extensions(forest, g, fixed), 3):
-                first_slots = slots if first_slots is None else first_slots
-                assert slots is first_slots
-                images = order[slots]
+            for order, tails, sums in islice(oracle._extensions(forest, g, fixed), 6):
+                images = chunk_images(order, tails)
                 assert images.shape == (len(sums), len(free_vs))
                 assert 0 < len(sums) <= cap
                 assert np.array_equal(images, np.array(list(islice(expected, len(sums)))))
                 for i in range(0, len(sums), 499):
+                    assert oracle._free_images(order, tails, i).tolist() == images[i].tolist()
                     full = oracle._full_map(fixed, images[i])
                     assert [full[v] for v in fixed] == list(fixed.values())
                     assert [full[v] for v in free_vs] == images[i].tolist()
                     assert sums[i] == scalar_sum(rows, forest, full)
+
+    @pytest.mark.parametrize(
+        "forest, fixings",
+        [
+            *((forest, twin_partials(forest)) for forest in TWIN_LEAF_FORESTS.values() if 8 <= forest.n <= 10),
+            (make_forest(ForestSpec("path", 9)), [{}, {0: 8}, {1: 0, 8: 2}]),
+            (make_forest(ForestSpec("random", 10, max_degree=3, seed=5)), [{0: 9}, {1: 0, 9: 2}]),
+        ],
+        ids=[*(name for name, forest in TWIN_LEAF_FORESTS.items() if 8 <= forest.n <= 10), "path-9", "random-10"],
+    )
+    def test_first_prefix_blocks_double_and_match_the_numpy_reference(self, forest, fixings):
+        # the first lead prefix comes in blocks of 7!, 2 * 7!, ... kept rows,
+        # each later prefix as one chunk of all its kept rows; the path and
+        # the random tree keep every table column
+        n = forest.n
+        g = biased_colouring(n, 1500 + n)
+        for fixed in fixings:
+            images, sums = canonical_reference(forest, g, fixed)
+            free = n - len(fixed)
+            w = min(free, oracle._TAIL)
+            prefixes = math.perm(free, free - w)
+            per_prefix = len(sums) // prefixes
+            blocks, size = [], math.factorial(oracle._TAIL - 1)
+            while sum(blocks) < per_prefix:
+                blocks.append(min(size, per_prefix - sum(blocks)))
+                size *= 2
+            chunks = list(oracle._extensions(forest, g, fixed))
+            assert [len(chunk_sums) for _, _, chunk_sums in chunks] == blocks + [per_prefix] * (prefixes - 1)
+            start = 0
+            for order, tails, chunk_sums in chunks:
+                end = start + len(chunk_sums)
+                assert np.array_equal(chunk_images(order, tails), images[start:end]), (fixed, start)
+                assert np.array_equal(chunk_sums, sums[start:end]), (fixed, start)
+                start = end
 
 
 class TestTwinLeafOrbits:
@@ -464,18 +520,14 @@ class TestTwinLeafOrbits:
             free_vs = [v for v in range(n) if v not in fixed]
             groups = twin_groups(forest, free_vs)
             assert max(map(len, groups)) >= 2, fixed
-            maps, sums = numpy_extensions(forest, g, fixed)
-            keep = np.ones(len(maps), bool)
-            for a, b in twin_pairs(forest, free_vs):
-                keep &= maps[:, free_vs[a]] < maps[:, free_vs[b]]
+            images, sums = canonical_reference(forest, g, fixed)
             w = min(len(free_vs), oracle._TAIL)
             rows = math.factorial(w) // math.prod(math.factorial(len(group)) for group in groups)
             chunks = list(oracle._extensions(forest, g, fixed))
             lead_prefixes = math.perm(len(free_vs), len(free_vs) - w)
-            assert [len(chunk_sums) for _, _, chunk_sums in chunks] == [rows] * lead_prefixes
-            images = np.concatenate([order[slots] for order, slots, _ in chunks])
-            assert np.array_equal(images, maps[keep][:, free_vs])
-            assert np.array_equal(np.concatenate([chunk_sums for _, _, chunk_sums in chunks]), sums[keep])
+            assert sum(len(chunk_sums) for _, _, chunk_sums in chunks) == rows * lead_prefixes == len(sums)
+            assert np.array_equal(np.concatenate([chunk_images(order, tails) for order, tails, _ in chunks]), images)
+            assert np.array_equal(np.concatenate([chunk_sums for _, _, chunk_sums in chunks]), sums)
 
     @pytest.mark.parametrize("name", TWIN_LEAF_FORESTS)
     def test_exact_sign_matches_every_extension(self, name):
@@ -634,9 +686,11 @@ class TestHeadSlots:
         # sums in [-8, 8]); materialising each chunk's full maps as int32
         # peaks at 4.59 MB here
         oracle._permutation_table(8)
-        forest = forest_of("random", 9)
-        g = hub_red(9)
+        n = 9
+        forest = forest_of("random", n)
+        g = hub_red(n)
         assert imbalance_floor(forest, g) == 0
+        groups = twin_groups(forest, list(range(n)))
         yielded = count_chunks(monkeypatch)
         tracemalloc.start()
         try:
@@ -645,7 +699,7 @@ class TestHeadSlots:
         finally:
             tracemalloc.stop()
         assert value == 2
-        assert len(yielded) == 9
+        assert sum(yielded) == n * math.factorial(8) // math.prod(math.factorial(len(group)) for group in groups)
         assert peak < 4_500_000
 
 

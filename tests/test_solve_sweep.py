@@ -6,14 +6,24 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "solve_sweep.py"
 _SPEC = importlib.util.spec_from_file_location("solve_sweep", _PATH)
 solve_sweep = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(solve_sweep)
 
 
-def test_grid_reaches_every_mechanism_and_repeats_itself():
-    first, second = solve_sweep.grid_lines(), solve_sweep.grid_lines()
+@pytest.fixture(scope="module")
+def timed_grid():
+    """Both grids' lines, run once, and each line's wall time."""
+    timings = []
+    return solve_sweep.grid_lines(timings), solve_sweep.oracle_lines(timings), timings
+
+
+def test_grid_reaches_every_mechanism_and_repeats_itself(timed_grid):
+    # the first run also recorded timings, which must leave the rows alone
+    first, second = timed_grid[0], solve_sweep.grid_lines([])
     assert first == second
     rows = [json.loads(line) for line in first]
     assert len(rows) == 13 * 4 * 8 * 2 * 2
@@ -26,10 +36,12 @@ def test_grid_reaches_every_mechanism_and_repeats_itself():
         instances.setdefault((row["n"], row["colouring"], row["forest"], row["seed"]), set()).add(row["instance"])
     assert all(len(digests) == 1 for digests in instances.values())
     assert all(len(row["instance"]) == 16 for row in rows if "embedding" in row)
+    assert {row["balanced"] for row in rows if row["colouring"] in ("random", "red-poor")} == {True}
+    assert False in {row["balanced"] for row in rows if row["colouring"] == "perturbed"}
 
 
-def test_oracle_grid_covers_twin_leaves_and_partials_and_repeats_itself():
-    first, second = solve_sweep.oracle_lines(), solve_sweep.oracle_lines()
+def test_oracle_grid_covers_twin_leaves_and_partials_and_repeats_itself(timed_grid):
+    first, second = timed_grid[1], solve_sweep.oracle_lines([])
     assert first == second
     rows = [json.loads(line) for line in first]
     assert len(rows) == 5 * 3 * 2 * 8 * 4
@@ -57,6 +69,22 @@ def test_oracle_grid_covers_twin_leaves_and_partials_and_repeats_itself():
             assert forest.edge_count == forest.max_degree == degree(n), kind
     assert all(row["value"] == 0 for row in mins if row["forest"] == "edgeless")
     assert all(len(row["instance"]) == 16 for row in rows)
+
+
+def test_census_counts_add_up_to_the_grids(timed_grid):
+    grid, oracle, timings = timed_grid
+    rows = [json.loads(line) for line in grid + oracle]
+    assert len(timings) == len(rows)
+    summary = solve_sweep.census(rows, timings)
+    assert sum(count for count, _ in summary["solve"].values()) == len(grid) == 13 * 4 * 8 * 2 * 2
+    assert sum(count for count, _ in summary["oracle"].values()) == len(oracle) == 5 * 3 * 2 * 8 * 4
+    assert {query for query, _ in summary["oracle"]} == {"min", "sign"}
+    certified = sum(1 for row in rows if row.get("certified_value") is not None)
+    assert sum(total for _, total in summary["over_refined"].values()) == certified
+    assert all(0 <= over <= total for over, total in summary["over_refined"].values())
+    text = solve_sweep.format_census("change", summary)
+    assert text.startswith("census of the change: ")
+    assert len(text.splitlines()) == len(summary["solve"]) + len(summary["oracle"]) + 3
 
 
 def test_instance_digest_tells_inputs_apart():

@@ -22,9 +22,17 @@ vertices: an ``exact_min_imbalance`` row holds the value and witness,
 an ``exact_sign`` row the min and max sums, both witnesses and
 ``extensions``.  Every row of both grids also holds ``instance``, a digest
 of the serialised colouring and forest, so a changed generator shows as a
-differing field of its own and not only through changed answers.  The tool
-prints how many rows differ, how many differ in each field, and the first
-few differing rows.
+differing field of its own and not only through changed answers; a solve
+row also says whether its colouring is ``balanced``.  The tool prints how
+many rows differ, how many differ in each field, and the first few
+differing rows.
+
+After the diff it prints each side's census: the solve rows' count and
+total wall time per (colouring, mechanism), the oracle rows' per (query,
+n), and how many solve rows certify more than the refined bound, balanced
+and unbalanced colourings apart.  Each call's wall time is measured around
+the solve or query alone and kept apart from the rows, so timings never
+show as differing rows.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -141,8 +150,11 @@ def _oracle_forest(kind: str, n: int, seed: int):
     return make_forest(ForestSpec(kind, n))
 
 
-def oracle_lines() -> list[str]:
-    """One JSON line per oracle query, answered by the forestbalance found on the path."""
+def oracle_lines(timings: list[float]) -> list[str]:
+    """One JSON line per oracle query, answered by the forestbalance found on the path.
+
+    Each query's wall time in ms is appended to ``timings``, one per line.
+    """
     from forestbalance.core import ColouredCompleteGraph, PartialEmbedding
     from forestbalance.oracle import exact_min_imbalance, exact_sign
 
@@ -159,6 +171,7 @@ def oracle_lines() -> list[str]:
                     queries = [("min", None), *(("sign", fixed) for fixed in ({}, {0: n - 1}, {n - 1: 0, 2: 1}))]
                     for query, fixed in queries:
                         row = {**cell, "query": query, "error": None}
+                        start = time.perf_counter()
                         try:
                             if query == "min":
                                 value, witness = exact_min_imbalance(forest, graph)
@@ -171,6 +184,7 @@ def oracle_lines() -> list[str]:
                                            max_witness=list(v.max_witness.forward), extensions=v.extensions)
                         except Exception as exc:  # the error itself is the answer to compare
                             row["error"] = f"{type(exc).__name__}: {exc}"
+                        timings.append((time.perf_counter() - start) * 1e3)
                         lines.append(json.dumps(row, sort_keys=True))
     return lines
 
@@ -183,8 +197,12 @@ def instance_digest(graph, forest) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def grid_lines() -> list[str]:
-    """One JSON line per grid cell, solved with the forestbalance found on the path."""
+def grid_lines(timings: list[float]) -> list[str]:
+    """One JSON line per grid cell, solved with the forestbalance found on the path.
+
+    Each solve's wall time in ms is appended to ``timings``, one per line.
+    """
+    from forestbalance.core import is_balanced
     from forestbalance.solver import SolverConfig, solve
 
     lines = []
@@ -202,8 +220,10 @@ def grid_lines() -> list[str]:
                         instance = instance_digest(graph, forest)
                     for threshold in THRESHOLDS:
                         row = {"n": n, "colouring": colouring, "forest": forest_kind, "seed": seed,
-                               "exact_threshold": threshold, "error": error, "instance": instance}
+                               "exact_threshold": threshold, "error": error, "instance": instance,
+                               "balanced": None if graph is None else is_balanced(graph)}
                         cfg = {"seed": seed} if threshold is None else {"seed": seed, "exact_threshold": threshold}
+                        start = time.perf_counter()
                         if graph is not None:
                             try:
                                 result = solve(forest, graph, SolverConfig(**cfg))
@@ -220,19 +240,58 @@ def grid_lines() -> list[str]:
                                     trace=None if result.trace is None else result.trace.steps,
                                     stats=result.stats,
                                 )
+                        timings.append((time.perf_counter() - start) * 1e3)
                         lines.append(json.dumps(row, sort_keys=True))
     return lines
 
 
-def side_rows(side: Path) -> list[dict]:
-    """The solve and oracle grid rows of the checkout at ``side``, computed in a fresh process."""
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import solve_sweep; "
-            "print(*solve_sweep.grid_lines(), *solve_sweep.oracle_lines(), sep='\\n')")
+def side_rows(side: Path) -> tuple[list[dict], list[float]]:
+    """The solve and oracle grid rows of the checkout at ``side``, and each row's ms, computed in a fresh process."""
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import solve_sweep; timings = []; "
+            "lines = [*solve_sweep.grid_lines(timings), *solve_sweep.oracle_lines(timings)]; "
+            "print(json.dumps(timings), *lines, sep='\\n')")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
         env={**os.environ, "PYTHONPATH": str(side / "src")}, capture_output=True, text=True, check=True,
     )
-    return [json.loads(line) for line in proc.stdout.splitlines()]
+    timings, *lines = proc.stdout.splitlines()
+    return [json.loads(line) for line in lines], json.loads(timings)
+
+
+def census(rows: list[dict], timings: list[float]) -> dict:
+    """Counts and total ms per (colouring, mechanism) and per (query, n), and certificates over the refined bound.
+
+    ``over_refined`` maps "balanced" and "unbalanced" to [rows whose
+    certified value exceeds the refined bound, solve rows with a certificate].
+    """
+    solves: dict[tuple, list] = {}
+    queries: dict[tuple, list] = {}
+    over = {"balanced": [0, 0], "unbalanced": [0, 0]}
+    for row, ms in zip(rows, timings, strict=True):
+        if "query" in row:
+            cell = queries.setdefault((row["query"], row["n"]), [0, 0.0])
+        else:
+            cell = solves.setdefault((row["colouring"], row.get("mechanism")), [0, 0.0])
+            if row.get("certified_value") is not None:
+                tally = over["balanced" if row["balanced"] else "unbalanced"]
+                tally[0] += row["certified_value"] > row["bounds"]["refined"]
+                tally[1] += 1
+        cell[0] += 1
+        cell[1] += ms
+    return {"solve": solves, "oracle": queries, "over_refined": over}
+
+
+def format_census(name: str, summary: dict) -> str:
+    """The census of one side as text: one line per (colouring, mechanism) and per (query, n)."""
+    lines = [f"census of the {name}: solves by (colouring, mechanism): count, total ms"]
+    lines += [f"  {colouring:<13} {str(mechanism):<14} {count:5d} {ms:10.1f}"
+              for (colouring, mechanism), (count, ms) in sorted(summary["solve"].items(), key=str)]
+    lines.append("  oracle queries by (query, n): count, total ms")
+    lines += [f"  {query:<13} {n:<14} {count:5d} {ms:10.1f}"
+              for (query, n), (count, ms) in sorted(summary["oracle"].items())]
+    lines.append("  certificate over the refined bound: " + ", ".join(
+        f"{kind} {over} of {rows}" for kind, (over, rows) in summary["over_refined"].items()))
+    return "\n".join(lines) + "\n"
 
 
 def compare(parent: list[dict], change: list[dict]) -> str:
@@ -268,7 +327,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="sweep-parent-") as tmp:
         parent = Path(tmp)
         export(args.parent, parent)
-        print(compare(side_rows(parent), side_rows(ROOT)), end="")
+        (parent_rows, parent_ms), (change_rows, change_ms) = side_rows(parent), side_rows(ROOT)
+        print(compare(parent_rows, change_rows), end="")
+        print(format_census("parent", census(parent_rows, parent_ms)), end="")
+        print(format_census("change", census(change_rows, change_ms)), end="")
     return 0
 
 
