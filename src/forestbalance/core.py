@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import re
+from itertools import chain
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -245,10 +247,15 @@ class Forest:
     """An acyclic simple graph on n labelled vertices (isolated vertices allowed).
 
     ``edges`` lists each edge once as (low, high), ascending; ``neighbours``
-    lists each vertex's neighbours ascending.
+    lists each vertex's neighbours ascending.  ``edge_array``, the (m, 2)
+    intp array whose row i is ``edges[i]``, and ``degree_array``, the intp
+    vector of ``degree``, are read-only and made on first read.  The
+    constructor checks each edge in input order.  ``parse_forest`` builds
+    a canonical file's forest in one pass instead, and its ``edge_array``
+    is a view of the numbers parsed from the file.
     """
 
-    __slots__ = ("n", "edges", "degree", "max_degree", "min_degree", "neighbours")
+    __slots__ = ("n", "edges", "degree", "max_degree", "min_degree", "neighbours", "_edge_array", "_degree_array")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -279,12 +286,68 @@ class Forest:
         for u, v in norm:  # ascending edges append each neighbour list in ascending order
             adj[u].append(v)
             adj[v].append(u)
+        self._fill(n, norm, adj, None)
+
+    @classmethod
+    def _of_sorted(cls, n: int, edges: list[tuple[int, int]], ends: np.ndarray) -> "Forest":
+        """Build from ascending edges (low, high), 0 <= low < high < n, and their ends as one int vector.
+
+        Such edges hold no range fault or self-loop and need no sort, so one
+        pass tests each for a cycle and appends the neighbour lists.  At an
+        edge that closes a cycle, a repeated edge among them, the constructor
+        takes the list over and words the error.  ``edge_array`` views ``ends``.
+        """
+        parent = list(range(n))
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            ru, rv = u, v
+            while parent[ru] != ru:
+                parent[ru] = ru = parent[parent[ru]]
+            while parent[rv] != rv:
+                parent[rv] = rv = parent[parent[rv]]
+            if ru == rv:
+                return cls(n, edges)
+            parent[ru] = rv
+            adj[u].append(v)
+            adj[v].append(u)
+        forest = cls.__new__(cls)
+        forest._fill(n, edges, adj, ends)
+        return forest
+
+    def _fill(self, n: int, edges: list[tuple[int, int]], adj: list[list[int]], ends: np.ndarray | None) -> None:
         self.n = n
-        self.edges = tuple(norm)
+        self.edges = tuple(edges)
         self.neighbours = tuple(map(tuple, adj))
         self.degree = tuple(map(len, adj))
         self.max_degree = max(self.degree)
         self.min_degree = min(self.degree)
+        self._edge_array, self._degree_array = ends, None
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """The read-only (m, 2) intp array of ``edges``, made on first read.
+
+        Until then the slot holds None, or the flat ends u0 v0 u1 v1 ... that
+        ``parse_forest`` read, which the array then views.
+        """
+        array = self._edge_array
+        if array is None or array.ndim == 1:
+            m = len(self.edges)
+            if array is None:
+                array = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * m)
+            array = array.reshape(m, 2).astype(np.intp, copy=False)
+            array.flags.writeable = False
+            self._edge_array = array
+        return array
+
+    @property
+    def degree_array(self) -> np.ndarray:
+        """The read-only intp vector of ``degree``, counted from ``edge_array`` on first read."""
+        if self._degree_array is None:
+            degree = np.bincount(self.edge_array.ravel(), minlength=self.n).astype(np.intp, copy=False)
+            degree.flags.writeable = False
+            self._degree_array = degree
+        return self._degree_array
 
     @property
     def edge_count(self) -> int:
@@ -537,13 +600,43 @@ def serialize_forest(forest: Forest) -> str:
 _CANONICAL_FOREST = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n)+")
 
 
+#: from this many edges on, numpy tests a canonical forest's order faster than C-level passes over its lists
+_ARRAY_CHECKS = 128
+
+
+def _sorted_pairs(n: int, ends: np.ndarray, lows: list, highs: list, edges: list) -> bool:
+    """True iff every parsed edge has low < high < n and the edges ascend, as serialize_forest writes them.
+
+    ``ends`` is the int64 vector n m u0 v0 u1 v1 ... of the parsed file,
+    ``lows`` and ``highs`` the edges' ends as lists and ``edges`` their zip.
+    With no edge, the default 0 < n is the constructor's n >= 1.  The keys
+    low * n + high ascend with the pairs and stay within int64 below n = 2**31.
+    """
+    if len(edges) < _ARRAY_CHECKS or n >= 2**31:
+        return all(map(lt, lows, highs)) and edges == sorted(edges) and max(highs, default=0) < n
+    low, high = ends[2::2], ends[3::2]
+    if high.max() >= n or not (low < high).all():
+        return False
+    keys = low * n + high
+    return bool((keys[1:] >= keys[:-1]).all())
+
+
 def parse_forest(text: str, graph_n: int | None = None) -> Forest:
-    """Parse a forest file; given graph_n, a header with another n is refused before allocating."""
+    """Parse a forest file; given graph_n, a header with another n is refused before allocating.
+
+    A canonical file whose edges are as serialize_forest writes them is
+    built in one pass (``Forest._of_sorted``); any other text goes through
+    the constructor, which checks each edge in file order.
+    """
     if _CANONICAL_FOREST.fullmatch(text):
         ends = np.fromstring(text, dtype=np.int64, sep=" ")
         n, m = int(ends[0]), int(ends[1])
         if (graph_n is None or n == graph_n) and ends.size == 2 * m + 2:
-            return Forest(n, zip(ends[2::2].tolist(), ends[3::2].tolist()))
+            lows, highs = ends[2::2].tolist(), ends[3::2].tolist()
+            edges = list(zip(lows, highs))
+            if _sorted_pairs(n, ends, lows, highs, edges):
+                return Forest._of_sorted(n, edges, ends[2:])
+            return Forest(n, edges)
     lines = _content_lines(text)
     if not lines:
         raise InvalidInputError("empty forest file")

@@ -42,20 +42,35 @@ class SignedPair:
     centre: int = 0
 
     @classmethod
-    def of(cls, first: Embedding, second: Embedding, forest: Forest, centre: int = 0) -> "SignedPair":
-        """Order two embeddings by their side of the centre and compute their disagreement data."""
-        if first.colour_sum <= centre <= second.colour_sum:
-            neg, pos = first, second
-        elif second.colour_sum <= centre <= first.colour_sum:
-            neg, pos = second, first
+    def of(
+        cls,
+        first: Embedding | tuple[Embedding, np.ndarray],
+        second: Embedding | tuple[Embedding, np.ndarray],
+        forest: Forest,
+        centre: int = 0,
+    ) -> "SignedPair":
+        """Order two embeddings by their side of the centre and compute their disagreement data.
+
+        Either embedding may come paired with its forward map as an intp
+        array, as the sign search passes the rows it sampled; a bare
+        embedding's forward tuple is converted, and the disagreement is one
+        ``!=`` of the two arrays.
+        """
+        n = forest.n
+        (a, a_row), (b, b_row) = (
+            m if isinstance(m, tuple) else (m, np.fromiter(m.forward, np.intp, n)) for m in (first, second)
+        )
+        if a.colour_sum <= centre <= b.colour_sum:
+            neg, pos = a, b
+        elif b.colour_sum <= centre <= a.colour_sum:
+            neg, pos = b, a
         else:
             raise InvalidInputError(
-                f"sums {first.colour_sum} and {second.colour_sum} are strictly on "
+                f"sums {a.colour_sum} and {b.colour_sum} are strictly on "
                 f"the same side of {centre}"
             )
-        n = forest.n
-        dis = np.flatnonzero(np.fromiter(neg.forward, np.intp, n) != np.fromiter(pos.forward, np.intp, n))
-        dmax = int(np.fromiter(forest.degree, np.intp, n)[dis].max(initial=0))
+        dis = np.flatnonzero(a_row != b_row)
+        dmax = int(forest.degree_array[dis].max(initial=0))
         return cls(neg, pos, tuple(dis.tolist()), dmax, centre)
 
     def bound(self, forest: Forest) -> int:

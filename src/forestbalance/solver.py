@@ -34,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, combinations, count
+from itertools import combinations, count
 
 import numpy as np
 
@@ -109,9 +109,11 @@ class ExtensionSampler:
     A block of ``size`` samples takes ``size * k`` 64-bit keys from the
     caller's ``random.Random`` (k = number of free vertices) and argsorts them
     per row, which gives ``size`` independent uniform permutations of the free
-    targets; the free vertices, in ascending order, take them.  Each row's
+    targets; the free vertices, in ascending order, take them.  With nothing
+    pinned both are 0..n-1, so the argsort itself is the block.  Each row's
     colour sum is one gather from the colouring's packed int8 triangle
-    (``ColouredCompleteGraph.edge_colours``).
+    (``ColouredCompleteGraph.edge_colours``) at the ends of
+    ``forest.edge_array``.
     """
 
     __slots__ = ("graph", "base", "free_vs", "free_ts", "us", "vs", "cap")
@@ -131,18 +133,19 @@ class ExtensionSampler:
         free = np.ones((2, n), dtype=bool)
         free[0, vs] = free[1, ts] = False
         self.free_vs, self.free_ts = np.flatnonzero(free[0]), np.flatnonzero(free[1])
-        m = forest.edge_count
-        edges = np.fromiter(chain.from_iterable(forest.edges), dtype=np.intp, count=2 * m).reshape(m, 2)
-        self.us, self.vs = edges[:, 0], edges[:, 1]
+        self.us, self.vs = forest.edge_array.T
         self.cap = max(1, _BLOCK_CELLS // n)
 
     def draw(self, rng: random.Random, size: int) -> tuple[np.ndarray, np.ndarray]:
         """``size`` samples: an intp (size, n) array of forward maps and their int64 sums."""
         k = len(self.free_ts)
         keys = np.frombuffer(rng.randbytes(8 * size * k), dtype=np.uint64).reshape(size, k)
-        images = np.empty((size, len(self.base)), dtype=np.intp)
-        images[:] = self.base
-        images[:, self.free_vs] = self.free_ts[keys.argsort(axis=1)]
+        if k == len(self.base):
+            images = keys.argsort(axis=1)
+        else:
+            images = np.empty((size, len(self.base)), dtype=np.intp)
+            images[:] = self.base
+            images[:, self.free_vs] = self.free_ts[keys.argsort(axis=1)]
         del keys  # frees the key bytes before the gather below allocates
         colours = self.graph.edge_colours(images[:, self.us], images[:, self.vs])
         return images, colours.sum(axis=1, dtype=np.int64)
@@ -209,12 +212,15 @@ def _row(images: np.ndarray, sums: np.ndarray, r: int) -> Embedding:
 
 
 def _first(images: np.ndarray, sums: np.ndarray, mask: np.ndarray, offset: int):
-    """(stream index, embedding) of the block's first row in the mask, or None."""
+    """(stream index, (embedding, row)) of the block's first row in the mask, or None.
+
+    The row is the embedding's forward map as an intp array, which SignedPair.of compares directly.
+    """
     hits = np.flatnonzero(mask)
     if not hits.size:
         return None
     r = int(hits[0])
-    return offset + r, _row(images, sums, r)
+    return offset + r, (_row(images, sums, r), images[r])
 
 
 def large_degree_set(forest: Forest, epsilon: float) -> list[int]:
@@ -223,7 +229,7 @@ def large_degree_set(forest: Forest, epsilon: float) -> list[int]:
     if not 1.0 / n - 1e-12 <= epsilon <= 0.125 + 1e-12:
         raise InvalidInputError(f"epsilon {epsilon} outside [1/{n}, 1/8]")
     threshold = 2.0 / epsilon
-    out = [v for v in range(n) if forest.degree[v] >= threshold]
+    out = np.flatnonzero(forest.degree_array >= threshold).tolist()
     if len(out) > epsilon * n + 1e-9:
         raise CertificateError(f"large-degree set has {len(out)} > epsilon*n vertices")
     return out

@@ -778,12 +778,32 @@ def slow_route_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def constructor_calls(monkeypatch):
+    """The n of every Forest.__init__ call (the route that checks each edge in input order), recorded on entry."""
+    calls = []
+    init = Forest.__init__
+
+    def spy(self, n, edges):
+        calls.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(Forest, "__init__", spy)
+    return calls
+
+
 def outcome(parse, text):
     """The parsed value, or the message of the InvalidInputError; anything else propagates."""
     try:
         return parse(text)
     except InvalidInputError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def parsed_attrs(parse, text):
+    """As outcome, with a parsed forest given by all its attributes."""
+    result = outcome(parse, text)
+    return forest_attrs(result) if isinstance(result, Forest) else result
 
 
 def mutate(text, pos, char, kind):
@@ -962,6 +982,66 @@ class TestForestParser:
         parsed = parse_forest(text, n)
         assert parsed == forest and forest_attrs(parsed) == forest_attrs(reference_parse_forest(text))
         assert slow_route_calls == ([] if perturb == "canonical" else [text])
+
+    @pytest.mark.parametrize("n", PARSE_SIZES)
+    def test_serialized_text_skips_the_constructor(self, n, constructor_calls):
+        forest = make_forest(ForestSpec("random", n, max_degree=max(2, n // 8), seed=n))
+        text = serialize_forest(forest)
+        constructor_calls.clear()  # make_forest's own
+        assert parse_forest(text) == forest and constructor_calls == []
+        # a text the regex refuses is read line by line and built by the constructor
+        assert parse_forest(text.replace("\n", "\r\n")) == forest and constructor_calls == [n]
+
+    @given(forest_edge_lists(max_n=300))
+    @example((1, []))
+    @example((300, [(v - 1, v) for v in range(1, 300)]))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_keeps_the_arrays_of_the_tuples(self, case):
+        # forests of 128 edges and more take the numpy order check, smaller ones the list check
+        n, edges = case
+        forest = Forest(n, edges)
+        parsed = parse_forest(serialize_forest(forest))
+        assert forest_attrs(parsed) == forest_attrs(forest)
+        m = len(forest.edges)
+        for f in (parsed, forest):
+            assert f.edge_array.dtype == f.degree_array.dtype == np.intp
+            np.testing.assert_array_equal(f.edge_array, np.array(forest.edges, dtype=np.intp).reshape(m, 2))
+            np.testing.assert_array_equal(f.degree_array, np.array(forest.degree, dtype=np.intp))
+            assert not f.edge_array.flags.writeable and not f.degree_array.flags.writeable
+            assert f.edge_array is f.edge_array and f.degree_array is f.degree_array
+
+    @pytest.mark.parametrize("fault", ["high-low", "swapped lines", "high is n", "repeated line", "cycle"])
+    @pytest.mark.parametrize("n", [9, 257])
+    def test_canonical_shaped_text_out_of_order_gives_the_reference_outcome(self, n, fault, constructor_calls):
+        # 8 edges take the list order check and 256 the numpy one
+        forest = make_forest(ForestSpec("random", n, max_degree=max(2, n // 8), seed=n))
+        head, *lines = serialize_forest(forest).splitlines()
+        i = len(lines) // 2
+        u, v = map(int, lines[i].split())
+        if fault == "high-low":
+            lines[i] = f"{v} {u}"
+        elif fault == "swapped lines":
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif fault == "high is n":
+            # on the last line, which then still sorts last: only the range check refuses it
+            lines[-1] = f"{lines[-1].split()[0]} {n}"
+        elif fault == "repeated line":
+            lines[i + 1] = lines[i]
+        else:
+            # the triangle 0-1-2 closes a cycle; the largest edges make room, so the lines stay ascending
+            lines = [f"{a} {b}" for a, b in sorted({*forest.edges, (0, 1), (0, 2), (1, 2)})[:len(lines)]]
+        text = "\n".join([head, *lines, ""])
+        constructor_calls.clear()
+        assert parsed_attrs(parse_forest, text) == parsed_attrs(reference_parse_forest, text)
+        # an order fault sends the edges to the constructor; a repeat or a cycle hands them over from the one pass
+        assert constructor_calls == [n]
+
+    @pytest.mark.parametrize("text", ["0 0\n", "1 0\n", "9 0\n"])
+    def test_edgeless_canonical_text_gives_the_reference_outcome(self, text, constructor_calls):
+        constructor_calls.clear()
+        assert parsed_attrs(parse_forest, text) == parsed_attrs(reference_parse_forest, text)
+        # n = 0 needs the constructor's message; any other n takes the one-pass route
+        assert constructor_calls == ([0] if text == "0 0\n" else [])
 
     @pytest.mark.parametrize("text", [
         "12 2\n0000000000000000001 2\n3 4\n",

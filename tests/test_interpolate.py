@@ -76,6 +76,16 @@ class TestSignedPair:
         assert all(type(v) is int for v in pair.disagreement)
         assert pair.disagreement_max_degree == 2
 
+    def test_rows_given_with_the_embeddings_give_the_same_pair(self):
+        # the sign search passes each sampled embedding with its forward map as an intp row
+        forest = Forest(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
+        low, high = Embedding([0, 2, 1, 3, 5, 4], -2), Embedding([0, 1, 2, 3, 4, 5], 2)
+        with_row = {emb: (emb, np.array(emb.forward, dtype=np.intp)) for emb in (low, high)}
+        bare = SignedPair.of(high, low, forest)
+        assert bare.disagreement == (1, 2, 4, 5) and bare.disagreement_max_degree == 2
+        for first, second in ((with_row[high], with_row[low]), (with_row[high], low), (high, with_row[low])):
+            assert SignedPair.of(first, second, forest) == bare
+
     def test_same_strict_sign_rejected(self):
         g = random_balanced_colouring(8, 2)
         p8 = make_forest(ForestSpec("path", 8))

@@ -16,9 +16,23 @@ _SPEC.loader.exec_module(solve_sweep)
 
 @pytest.fixture(scope="module")
 def timed_grid():
-    """Both grids' lines, run once, and each line's wall time."""
-    timings = []
-    return solve_sweep.grid_lines(timings), solve_sweep.oracle_lines(timings), timings
+    """Both grids' lines, run once, each line's wall time, and the texts parse_forest read in each grid."""
+    from forestbalance import core
+
+    timings, parsed = [], []
+    parse_forest = core.parse_forest
+
+    def recording(text, graph_n=None):
+        parsed[-1].append(text)
+        return parse_forest(text, graph_n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "parse_forest", recording)
+        parsed.append([])
+        grid = solve_sweep.grid_lines(timings)
+        parsed.append([])
+        oracle = solve_sweep.oracle_lines(timings)
+    return grid, oracle, timings, parsed
 
 
 def test_grid_reaches_every_mechanism_and_repeats_itself(timed_grid):
@@ -71,8 +85,20 @@ def test_oracle_grid_covers_twin_leaves_and_partials_and_repeats_itself(timed_gr
     assert all(len(row["instance"]) == 16 for row in rows)
 
 
+def test_every_forest_is_parsed_back_from_its_canonical_text(timed_grid):
+    from forestbalance.core import parse_forest, serialize_forest
+
+    grid, oracle, _, parsed = timed_grid
+    for lines, texts in ((grid, parsed[0]), (oracle, parsed[1])):
+        rows = [json.loads(line) for line in lines]
+        # one forest per input cell whose colouring was built
+        cells = {(row["n"], row["colouring"], row["forest"], row["seed"]) for row in rows if row["instance"]}
+        assert len(texts) == len(cells)
+        assert all(serialize_forest(parse_forest(text)) == text for text in texts)
+
+
 def test_census_counts_add_up_to_the_grids(timed_grid):
-    grid, oracle, timings = timed_grid
+    grid, oracle, timings, _ = timed_grid
     rows = [json.loads(line) for line in grid + oracle]
     assert len(timings) == len(rows)
     summary = solve_sweep.census(rows, timings)

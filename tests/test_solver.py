@@ -656,6 +656,8 @@ _FORGED_CERTIFICATES = """
 import sys
 from types import SimpleNamespace
 
+import numpy as np
+
 import forestbalance.bounds as bounds
 import forestbalance.interpolate as interpolate
 import forestbalance.oracle as oracle
@@ -707,7 +709,9 @@ neighbours[v1] = (*top[:cut], top[cut - 1], *top[cut:])
 repeated = SimpleNamespace(n=double.n, degree=double.degree, neighbours=tuple(neighbours))
 expect("greedy blocks", lambda: solver.greedy_star_balance(repeated, adversary, x, 0))
 
-expect("large-degree set", lambda: solver.large_degree_set(SimpleNamespace(n=32, degree=(20,) * 32), 1 / 8))
+# all 32 vertices have degree 20 >= 2 / eps = 16, far more than eps * n = 4
+many_large = SimpleNamespace(n=32, degree=(20,) * 32, degree_array=np.full(32, 20, dtype=np.intp))
+expect("large-degree set", lambda: solver.large_degree_set(many_large, 1 / 8))
 
 expect("sign verdict", lambda: oracle.SignVerdict(1, 0, None, None, 1))
 

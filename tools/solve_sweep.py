@@ -9,14 +9,15 @@ The parent side is the committed files of ``--parent``, exported with
 tree.  Each side runs this file's grid in its own process with that side's
 ``src`` first on the path, so both build their inputs with their own
 ``forestbalance.core`` and ``forestbalance.generators`` from the same
-parameters.  Every solve and query reads its colouring as parsed back from
-the colouring's canonical text, so the parser's output is what both sides
-answer on.  A row holds the embedding, the achieved value, the mechanism,
-the certified value, ``within_bound``, the bound report, the interpolation
-trace steps and ``stats`` of one solve, or the type and message of the error
-it raised.  A second grid queries the exact oracle at n = 5-9, on colourings
-with red-edge probability 0.5, 0.85 and 0.95, on forests with
-and without twin leaves (leaves of one parent, isolated vertices), on forests
+parameters.  Every solve and query reads its colouring and its forest as
+parsed back from their canonical text, so the parsers' output, built the
+way the benchmark builds it, is what both sides answer on.  A row holds
+the embedding, the achieved value, the mechanism, the certified value,
+``within_bound``, the bound report, the interpolation trace steps and
+``stats`` of one solve, or the type and message of the error it raised.
+A second grid queries the exact oracle at n = 5-9, on colourings with
+red-edge probability 0.5, 0.85 and 0.95, on forests with and without twin
+leaves (leaves of one parent, isolated vertices), on forests
 whose edges all meet one vertex (d = 0, 1 and n // 2), and with 0-2 fixed
 vertices: an ``exact_min_imbalance`` row holds the value and witness,
 an ``exact_sign`` row the min and max sums, both witnesses and
@@ -73,11 +74,13 @@ ORACLE_FORESTS = ("path", "broom", "caterpillar", "isolated", "random", "edgeles
 ORACLE_COLOURINGS = {"even": 0.5, "red-heavy": 0.85, "near-red": 0.95}
 
 
-def _parsed_back(graph):
-    """The colouring as parse_colouring reads it from the canonical text serialize_colouring writes."""
-    from forestbalance.core import parse_colouring, serialize_colouring
+def _parsed_back(value):
+    """The colouring or forest as its parser reads it from the canonical text its serializer writes."""
+    from forestbalance.core import Forest, parse_colouring, parse_forest, serialize_colouring, serialize_forest
 
-    return parse_colouring(serialize_colouring(graph))
+    if isinstance(value, Forest):
+        return parse_forest(serialize_forest(value))
+    return parse_colouring(serialize_colouring(value))
 
 
 def _colouring(kind: str, n: int, seed: int):
@@ -165,7 +168,7 @@ def oracle_lines(timings: list[float]) -> list[str]:
                 red = np.triu(np.random.default_rng([n, seed]).random((n, n)) < p_red, 1)
                 graph = _parsed_back(ColouredCompleteGraph.from_red_matrix(red | red.T))
                 for forest_kind in ORACLE_FORESTS:
-                    forest = _oracle_forest(forest_kind, n, seed)
+                    forest = _parsed_back(_oracle_forest(forest_kind, n, seed))
                     cell = {"n": n, "colouring": colouring, "forest": forest_kind, "seed": seed,
                             "instance": instance_digest(graph, forest)}
                     queries = [("min", None), *(("sign", fixed) for fixed in ({}, {0: n - 1}, {n - 1: 0, 2: 1}))]
@@ -216,7 +219,7 @@ def grid_lines(timings: list[float]) -> list[str]:
                 for forest_kind in FORESTS:
                     forest = instance = None
                     if graph is not None:
-                        forest = _forest(forest_kind, n, seed)
+                        forest = _parsed_back(_forest(forest_kind, n, seed))
                         instance = instance_digest(graph, forest)
                     for threshold in THRESHOLDS:
                         row = {"n": n, "colouring": colouring, "forest": forest_kind, "seed": seed,
