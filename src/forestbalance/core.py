@@ -9,7 +9,6 @@ edge straight from it; the n x n matrix is built only when something reads it.
 from __future__ import annotations
 
 import functools
-import re
 from itertools import chain
 from operator import lt
 from typing import Iterable, Iterator, Sequence
@@ -247,15 +246,30 @@ class Forest:
     """An acyclic simple graph on n labelled vertices (isolated vertices allowed).
 
     ``edges`` lists each edge once as (low, high), ascending; ``neighbours``
-    lists each vertex's neighbours ascending.  ``edge_array``, the (m, 2)
-    intp array whose row i is ``edges[i]``, and ``degree_array``, the intp
-    vector of ``degree``, are read-only and made on first read.  The
-    constructor checks each edge in input order.  ``parse_forest`` builds
-    a canonical file's forest in one pass instead, and its ``edge_array``
-    is a view of the numbers parsed from the file.
+    lists each vertex's neighbours ascending and ``degree`` each vertex's
+    degree, all as tuples of ints.  ``edge_array``, the (m, 2) intp array
+    whose row i is ``edges[i]``, and ``degree_array``, the intp vector of
+    ``degree``, are read-only.  ``edge_count``, ``max_degree`` and
+    ``min_degree`` are plain ints.
+
+    The constructor checks each edge in input order and builds the three
+    tuples at once, with Python lists of length n on the way even when the
+    forest has no edge; its arrays are made on first read.  ``parse_forest``
+    builds a canonical file's forest from the numbers it parsed (see there):
+    a small one in one Python pass that also builds the tuples, a large one
+    from numpy arrays alone, so that ``edges``, ``degree`` and
+    ``neighbours`` are made on first read.
+
+    ``adjacency`` holds the neighbours without a tuple per vertex: the list
+    ``off`` of n + 1 offsets and the list ``flat`` in which vertex v's
+    neighbours are ``flat[off[v]:off[v + 1]]``, ascending.  It is made on
+    first read by one stable argsort of the edge ends.  ``swap_delta`` reads
+    ``neighbours`` when they are built and ``adjacency`` otherwise, so a
+    large parsed forest's walk and polish never build a tuple per vertex.
     """
 
-    __slots__ = ("n", "edges", "degree", "max_degree", "min_degree", "neighbours", "_edge_array", "_degree_array")
+    __slots__ = ("n", "edge_count", "max_degree", "min_degree", "_edges", "_degree", "_neighbours",
+                 "_edge_array", "_degree_array", "_adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -315,13 +329,57 @@ class Forest:
         return forest
 
     def _fill(self, n: int, edges: list[tuple[int, int]], adj: list[list[int]], ends: np.ndarray | None) -> None:
-        self.n = n
-        self.edges = tuple(edges)
-        self.neighbours = tuple(map(tuple, adj))
-        self.degree = tuple(map(len, adj))
-        self.max_degree = max(self.degree)
-        self.min_degree = min(self.degree)
-        self._edge_array, self._degree_array = ends, None
+        self.n, self.edge_count = n, len(edges)
+        self._edges = tuple(edges)
+        self._neighbours = tuple(map(tuple, adj))
+        self._degree = tuple(map(len, adj))
+        self.max_degree = max(self._degree)
+        self.min_degree = min(self._degree)
+        self._edge_array, self._degree_array, self._adjacency = ends, None, None
+
+    @classmethod
+    def _of_arrays(cls, n: int, ends: np.ndarray) -> "Forest":
+        """Wrap the ends u0 v0 u1 v1 ... of a forest's ascending edges on n >= 1 vertices; degrees by bincount."""
+        degree = np.bincount(ends, minlength=n)
+        degree.flags.writeable = False
+        forest = cls.__new__(cls)
+        forest.n, forest.edge_count = n, len(ends) // 2
+        forest.max_degree, forest.min_degree = int(degree.max()), int(degree.min())
+        forest._edges = forest._degree = forest._neighbours = forest._adjacency = None
+        forest._edge_array, forest._degree_array = ends, degree
+        return forest
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        if self._edges is None:
+            self._edges = tuple(map(tuple, self.edge_array.tolist()))
+        return self._edges
+
+    @property
+    def degree(self) -> tuple[int, ...]:
+        if self._degree is None:
+            self._degree = tuple(self.degree_array.tolist())
+        return self._degree
+
+    @property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        if self._neighbours is None:
+            off, flat = self.adjacency
+            self._neighbours = tuple(tuple(flat[a:b]) for a, b in zip(off, off[1:]))
+        return self._neighbours
+
+    @property
+    def adjacency(self) -> tuple[list[int], list[int]]:
+        """(off, flat): vertex v's neighbours are ``flat[off[v]:off[v + 1]]``, ascending; made on first read."""
+        if self._adjacency is None:
+            ends = self.edge_array.ravel()
+            # the edges ascend, so a stable sort keeps each vertex's neighbours ascending
+            order = np.argsort(ends, kind="stable")
+            order ^= 1  # position 2i + 1 holds the other end of the edge at 2i, and the other way round
+            off = np.zeros(self.n + 1, dtype=np.intp)
+            np.cumsum(self.degree_array, out=off[1:])
+            self._adjacency = off.tolist(), ends[order].tolist()
+        return self._adjacency
 
     @property
     def edge_array(self) -> np.ndarray:
@@ -332,9 +390,9 @@ class Forest:
         """
         array = self._edge_array
         if array is None or array.ndim == 1:
-            m = len(self.edges)
+            m = self.edge_count
             if array is None:
-                array = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * m)
+                array = np.fromiter(chain.from_iterable(self._edges), dtype=np.intp, count=2 * m)
             array = array.reshape(m, 2).astype(np.intp, copy=False)
             array.flags.writeable = False
             self._edge_array = array
@@ -349,10 +407,6 @@ class Forest:
             self._degree_array = degree
         return self._degree_array
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def isolated_vertices(self) -> list[int]:
         return [v for v in range(self.n) if self.degree[v] == 0]
 
@@ -363,7 +417,7 @@ class Forest:
         return hash((self.n, self.edges))
 
     def __repr__(self):
-        return f"Forest(n={self.n}, m={len(self.edges)}, max_degree={self.max_degree})"
+        return f"Forest(n={self.n}, m={self.edge_count}, max_degree={self.max_degree})"
 
 
 class Embedding:
@@ -435,16 +489,22 @@ def swap_delta(forward: Sequence[int], u: int, v: int, forest: Forest, g: Colour
     edge uv (if present) is unaffected because the colouring is symmetric.
     """
     cells, off = g._lookup()
+    rows = forest._neighbours
+    if rows is None:
+        starts, flat = forest._adjacency or forest.adjacency  # the slot, once made
+        nu, nv = flat[starts[u]:starts[u + 1]], flat[starts[v]:starts[v + 1]]
+    else:
+        nu, nv = rows[u], rows[v]
     a, b = forward[u], forward[v]
     row_a, row_b = off[a], off[b]
     delta = 0
     # t is neither a nor b, so each cell is in row max(t, a) or max(t, b) of the triangle
-    for w in forest.neighbours[u]:
+    for w in nu:
         if w != v:
             t = forward[w]
             delta += ((cells[row_b + t] if t < b else cells[off[t] + b])
                       - (cells[row_a + t] if t < a else cells[off[t] + a]))
-    for w in forest.neighbours[v]:
+    for w in nv:
         if w != u:
             t = forward[w]
             delta += ((cells[row_a + t] if t < a else cells[off[t] + a])
@@ -596,46 +656,95 @@ def serialize_forest(forest: Forest) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: a forest file as serialize_forest writes it, which one C conversion reads: 18 digits always fit in int64
-_CANONICAL_FOREST = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n)+")
+#: bytes.translate table: every ASCII digit to "0"
+_ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
 
 
-#: from this many edges on, numpy tests a canonical forest's order faster than C-level passes over its lists
+def _canonical_numbers(text: str) -> np.ndarray | None:
+    """The int64 numbers of a forest file as serialize_forest writes it, or None for any other text.
+
+    The text must be one or more lines of two runs of 1 to 18 ASCII digits,
+    one space between them and "\n" after, as the regular expression
+    ``(?:[0-9]{1,18} [0-9]{1,18}\n)+`` spells it: 18 digits always fit in
+    int64, and one C conversion reads them.  Without its digits such a text
+    is " \n" once per line; a run of 19 digits shows as 19 zeros once every
+    digit is a zero; and every run becomes one number, so an empty run
+    leaves fewer than two numbers per line.
+    """
+    data = text.encode("ascii", "replace")  # a non-ASCII character becomes "?", which no check passes
+    rest = data.translate(None, b"0123456789")
+    if not rest or rest != b" \n" * (len(rest) // 2) or b"0" * 19 in data.translate(_ZERO_DIGITS):
+        return None
+    numbers = np.fromstring(text, dtype=np.int64, sep=" ")
+    return numbers if numbers.size == len(rest) else None
+
+
+#: a canonical forest file on n vertices with m edges takes numpy's route when
+#: n + m reaches twice this, so a spanning tree does from 128 edges on;
+#: numpy's fixed costs would slow the smaller ones
 _ARRAY_CHECKS = 128
 
 
-def _sorted_pairs(n: int, ends: np.ndarray, lows: list, highs: list, edges: list) -> bool:
-    """True iff every parsed edge has low < high < n and the edges ascend, as serialize_forest writes them.
+def _acyclic(n: int, ends: np.ndarray) -> bool:
+    """True iff the edges (ends[0], ends[1]), (ends[2], ends[3]), ... on range(n) close no cycle (union-find)."""
+    if ends.size < n:  # most vertices are isolated: number the ones the edges meet instead
+        n, ends = ends.size, np.unique(ends, return_inverse=True)[1]
+    parent = list(range(n))
+    it = iter(ends.tolist())
+    for u, v in zip(it, it):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            return False
+        parent[u] = v
+    return True
 
-    ``ends`` is the int64 vector n m u0 v0 u1 v1 ... of the parsed file,
-    ``lows`` and ``highs`` the edges' ends as lists and ``edges`` their zip.
-    With no edge, the default 0 < n is the constructor's n >= 1.  The keys
-    low * n + high ascend with the pairs and stay within int64 below n = 2**31.
+
+def _forest_of_ends(n: int, ends: np.ndarray) -> Forest:
+    """The forest whose edges a canonical file lists as the ends u0 v0 u1 v1 ... (int64), built with numpy.
+
+    When the edges are as serialize_forest writes them (low < high < n,
+    ascending), they form a forest if every vertex is the high end of at
+    most one edge, since the largest vertex on a cycle would have two lower
+    neighbours on it; otherwise a union-find pass decides.  Any fault, a
+    repeated edge among them, sends the edges to the constructor, which
+    words the error.
     """
-    if len(edges) < _ARRAY_CHECKS or n >= 2**31:
-        return all(map(lt, lows, highs)) and edges == sorted(edges) and max(highs, default=0) < n
-    low, high = ends[2::2], ends[3::2]
-    if high.max() >= n or not (low < high).all():
-        return False
-    keys = low * n + high
-    return bool((keys[1:] >= keys[:-1]).all())
+    low, high = ends[0::2], ends[1::2]
+    if n >= 1 and (not low.size or (high.max() < n and (low < high).all())):
+        step = low[1:] - low[:-1]
+        if ((step > 0) | ((step == 0) & (high[1:] >= high[:-1]))).all():
+            top = np.sort(high)
+            if (top[1:] != top[:-1]).all() or _acyclic(n, ends):
+                return Forest._of_arrays(n, ends)
+    return Forest(n, list(zip(low.tolist(), high.tolist())))
 
 
 def parse_forest(text: str, graph_n: int | None = None) -> Forest:
     """Parse a forest file; given graph_n, a header with another n is refused before allocating.
 
-    A canonical file whose edges are as serialize_forest writes them is
-    built in one pass (``Forest._of_sorted``); any other text goes through
-    the constructor, which checks each edge in file order.
+    A canonical file (see ``_canonical_numbers``) is read by one C
+    conversion.  With n + m below 2 * ``_ARRAY_CHECKS``, edges as
+    serialize_forest writes them are built in one Python pass
+    (``Forest._of_sorted``); from there on numpy builds the forest with no
+    per-edge or per-vertex Python (``_forest_of_ends``), so a file with many
+    isolated vertices makes no list of length n either.  Any other text goes
+    through the constructor, which checks each edge in file order.
     """
-    if _CANONICAL_FOREST.fullmatch(text):
-        ends = np.fromstring(text, dtype=np.int64, sep=" ")
-        n, m = int(ends[0]), int(ends[1])
-        if (graph_n is None or n == graph_n) and ends.size == 2 * m + 2:
-            lows, highs = ends[2::2].tolist(), ends[3::2].tolist()
+    numbers = _canonical_numbers(text)
+    if numbers is not None:
+        n, m = int(numbers[0]), int(numbers[1])
+        if (graph_n is None or n == graph_n) and numbers.size == 2 * m + 2:
+            ends = numbers[2:]
+            if n + m >= 2 * _ARRAY_CHECKS:
+                return _forest_of_ends(n, ends)
+            lows, highs = ends[0::2].tolist(), ends[1::2].tolist()
             edges = list(zip(lows, highs))
-            if _sorted_pairs(n, ends, lows, highs, edges):
-                return Forest._of_sorted(n, edges, ends[2:])
+            # ascending pairs with low < high < n; with no edge, the default 0 < n is the constructor's n >= 1
+            if all(map(lt, lows, highs)) and edges == sorted(edges) and max(highs, default=0) < n:
+                return Forest._of_sorted(n, edges, ends)
             return Forest(n, edges)
     lines = _content_lines(text)
     if not lines:

@@ -115,7 +115,7 @@ def interpolate_traced(
     for x, t in enumerate(fwd):
         holder[t] = x
 
-    degree = forest.degree
+    degree = forest.degree_array.tolist()
     min_deg = forest.min_degree
     # The three-step swap runs only when neither u nor v has minimum degree,
     # so the lowest-index minimum-degree vertex is always a free intermediate.

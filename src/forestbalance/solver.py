@@ -249,9 +249,10 @@ def large_degree_anchor(
     if forest.max_degree < 16:
         return None
     eps = report.crossing_eps if report.crossing_eps is not None else 0.125
-    large = sorted(large_degree_set(forest, eps), key=lambda v: (-forest.degree[v], v))
+    large = large_degree_set(forest, eps)
     if not large:
         return None
+    large = [v for _, v in sorted(zip((-forest.degree_array[large]).tolist(), large))]
     balance = np.abs(graph.signed_degrees())
     hosts = np.argsort(balance, kind="stable")[: len(large)].tolist()
     return PartialEmbedding(dict(zip(large, hosts)))

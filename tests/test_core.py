@@ -2,8 +2,12 @@ import copy
 import json
 import pickle
 import random
+import re
+import time
 import tracemalloc
+from contextlib import contextmanager
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -706,11 +710,19 @@ def reference_forest(n, edges):
     for u, v in norm:
         adj[u].append(v)
         adj[v].append(u)
-    f = Forest.__new__(Forest)
-    f.n, f.edges, f.degree = n, tuple(norm), tuple(degree)
-    f.max_degree, f.min_degree = max(degree), min(degree)
-    f.neighbours = tuple(tuple(sorted(a)) for a in adj)
-    return f
+    return ReferenceForest(n, tuple(norm), tuple(degree), max(degree), min(degree),
+                           tuple(tuple(sorted(a)) for a in adj))
+
+
+class ReferenceForest(NamedTuple):
+    """What reference_forest builds: a plain record of the attributes forest_attrs reads."""
+
+    n: int
+    edges: tuple
+    degree: tuple
+    max_degree: int
+    min_degree: int
+    neighbours: tuple
 
 
 def forest_attrs(f):
@@ -793,17 +805,15 @@ def constructor_calls(monkeypatch):
 
 
 def outcome(parse, text):
-    """The parsed value, or the message of the InvalidInputError; anything else propagates."""
+    """The parsed value, a forest given by all its attributes, or the message of the InvalidInputError.
+
+    Any other exception propagates.
+    """
     try:
-        return parse(text)
+        result = parse(text)
     except InvalidInputError as exc:
         return f"{type(exc).__name__}: {exc}"
-
-
-def parsed_attrs(parse, text):
-    """As outcome, with a parsed forest given by all its attributes."""
-    result = outcome(parse, text)
-    return forest_attrs(result) if isinstance(result, Forest) else result
+    return forest_attrs(result) if isinstance(result, (Forest, ReferenceForest)) else result
 
 
 def mutate(text, pos, char, kind):
@@ -997,7 +1007,7 @@ class TestForestParser:
     @example((300, [(v - 1, v) for v in range(1, 300)]))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_keeps_the_arrays_of_the_tuples(self, case):
-        # forests of 128 edges and more take the numpy order check, smaller ones the list check
+        # n + m from 256 on takes the numpy route, below it the one-pass route
         n, edges = case
         forest = Forest(n, edges)
         parsed = parse_forest(serialize_forest(forest))
@@ -1013,7 +1023,7 @@ class TestForestParser:
     @pytest.mark.parametrize("fault", ["high-low", "swapped lines", "high is n", "repeated line", "cycle"])
     @pytest.mark.parametrize("n", [9, 257])
     def test_canonical_shaped_text_out_of_order_gives_the_reference_outcome(self, n, fault, constructor_calls):
-        # 8 edges take the list order check and 256 the numpy one
+        # n = 9 takes the one-pass route and n = 257 the numpy one
         forest = make_forest(ForestSpec("random", n, max_degree=max(2, n // 8), seed=n))
         head, *lines = serialize_forest(forest).splitlines()
         i = len(lines) // 2
@@ -1032,14 +1042,15 @@ class TestForestParser:
             lines = [f"{a} {b}" for a, b in sorted({*forest.edges, (0, 1), (0, 2), (1, 2)})[:len(lines)]]
         text = "\n".join([head, *lines, ""])
         constructor_calls.clear()
-        assert parsed_attrs(parse_forest, text) == parsed_attrs(reference_parse_forest, text)
-        # an order fault sends the edges to the constructor; a repeat or a cycle hands them over from the one pass
+        assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
+        # an order fault sends the edges to the constructor; a repeat or a cycle hands them over from the
+        # one pass (n = 9) or the union-find fallback (n = 257)
         assert constructor_calls == [n]
 
     @pytest.mark.parametrize("text", ["0 0\n", "1 0\n", "9 0\n"])
     def test_edgeless_canonical_text_gives_the_reference_outcome(self, text, constructor_calls):
         constructor_calls.clear()
-        assert parsed_attrs(parse_forest, text) == parsed_attrs(reference_parse_forest, text)
+        assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
         # n = 0 needs the constructor's message; any other n takes the one-pass route
         assert constructor_calls == ([0] if text == "0 0\n" else [])
 
@@ -1056,6 +1067,161 @@ class TestForestParser:
     def test_non_canonical_tokens_take_the_int_route(self, text, slow_route_calls):
         assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
         assert slow_route_calls == [text]
+
+
+#: the regular expression that spelt a canonical forest file before core._canonical_numbers replaced it
+CANONICAL_FOREST = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n)+")
+
+#: tokens around the regular expression's edges: 18 and 19 digits, leading zeros, int64's end and past it
+_CANONICAL_TOKENS = [
+    "0", "7", "12", "512", "007", "1" * 18, "1" * 19, "0" * 17 + "1", "0" * 18 + "1", "999999999999999999",
+    "1000000000000000000", "9223372036854775807", "9223372036854775808", "99999999999999999999",
+    "", "\u0663", "+1", "-1", "1_0", "x",
+]
+
+
+@st.composite
+def canonical_shaped_texts(draw):
+    """Lines of two tokens, mostly as serialize_forest writes them, some with another gap, end or token."""
+    token = st.sampled_from(_CANONICAL_TOKENS) | st.integers(0, 10**18).map(str)
+    gap = st.sampled_from([" "] * 6 + ["  ", "\t", "", " \t"])
+    end = st.sampled_from(["\n"] * 6 + ["\r\n", "", " \n", "\n\n"])
+    lines = draw(st.lists(st.tuples(token, gap, token, end), max_size=6))
+    text = "".join(a + g + b + e for a, g, b, e in lines)
+    return draw(st.sampled_from([text, text[:-1], " " + text, text + "5", text + "5 6\n"]))
+
+
+def distinct_high_edges(n, rng):
+    """Ascending edges in which each vertex v > 0 has at most one lower neighbour, drawn with rng."""
+    return sorted((rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9)
+
+
+@contextmanager
+def union_find_calls():
+    """The result of every core._acyclic call, the union-find pass of the numpy route, made inside the block."""
+    calls = []
+    acyclic = core._acyclic
+
+    def spy(n, ends):
+        calls.append(acyclic(n, ends))
+        return calls[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_acyclic", spy)
+        yield calls
+
+
+class TestCanonicalForestRoute:
+    @given(canonical_shaped_texts())
+    @example("1 2\n")
+    @example("1 1234567890123456789\n")
+    @example("9223372036854775808 1\n")
+    @example("0000000000000000001 2\n")
+    @example("000000000000000001 2\n")
+    @example("1 2\n3 4")
+    @example("1 2\r\n")
+    @example(" 1\n")
+    @example("1 \n")
+    @example("")
+    @settings(max_examples=400, deadline=None)
+    def test_canonical_check_accepts_what_the_regex_accepts(self, text):
+        numbers = core._canonical_numbers(text)
+        assert (numbers is not None) == bool(CANONICAL_FOREST.fullmatch(text))
+        if numbers is not None:
+            assert numbers.dtype == np.int64 and numbers.tolist() == [int(t) for t in text.split()]
+
+    @given(st.integers(2, 400), st.integers(0, 2**32 - 1))
+    @example(512, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_distinct_high_ends_never_close_a_cycle(self, n, seed):
+        edges = distinct_high_edges(n, random.Random(seed))
+        reference = reference_forest(n, edges)  # the reference union-find raises at any cycle
+        text = serialize_forest(Forest(n, edges))
+        with union_find_calls() as calls:
+            parsed = parse_forest(text)
+        assert forest_attrs(parsed) == forest_attrs(reference)
+        assert calls == []
+
+    @given(st.integers(129, 400), st.integers(0, 2**32 - 1), st.sampled_from(["cycle", "repeat"]))
+    @settings(max_examples=40, deadline=None)
+    def test_cycles_and_repeats_with_many_edges_take_the_fallback(self, n, seed, fault):
+        rng = random.Random(seed)
+        edges = [(v - 1, v) for v in range(1, n)]  # a path: every vertex on a cycle would need two lower neighbours
+        if fault == "cycle":
+            u = rng.randrange(n - 2)
+            edges.append((u, rng.randrange(u + 2, n)))
+        else:
+            edges.append(rng.choice(edges))
+        text = "".join([f"{n} {len(edges)}\n", *(f"{u} {v}\n" for u, v in sorted(edges))])
+        with union_find_calls() as calls:
+            message = outcome(parse_forest, text)
+        assert message == outcome(reference_parse_forest, text)
+        assert message.startswith("InvalidInputError: " + ("edge" if fault == "cycle" else "duplicate edge"))
+        assert calls == [False]
+
+    @pytest.mark.parametrize("kind", ["path", "random", "relabelled", "constructor"])
+    def test_swap_delta_on_the_flat_adjacency_matches_a_numpy_reference(self, kind):
+        n, rng = 512, random.Random(kind)
+        g = random_colouring(n, 3)
+        spec = ForestSpec("path", n) if kind == "path" else ForestSpec("random", n, max_degree=n // 8, seed=5)
+        tree = make_forest(spec)
+        if kind == "relabelled":
+            perm = list(range(n))
+            rng.shuffle(perm)
+            tree = Forest(n, [(perm[u], perm[v]) for u, v in tree.edges])
+        forest = tree if kind == "constructor" else parse_forest(serialize_forest(tree))
+        edges = np.array(tree.edges, dtype=np.intp).reshape(-1, 2)
+        fwd = list(range(n))
+        rng.shuffle(fwd)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(200)]
+        # the parsed forests' neighbours are unbuilt, so swap_delta reads the flat adjacency
+        assert (forest._neighbours is None) == (kind != "constructor")
+        deltas = [core.swap_delta(fwd, u, v, forest, g) for u, v in pairs]
+        assert (forest._neighbours is None) == (kind != "constructor")
+        for (u, v), delta in zip(pairs, deltas):
+            swapped = list(fwd)
+            swapped[u], swapped[v] = swapped[v], swapped[u]
+            assert delta == numpy_sum(g, swapped, edges) - numpy_sum(g, fwd, edges)
+        off, flat = forest.adjacency
+        assert len(off) == n + 1 and all(type(x) is int for x in (*off, *flat))
+        assert [tuple(flat[off[v]:off[v + 1]]) for v in range(n)] == list(tree.neighbours)
+        # once the neighbour tuples are read, swap_delta reads them instead and agrees
+        assert forest.neighbours == tree.neighbours
+        assert [core.swap_delta(fwd, u, v, forest, g) for u, v in pairs] == deltas
+
+    def test_large_parsed_forest_builds_its_tuples_on_first_read(self):
+        tree = make_forest(ForestSpec("random", 300, max_degree=20, seed=2))
+        forest = parse_forest(serialize_forest(tree))
+        assert forest._edges is forest._degree is forest._neighbours is forest._adjacency is None
+        assert (forest.n, forest.edge_count, forest.max_degree, forest.min_degree) == (
+            tree.n, len(tree.edges), max(tree.degree), min(tree.degree))
+        assert forest_attrs(forest) == forest_attrs(tree)
+        assert forest.edges is forest.edges and forest.degree is forest.degree
+        assert forest.neighbours is forest.neighbours and forest.adjacency is forest.adjacency
+        assert all(type(t) is tuple for t in (forest.edges, forest.degree, forest.neighbours, *forest.edges))
+        assert all(type(x) is int for x in [*chain.from_iterable(forest.edges), *forest.degree])
+
+    @pytest.mark.parametrize("text, edges, max_degree", [
+        ("1000000 0\n", (), 0),
+        ("1000000 3\n0 1\n1 2\n5 999999\n", ((0, 1), (1, 2), (5, 999999)), 2),
+        # a star whose centre is every edge's high end: the union-find pass numbers only the 4 vertices it meets
+        ("1000000 3\n7 999999\n8 999999\n9 999999\n", ((7, 999999), (8, 999999), (9, 999999)), 3),
+    ])
+    def test_huge_sparse_canonical_file_builds_no_list_of_length_n(self, text, edges, max_degree):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            forest = parse_forest(text)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the degree vector, 8 MB of intp, is the one array of length n
+        assert peak < 20 << 20 and elapsed < 0.2
+        assert forest.edges == edges and forest.edge_count == len(edges)
+        degree = forest.degree_array
+        assert len(degree) == 10**6 and degree.sum() == 2 * len(edges)
+        assert (forest.max_degree, forest.min_degree) == (max_degree, 0)
 
 
 #: JSON values for the embedding loader fuzz: ints, bools, floats, strings, lists and objects

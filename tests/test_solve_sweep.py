@@ -40,7 +40,7 @@ def test_grid_reaches_every_mechanism_and_repeats_itself(timed_grid):
     first, second = timed_grid[0], solve_sweep.grid_lines([])
     assert first == second
     rows = [json.loads(line) for line in first]
-    assert len(rows) == 13 * 4 * 8 * 2 * 2
+    assert len(rows) == 13 * 4 * 9 * 2 * 2
     assert {row.get("mechanism") for row in rows} == {"exact", "interpolation", "hub-split", None}
     assert all(row["stats"].keys() == {"samples_drawn"} for row in rows if row["error"] is None)
     # one digest per (n, colouring, forest, seed) input, the same under both thresholds;
@@ -97,12 +97,24 @@ def test_every_forest_is_parsed_back_from_its_canonical_text(timed_grid):
         assert all(serialize_forest(parse_forest(text)) == text for text in texts)
 
 
+def test_relabelled_forests_repeat_a_high_end():
+    # a vertex above two of its neighbours, so parse_forest's union-find pass decides acyclicity;
+    # at n = 256 and 257 that is the numpy route's fallback
+    for n in solve_sweep.N_LIST:
+        for seed in solve_sweep.SEEDS:
+            forest, random_forest = solve_sweep._forest("relabelled", n, seed), solve_sweep._forest("random", n, seed)
+            assert forest == solve_sweep._forest("relabelled", n, seed) != random_forest
+            assert sorted(forest.degree) == sorted(random_forest.degree)
+            highs = [v for _, v in forest.edges]
+            assert len(set(highs)) < len(highs) or n == 5, (n, seed)
+
+
 def test_census_counts_add_up_to_the_grids(timed_grid):
     grid, oracle, timings, _ = timed_grid
     rows = [json.loads(line) for line in grid + oracle]
     assert len(timings) == len(rows)
     summary = solve_sweep.census(rows, timings)
-    assert sum(count for count, _ in summary["solve"].values()) == len(grid) == 13 * 4 * 8 * 2 * 2
+    assert sum(count for count, _ in summary["solve"].values()) == len(grid) == 13 * 4 * 9 * 2 * 2
     assert sum(count for count, _ in summary["oracle"].values()) == len(oracle) == 5 * 3 * 2 * 8 * 4
     assert {query for query, _ in summary["oracle"]} == {"min", "sign"}
     certified = sum(1 for row in rows if row.get("certified_value") is not None)

@@ -18,7 +18,9 @@ from forestbalance.core import (
     PreconditionError,
     is_balanced,
     parse_colouring,
+    parse_forest,
     serialize_colouring,
+    serialize_forest,
     subgraph_sum,
 )
 from forestbalance.generators import (
@@ -193,6 +195,19 @@ class TestExtensionSampler:
         assert g._matrix is None
         assert result.embedding.colour_sum == subgraph_sum(g, result.embedding, forest)
         assert g._matrix is None
+
+    def test_parsed_path_solve_at_512_never_builds_a_tuple_per_vertex_or_edge(self):
+        n = 512
+        g = parse_colouring(serialize_colouring(random_balanced_colouring(n, 4)))
+        tree = make_forest(ForestSpec("path", n))
+        forest = parse_forest(serialize_forest(tree))
+        result = solve(forest, g, SolverConfig(seed=1))
+        assert result.certified == CERT_INTERPOLATION and len(result.trace.steps) > 1
+        # the walk and the polish read the flat adjacency, the sampler the arrays
+        assert forest._edges is forest._neighbours is forest._degree is None
+        assert forest._adjacency is not None
+        assert result.embedding.colour_sum == subgraph_sum(g, result.embedding, tree)
+        assert solve(tree, g, SolverConfig(seed=1)).embedding == result.embedding
 
     @pytest.mark.parametrize("total", [1, 4, 5, 50, 5000])
     def test_blocks_draw_exactly_the_total(self, total):

@@ -57,8 +57,9 @@ ROOT = Path(__file__).resolve().parent.parent
 N_LIST = (5, 8, 9, 12, 16, 17, 32, 33, 64, 128, 129, 256, 257)
 #: split-parity and perturbed are the paper's two extremal constructions
 COLOURINGS = ("random", "split-parity", "perturbed", "red-poor")
-#: spider (four hubs of degree ~n/4) is a middle-regime forest from n = 64 on
-FORESTS = ("edgeless", "path", "star", "star-isolated", "broom", "random", "double-star", "spider")
+#: spider (four hubs of degree ~n/4) is a middle-regime forest from n = 64 on; relabelled is random
+#: under a seeded permutation, so a vertex can lie above several of its neighbours
+FORESTS = ("edgeless", "path", "star", "star-isolated", "broom", "random", "double-star", "spider", "relabelled")
 SEEDS = (0, 1)
 #: 0 sends only stars and edgeless forests to the oracle; None keeps SolverConfig's default
 THRESHOLDS = (0, None)
@@ -122,6 +123,10 @@ def _forest(kind: str, n: int, seed: int):
         return make_forest(ForestSpec("broom", n, max_degree=3 * n // 4))
     if kind == "random":
         return make_forest(ForestSpec("random", n, max_degree=max(1, n // 4), seed=seed))
+    if kind == "relabelled":
+        # every other family puts each parent below its children, so each vertex is the high end of one edge at most
+        perm = np.random.default_rng([n, seed]).permutation(n).tolist()
+        return Forest(n, [(perm[u], perm[v]) for u, v in _forest("random", n, seed).edges])
     if kind == "double-star":
         k = (n + 1) // 2
         return Forest(n, [(0, 1), *((0, v) for v in range(2, k + 1)), *((1, v) for v in range(k + 1, n))])
