@@ -5,7 +5,6 @@ from .bounds import (
     crossing_epsilon,
     fits,
     margin_bound,
-    midrange_bound,
     optimized_midrange_bound,
     refined_bound,
     split_parity_star_imbalance,
@@ -22,7 +21,6 @@ from .core import (
     ParityError,
     PartialEmbedding,
     PreconditionError,
-    embedding_from_json,
     embedding_to_json,
     is_balanced,
     parse_colouring,

@@ -67,18 +67,6 @@ def crossing_epsilon(n: int, offset: float) -> float:
     return eps
 
 
-def midrange_bound(n: int, delta: int, epsilon: float) -> float:
-    """Guarantee for delta <= n/2 at a chosen epsilon in [1/n, 1/8]."""
-    if n < 32:
-        raise InvalidInputError(f"need n >= 32, got {n}")
-    if 2 * delta > n:
-        raise InvalidInputError(f"need delta <= n/2, got delta={delta}, n={n}")
-    if not 1.0 / n - 1e-12 <= epsilon <= 0.125 + 1e-12:
-        raise InvalidInputError(f"epsilon {epsilon} outside [1/{n}, 1/8]")
-    slack = delta - (0.25 - 2 * epsilon) * n
-    return max(1 + 2 / epsilon, 2 + max(slack, 0.0))
-
-
 def margin_bound(n: int, delta: int, eta: float) -> float:
     """Explicit constant-regime guarantee 4n/(eta*n - 2) for delta <= (1/4 - eta) n."""
     if not 0 < eta < 0.25:

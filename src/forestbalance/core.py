@@ -171,8 +171,8 @@ class ColouredCompleteGraph:
         return self.n * (self.n - 1) // 2
 
     def total_sum(self) -> int:
-        """Colour sum over all edges of K_n: the sum of the triangle, whose diagonal cells are 0."""
-        return int(self.triangle.sum(dtype=np.int64))
+        """Colour sum over all edges of K_n: red minus blue edges, counted as the triangle's +1 cells."""
+        return 2 * int(np.count_nonzero(self.triangle > 0)) - self.edge_count
 
     def red_neighbours(self, v: int) -> list[int]:
         return np.flatnonzero(self.matrix[v] == RED).tolist()
@@ -668,12 +668,13 @@ def _canonical_numbers(text: str) -> np.ndarray | None:
     ``(?:[0-9]{1,18} [0-9]{1,18}\n)+`` spells it: 18 digits always fit in
     int64, and one C conversion reads them.  Without its digits such a text
     is " \n" once per line; a run of 19 digits shows as 19 zeros once every
-    digit is a zero; and every run becomes one number, so an empty run
-    leaves fewer than two numbers per line.
+    digit is a zero; and every run becomes one number, so once the text
+    ends in "\n", past which no run may trail, an empty run leaves fewer
+    than two numbers per line.
     """
     data = text.encode("ascii", "replace")  # a non-ASCII character becomes "?", which no check passes
     rest = data.translate(None, b"0123456789")
-    if not rest or rest != b" \n" * (len(rest) // 2) or b"0" * 19 in data.translate(_ZERO_DIGITS):
+    if not data.endswith(b"\n") or rest != b" \n" * (len(rest) // 2) or b"0" * 19 in data.translate(_ZERO_DIGITS):
         return None
     numbers = np.fromstring(text, dtype=np.int64, sep=" ")
     return numbers if numbers.size == len(rest) else None
@@ -771,36 +772,3 @@ def parse_forest(text: str, graph_n: int | None = None) -> Forest:
 
 def embedding_to_json(f: Embedding) -> dict:
     return {"map": list(f.forward), "sum": f.colour_sum}
-
-
-def embedding_from_json(
-    data: dict,
-    forest: Forest | None = None,
-    graph: ColouredCompleteGraph | None = None,
-) -> Embedding:
-    """Load an embedding; when forest and graph are given, the stored sum is checked."""
-    if not isinstance(data, dict):
-        raise InvalidInputError(f"embedding JSON must be an object, got {type(data).__name__}")
-    if "map" not in data:
-        raise InvalidInputError("embedding JSON missing 'map'")
-    fwd = data["map"]
-    if not isinstance(fwd, list):
-        raise InvalidInputError(f"embedding JSON 'map' must be a list, got {type(fwd).__name__}")
-    # bool is an int subclass, and 1.0 == 1, so test the exact type
-    if not all(type(t) is int for t in fwd):
-        raise InvalidInputError("embedding JSON 'map' entries must be integers")
-    stored = data.get("sum")
-    if stored is not None and type(stored) is not int:
-        raise InvalidInputError(f"embedding JSON 'sum' must be an integer, got {stored!r}")
-    if forest is not None and graph is not None:
-        if not len(fwd) == forest.n == graph.n:
-            raise InvalidInputError(f"embedding JSON 'map' has {len(fwd)} entries, expected {forest.n}")
-        emb = Embedding.build(fwd, forest, graph)
-        if stored is not None and stored != emb.colour_sum:
-            raise InvalidInputError(
-                f"stored sum {stored} disagrees with recomputed {emb.colour_sum}"
-            )
-        return emb
-    if stored is None:
-        raise InvalidInputError("embedding JSON missing 'sum' and no context to recompute")
-    return Embedding(fwd, stored)

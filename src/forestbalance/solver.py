@@ -3,29 +3,23 @@
 Strategy outline: tiny instances and stars (every edge meets one vertex, so
 the sum is set by the centre's host and the leaves' colours there) go to the
 exact oracle, which solves stars in closed form at any n; everything else
-runs one both-sign sampling search and interpolates between the pair it
-finds, which certifies |sum| <= disagreement max degree + forest min degree.
-One argument covers all three degree regimes.  The large-degree set L
-(forest vertices of degree >= 2/eps, with eps the bound report's crossing
-epsilon, or 1/8 where there is none) is pinned to the host vertices of least
-|signed degree| before sampling, so two extensions can disagree only on
-vertices of degree < 2/eps and the certificate stays below 2/eps + min
-degree: the refined bound.  Below max degree 16 no admissible eps leaves L
-non-empty, and sampling is unanchored.  On a balanced colouring an
-unanchored embedding has mean sum zero, so both signs exist; when the one
-search still misses (an anchor or an unbalanced colouring can pin the sign
-of every extension), hub_split_pair builds a pair around a window centre
-instead, so every result carries a proven value.  The explicit two-anchor
-block construction (greedy_star_balance) stays a library function; solve()
-never calls it.
+runs one sampling search (find_signed_pair), which cannot miss, and
+interpolates between the pair it finds around a centre, which certifies
+|centre| + disagreement max degree + forest min degree.  One argument covers
+all three degree regimes.  The large-degree set L (forest vertices of degree
+>= 2/eps, with eps the bound report's crossing epsilon, or 1/8 where there
+is none) is pinned before sampling, to hosts whose degree-weighted signed
+degrees sum nearest 0, so two extensions can disagree only on vertices of
+degree < 2/eps.  Below max degree 16 no admissible eps leaves L non-empty,
+and sampling is unanchored; on a balanced colouring an unanchored embedding
+has mean sum zero, so the centre is 0.  When the anchor's exact mean
+(anchored_mean) lies far from 0, the search pins L's neighbours as well
+(pin_hub_leaves, the ``hub-split`` mechanism) and centres on the new map's
+mean.  solve() never calls the block construction greedy_star_balance.
 
-Sampling works in blocks: ExtensionSampler draws a block of uniform
-extensions of the anchor at once (one argsort of random 64-bit keys per row,
-taken from the caller's random.Random) and scores the whole block with one
-gather from the colouring's packed int8 triangle.  Blocks start small and double, so a
-search that succeeds early draws little more than it uses, and a search that
-misses spends its budget in a run of numpy blocks instead of one Python
-shuffle per sample.
+ExtensionSampler draws and scores uniform extensions in numpy blocks that
+start small and double, so a search that succeeds early draws little more
+than it uses.
 """
 
 from __future__ import annotations
@@ -33,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, count
 
@@ -51,13 +46,13 @@ from .core import (
     swap_images,
 )
 from .interpolate import InterpolationTrace, SignedPair, interpolate_traced
-from .oracle import DEFAULT_BUDGET, exact_min_imbalance, red_leaf_count
+from .oracle import DEFAULT_BUDGET, exact_min_imbalance
 
 CERT_EXACT = "exact"
 CERT_INTERPOLATION = "interpolation"
 CERT_HUB_SPLIT = "hub-split"
 
-#: samples the sign search draws before hub-split takes over; also caps polish evaluations
+#: a safety cap on the samples one search draws (no grid of the repository's tools reaches it); also caps polish evaluations
 SAMPLE_BUDGET = 5000
 
 #: the largest n whose n! embeddings the oracle enumerates within its default budget
@@ -178,49 +173,94 @@ def find_signed_pair(
     rng: random.Random | None = None,
     stats: dict | None = None,
     budget: int = SAMPLE_BUDGET,
-) -> SignedPair | None:
-    """Sample embeddings extending the anchor until both signs are seen.
+) -> SignedPair:
+    """Sample extensions of the anchor until their range [lo, hi] meets the span between 0 and a target T.
 
-    On a balanced colouring the sum of a uniform unanchored embedding has mean
-    zero, so both signs exist and are found quickly.  Samples are drawn in
-    blocks (see ExtensionSampler); the pair is the first sample with sum >= 0
-    and the first with sum <= 0 in stream order, and ``samples_drawn`` counts
-    samples up to the later of the two.  None once ``budget`` samples are spent.
+    T is 0 unless an anchored search's first block misses 0 and the
+    anchor's exact mean (anchored_mean) lies further from 0 than the largest
+    degree of an unanchored vertex plus the min degree: then the anchored
+    vertices' neighbours are pinned as well (pin_hub_leaves), T is the new
+    map's mean truncated toward 0, with extensions proven on both sides of
+    it, and sampling restarts.  ``budget`` caps the samples.  The centre is
+    0 clipped to [lo, hi]; the pair is the first sample <= it and the first
+    >= it, in stream order.  ``samples_drawn`` counts the samples up to the
+    later of the two (all of them if the cap ended the search) and
+    ``hub_split`` says whether neighbours were pinned.
     """
-    sampler = ExtensionSampler(forest, graph, anchor)
+    if budget < 1:
+        raise InvalidInputError(f"budget must be at least 1 sample, got {budget}")
     rng = rng or random.Random(0)
-    non_neg = non_pos = None
-    drawn = 0
-    for images, sums in sampler.blocks(rng, budget):
-        if non_neg is None:
-            non_neg = _first(images, sums, sums >= 0, drawn)
-        if non_pos is None:
-            non_pos = _first(images, sums, sums <= 0, drawn)
-        if non_neg is not None and non_pos is not None:
-            if stats is not None:
-                stats["samples_drawn"] = max(non_neg[0], non_pos[0]) + 1
-            return SignedPair.of(non_pos[1], non_neg[1], forest)
-        drawn += len(sums)
+    blocks = ExtensionSampler(forest, graph, anchor).blocks(rng, budget)
+    target, drawn, lo, hi, split, met = 0, 0, math.inf, -math.inf, False, False
+    while (block := next(blocks, None)) is not None:
+        images, sums = block[0], block[1].tolist()
+        b_lo, b_hi = min(sums), max(sums)
+        # low is the first sample <= max(lo, 0) and high the first >= min(hi, 0): the first on
+        # each side of 0 once a side is seen, else the first at the running min or max
+        if b_lo < lo and lo > 0:
+            low = _first(images, sums, next(r for r, s in enumerate(sums) if s <= max(b_lo, 0)), drawn)
+        if b_hi > hi and hi < 0:
+            high = _first(images, sums, next(r for r, s in enumerate(sums) if s >= min(b_hi, 0)), drawn)
+        lo, hi, drawn = min(lo, b_lo), max(hi, b_hi), drawn + len(sums)
+        if met := lo <= max(target, 0) and hi >= min(target, 0):
+            break
+        if anchor is not None and len(sums) == drawn < budget:  # the first block missed 0
+            unanchored = np.delete(forest.degree_array, list(anchor.mapping))
+            if abs(int(anchored_mean(forest, graph, anchor))) > unanchored.max(initial=0) + forest.min_degree:
+                anchor, split = pin_hub_leaves(forest, graph, anchor), True
+                target = int(anchored_mean(forest, graph, anchor))
+                blocks = ExtensionSampler(forest, graph, anchor).blocks(rng, budget - drawn)
+                lo, hi = math.inf, -math.inf
     if stats is not None:
-        stats["samples_drawn"] = budget
-    return None
+        stats.update(samples_drawn=max(low[0], high[0]) + 1 if met else drawn, hub_split=split)
+    return SignedPair.of(low[1], high[1], forest, min(max(0, lo), hi))
 
 
-def _row(images: np.ndarray, sums: np.ndarray, r: int) -> Embedding:
+def _row(images: np.ndarray, sums, r: int) -> Embedding:
     # every sampled row is an argsort permutation, so it needs no bijection re-check
     return Embedding.of_bijection(tuple(images[r].tolist()), int(sums[r]))
 
 
-def _first(images: np.ndarray, sums: np.ndarray, mask: np.ndarray, offset: int):
-    """(stream index, (embedding, row)) of the block's first row in the mask, or None.
-
-    The row is the embedding's forward map as an intp array, which SignedPair.of compares directly.
-    """
-    hits = np.flatnonzero(mask)
-    if not hits.size:
-        return None
-    r = int(hits[0])
+def _first(images: np.ndarray, sums: list[int], r: int, offset: int):
+    """(stream index, (embedding, row as the intp array SignedPair.of compares)) of a block's row r."""
     return offset + r, (_row(images, sums, r), images[r])
+
+
+def anchored_mean(forest: Forest, graph: ColouredCompleteGraph, anchor: PartialEmbedding | None) -> Fraction:
+    """The exact mean colour sum of a uniform random extension of the anchor.
+
+    With H the k free hosts, r(z) the sum of c(z, t) over t in H and F that
+    of c(t, t') over pairs in H, an edge adds its colour when both ends are
+    anchored, r(h(u)) / k when one end u is, and F / C(k, 2) when none is.
+    """
+    fixed = anchor.mapping if anchor is not None else {}
+    hosts = np.fromiter(fixed.values(), dtype=np.intp, count=len(fixed))
+    rows = graph.matrix[hosts]
+    sd, inner = rows.sum(axis=1, dtype=np.int64), rows[:, hosts].sum(axis=1, dtype=np.int64)
+    # F is the total minus the anchored hosts' rows, which count the edges among them twice
+    two_f = 2 * (graph.total_sum() - int(sd.sum())) + int(inner.sum())
+    num, den = _mean_numerators(forest, graph, list(fixed), hosts[:, None], (sd - inner)[:, None], two_f)
+    return Fraction(int(num[0]), den)
+
+
+def _mean_numerators(
+    forest: Forest, graph: ColouredCompleteGraph, vs: list[int], hosts: np.ndarray, r: np.ndarray, two_f
+) -> tuple[np.ndarray, int]:
+    """anchored_mean of the maps vs[i] -> hosts[i, c], one per column c, as int64 numerators over one denominator.
+
+    r[i, c] is r(hosts[i, c]) and two_f[c] is 2F under map c.  Every map leaves
+    the same k hosts free, so k(k - 1) (1 for k <= 1) is a common denominator.
+    """
+    k, degree = forest.n - len(vs), forest.degree_array[vs]
+    pos = np.full(forest.n, -1)
+    pos[vs] = np.arange(len(vs))
+    ends = pos[forest.edge_array]  # -1, all bits set, marks an end that is not anchored
+    both = ends[(ends[:, 0] | ends[:, 1]) >= 0]
+    s = graph.matrix[hosts[both[:, 0]], hosts[both[:, 1]]].sum(axis=0, dtype=np.int64)
+    a = (degree - np.bincount(both.ravel(), minlength=len(vs))) @ r  # each anchored vertex's free neighbours
+    free_free = forest.edge_count - int(degree.sum()) + len(both)
+    den = k * (k - 1) if k > 1 else 1
+    return s * den + a * max(k - 1, 1) + free_free * two_f, den
 
 
 def large_degree_set(forest: Forest, epsilon: float) -> list[int]:
@@ -238,13 +278,12 @@ def large_degree_set(forest: Forest, epsilon: float) -> list[int]:
 def large_degree_anchor(
     forest: Forest, graph: ColouredCompleteGraph, report: BoundReport
 ) -> PartialEmbedding | None:
-    """Pin the large-degree set to the host vertices of least |signed degree|.
+    """Pin the large-degree set to hosts whose signed degrees, weighted by degree, sum nearest 0.
 
-    L = large_degree_set(forest, eps) with eps = report.crossing_eps, or 1/8
-    where there is none, in descending degree (ties by index); its vertices
-    go in that order onto the hosts ranked by |signed degree| (ties by
-    index).  None when L is empty, which always holds below max degree 16,
-    since no admissible eps has 2/eps below 16.
+    L = large_degree_set(forest, eps), eps = report.crossing_eps or else 1/8,
+    goes in descending degree (ties by index), each v on the free host x of
+    least |sum of deg(u) sd(h(u)) over the u placed + deg(v) sd(x)|, ties by
+    |sd(x)|, then index.  None when L is empty, as always below max degree 16.
     """
     if forest.max_degree < 16:
         return None
@@ -252,38 +291,52 @@ def large_degree_anchor(
     large = large_degree_set(forest, eps)
     if not large:
         return None
-    large = [v for _, v in sorted(zip((-forest.degree_array[large]).tolist(), large))]
-    balance = np.abs(graph.signed_degrees())
-    hosts = np.argsort(balance, kind="stable")[: len(large)].tolist()
-    return PartialEmbedding(dict(zip(large, hosts)))
+    sd = graph.signed_degrees()
+    abs_sd, mapping, running = np.abs(sd), {}, 0
+    for minus_d, v in sorted(zip((-forest.degree_array[large]).tolist(), large)):
+        # |sd| < n: cost * n + |sd| orders by cost, |sd|, then index (argmin); a first vertex's d |sd| orders as |sd|
+        cost = np.abs(sd * minus_d - running) * graph.n + abs_sd if mapping else abs_sd
+        for x in mapping.values():
+            cost[x] = 1 << 62  # above every cost, which stays below 2n^3 + n
+        mapping[v] = x = int(cost.argmin())
+        running -= minus_d * int(sd[x])
+    return PartialEmbedding(mapping)
 
 
-def hub_split_pair(
-    forest: Forest, graph: ColouredCompleteGraph, anchor: PartialEmbedding | None, rng: random.Random
-) -> SignedPair:
-    """A pair that straddles a window centre by construction, for when the sign search misses.
+def pin_hub_leaves(forest: Forest, graph: ColouredCompleteGraph, anchor: PartialEmbedding) -> PartialEmbedding:
+    """Extend the anchor by its vertices' neighbours, placed so that each step's anchored_mean lies nearest 0.
 
-    Each anchored vertex in turn (descending degree) sends its d unpinned
-    neighbours, ascending, k onto its host's first free red neighbours and
-    d - k onto its first free blue ones, with k from red_leaf_count so that S,
-    the sum over the edges with both ends pinned, lands nearest 0.  T, the
-    value nearest 0 within one block of extensions of that map, lies between
-    the block's first row <= T and first row >= T; the walk certifies |T| + bound.
+    Vertex by vertex, in the anchor's order, its d neighbours not yet placed
+    go, ascending, onto the first k of its host's free red neighbours and
+    the first d - k of its free blue ones, both in order of signed degree
+    descending or ascending (ties by index); of every feasible k and both
+    orders, the map of least |mean| wins, the first one on a tie.
     """
-    fwd = dict(anchor.mapping) if anchor is not None else {}
-    for v, x in list(fwd.items()):  # the anchor's own vertices, not the ones pinned below
-        s = sum(int(graph.matrix[fwd[a], fwd[b]]) for a, b in forest.edges if a in fwd and b in fwd)
-        nbrs = [u for u in forest.neighbours[v] if u not in fwd]
-        used = set(fwd.values())
-        red = [t for t in graph.red_neighbours(x) if t not in used]
-        blue = [t for t in graph.blue_neighbours(x) if t not in used]
-        k = int(red_leaf_count(len(nbrs), s, len(red), len(blue)))
-        fwd.update(zip(nbrs, red[:k] + blue[: len(nbrs) - k]))
-    sampler = ExtensionSampler(forest, graph, PartialEmbedding(fwd))
-    images, sums = sampler.draw(rng, sampler.cap)
-    centre = int(np.clip(0, sums.min(), sums.max()))
-    low, high = _first(images, sums, sums <= centre, 0), _first(images, sums, sums >= centre, 0)
-    return SignedPair.of(low[1], high[1], forest, centre)
+    n, matrix, sd = graph.n, graph.matrix, graph.signed_degrees()
+    fwd = dict(anchor.mapping)
+    for v, x in anchor.mapping.items():
+        leaves = [u for u in forest.neighbours[v] if u not in fwd]
+        d, placed = len(leaves), np.fromiter(fwd.values(), dtype=np.intp, count=len(fwd))
+        free = np.ones(n, dtype=np.int64)
+        free[placed] = 0
+        red, blue = np.flatnonzero(free * matrix[x] > 0), np.flatnonzero(free * matrix[x] < 0)
+        ks, i = np.arange(max(0, d - len(blue)), min(d, len(red)) + 1), np.arange(d)[:, None]
+        r = sd - matrix[:, placed].sum(axis=1, dtype=np.int64)
+        vs, nr, cols, best = [*fwd, *leaves], ks[-1], np.arange(len(ks)), None
+        for sign in (-1, 1):
+            order = np.concatenate([red[np.argsort(sign * sd[red], kind="stable")][:nr],
+                                    blue[np.argsort(sign * sd[blue], kind="stable")][: d - ks[0]]])
+            leaf_hosts = order[np.where(i < ks, i, nr + i - ks)]  # column c: k = ks[c]
+            # prefix sums over the candidate hosts' columns give every map's r in O(n) each
+            prefix = np.cumsum(np.pad(matrix[:, order], ((0, 0), (1, 0))), axis=1, dtype=np.int64)
+            r_k = r[:, None] - prefix[:, ks] - prefix[:, nr + d - ks] + prefix[:, [nr]]
+            hosts = np.concatenate([np.repeat(placed[:, None], len(ks), axis=1), leaf_hosts])
+            two_f = free @ r_k - r_k[leaf_hosts, cols].sum(axis=0)
+            num = np.abs(_mean_numerators(forest, graph, vs, hosts, r_k[hosts, cols], two_f)[0])
+            if best is None or num.min() < best[0]:
+                best = num.min(), leaf_hosts[:, num.argmin()]
+        fwd.update(zip(leaves, best[1].tolist()))
+    return PartialEmbedding(fwd)
 
 
 def _top_two_degree_vertices(forest: Forest) -> tuple[int, int]:
@@ -429,11 +482,11 @@ def solve(
     One pipeline: the exact oracle below the size threshold and for every
     forest whose edges all meet one vertex (stars and edgeless forests, at
     any size; the oracle's closed form draws no sample); otherwise one
-    both-sign sampling search with the large-degree set anchored (see
-    large_degree_anchor) and interpolation, in every degree regime; when the
-    search misses, hub_split_pair supplies the pair instead.  The result then
-    gets a polish pass of strictly improving swaps, which only lowers the sum
-    under the walk's certificate.  ``stats`` is always ``{"samples_drawn": N}``.
+    sampling search with the large-degree set anchored (large_degree_anchor,
+    find_signed_pair) and interpolation, in every degree regime: ``hub-split``
+    when the search pinned the anchor's neighbours, else ``interpolation``.
+    A polish pass of strictly improving swaps then only lowers the sum under
+    the walk's certificate.  ``stats`` is always ``{"samples_drawn": N}``.
     """
     cfg = cfg or SolverConfig()
     n = forest.n
@@ -469,10 +522,8 @@ def solve(
         return finish(emb, CERT_EXACT, float(value))
 
     anchor = large_degree_anchor(forest, graph, report)
-    rng = random.Random(_sub_seed(cfg.seed, 0))
-    pair, certified = find_signed_pair(forest, graph, anchor, rng, stats), CERT_INTERPOLATION
-    if pair is None:
-        pair, certified = hub_split_pair(forest, graph, anchor, rng), CERT_HUB_SPLIT
+    pair = find_signed_pair(forest, graph, anchor, random.Random(_sub_seed(cfg.seed, 0)), stats)
     emb, trace = interpolate_traced(pair, forest, graph)
     emb, _ = local_search(forest, graph, emb, SAMPLE_BUDGET)
+    certified = CERT_HUB_SPLIT if stats.pop("hub_split") else CERT_INTERPOLATION
     return finish(emb, certified, float(abs(pair.centre) + pair.bound(forest)), trace)

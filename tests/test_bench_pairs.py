@@ -120,3 +120,36 @@ def test_traced_runs_go_abba_and_a_linear_drift_cancels_in_the_means(monkeypatch
     assert all(c[1:] == ("sampled-large", 5, 30, 1) for c in calls)
     assert entry["layers"]["solver.pair_ms"] == {"parent": 1.15, "change": 1.15}
     assert entry["readings"]["solver.pair_ms"] == {"parent": [1.0, 1.3], "change": [1.1, 1.2]}
+
+
+def test_row_changes_count_fields_and_moves_of_the_answer():
+    parent = [{"workload": "w", "achieved": a, "certified_value": c, "samples_drawn": 4, "failed": False}
+              for a, c in ((1, 2.0), (3, 5.0), (2, 4.0), (None, None))]
+    change = [dict(row) for row in parent]
+    change[0].update(samples_drawn=9)
+    change[1].update(achieved=1, certified_value=3.0)
+    change[2].update(certified_value=6.0)
+    change[3].update(failed=True)
+    assert bench_pairs.row_changes(parent, change) == (
+        "4 rows differ from the parent's (by field: achieved 1, certified_value 2, samples_drawn 1, failed 1); "
+        "achieved rose in 0 and fell in 1; certified_value rose in 1 and fell in 1; "
+        "1 failed ops on the change side")
+    assert bench_pairs.row_changes(parent, parent) == (
+        "0 rows differ from the parent's (by field: none); achieved rose in 0 and fell in 0; "
+        "certified_value rose in 0 and fell in 0; 0 failed ops on the change side")
+
+
+def test_compare_rows_reads_each_sides_rows(tmp_path, monkeypatch):
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+
+    def run_bench(side, workload, seed, seconds, trace):
+        out = side / "perfbench" / "out"
+        out.mkdir(parents=True, exist_ok=True)
+        achieved = 2 if side == sides["change"] and seed == 2 else 3
+        row = {"workload": workload, "achieved": achieved, "certified_value": 4.0, "failed": False}
+        (out / f"{workload}-seed{seed}-trace0.jsonl").write_text(json.dumps(row) + "\n")
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    text = bench_pairs.compare_rows(sides, ["w1", "w2"], [1, 2])
+    assert text.startswith("perfbench --seconds 0 runs, seeds 1-2, 2 workloads (4 rows per side): 2 rows differ")
+    assert "(by field: achieved 2)" in text and "achieved rose in 0 and fell in 2" in text

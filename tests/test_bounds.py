@@ -10,7 +10,6 @@ from forestbalance.bounds import (
     degree_offset,
     fits,
     margin_bound,
-    midrange_bound,
     optimized_midrange_bound,
     refined_bound,
     split_parity_star_imbalance,
@@ -62,22 +61,6 @@ class TestRefinedBound:
             refined_bound(10, 10)
 
 
-class TestMidrangeBound:
-    def test_pinned_value(self):
-        assert midrange_bound(100, 20, 0.1) == 21
-
-    def test_positive_part_clamps(self):
-        assert midrange_bound(100, 5, 0.125) == 17
-
-    def test_domain(self):
-        with pytest.raises(InvalidInputError):
-            midrange_bound(31, 5, 0.1)
-        with pytest.raises(InvalidInputError):
-            midrange_bound(100, 51, 0.1)
-        with pytest.raises(InvalidInputError):
-            midrange_bound(100, 20, 0.3)
-
-
 class TestOptimizedMidrange:
     def test_pinned_value_at_zero_offset(self):
         expected_eps = (-1 + math.sqrt(1601)) / 400
@@ -107,10 +90,11 @@ class TestOptimizedMidrange:
                 assert vals.min() <= max(vals[j - 1], vals[j]) + 1e-9
 
     def test_minimizing_midrange_over_eps_matches_closed_form(self):
+        # the midrange bound at one eps: max(1 + 2/eps, 2 + max(delta - (1/4 - 2 eps) n, 0))
         n, delta = 100, 20
         off = degree_offset(n, delta)
         grid = np.linspace(1.0 / n, 0.125, 20_000)
-        best = min(midrange_bound(n, delta, float(e)) for e in grid)
+        best = min(max(1 + 2 / e, 2 + max(delta - (0.25 - 2 * e) * n, 0.0)) for e in grid)
         assert best == pytest.approx(optimized_midrange_bound(n, off), abs=0.05)
 
     def test_domain(self):
@@ -118,6 +102,14 @@ class TestOptimizedMidrange:
             optimized_midrange_bound(31, 0.0)
         with pytest.raises(InvalidInputError):
             optimized_midrange_bound(100, 0.3)
+
+    def test_crossing_epsilon_domain(self):
+        with pytest.raises(InvalidInputError):
+            crossing_epsilon(31, 0.0)
+        with pytest.raises(InvalidInputError):
+            crossing_epsilon(100, 0.3)
+        with pytest.raises(InvalidInputError):
+            crossing_epsilon(100, -0.25 + 16.0 / 100 - 0.01)
 
 
 class TestMarginBound:

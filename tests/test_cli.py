@@ -100,7 +100,7 @@ class TestSolveCommand:
         assert all(set(ln) == {"step", "swap", "sum"} for ln in lines)
 
     def test_split_parity_broom_certifies_by_hub_split(self, tmp_path):
-        # the L-anchored search misses on the paper's extremal colouring here
+        # on the paper's extremal colouring the hub's anchored mean lies far from 0, so its leaves are pinned
         cpath, fpath, jpath = tmp_path / "c.txt", tmp_path / "f.txt", tmp_path / "result.json"
         assert main(["gen-colouring", "--kind", "split-parity", "--n", "32", "--out", str(cpath)]) == 0
         assert main(["gen-forest", "--kind", "broom", "--n", "32", "--max-degree", "24", "--out", str(fpath)]) == 0

@@ -23,7 +23,6 @@ from forestbalance.core import (
     Forest,
     InvalidInputError,
     PartialEmbedding,
-    embedding_from_json,
     embedding_to_json,
     is_balanced,
     parse_colouring,
@@ -35,6 +34,7 @@ from forestbalance.core import (
     swap_images,
 )
 from forestbalance.generators import ForestSpec, make_forest, random_balanced_colouring
+from forestbalance.solver import solve
 
 
 def all_red(n):
@@ -599,18 +599,18 @@ class TestFormats:
         f = make_forest(ForestSpec("random", 12, max_degree=4, seed=5))
         assert parse_forest(serialize_forest(f)) == f
 
-    def test_embedding_round_trip(self):
+    def test_embedding_json_holds_the_map_and_the_sum(self):
         g, forest, emb = random_instance(7, 31)
-        data = embedding_to_json(emb)
-        back = embedding_from_json(data, forest, g)
-        assert back == emb and back.colour_sum == emb.colour_sum
+        assert embedding_to_json(emb) == {"map": list(emb.forward), "sum": subgraph_sum(g, emb, forest)}
 
-    def test_embedding_sum_validated(self):
-        g, forest, emb = random_instance(7, 32)
-        data = embedding_to_json(emb)
-        data["sum"] = data["sum"] + 2
-        with pytest.raises(InvalidInputError):
-            embedding_from_json(data, forest, g)
+    @pytest.mark.parametrize("kind, max_degree", [("star", 63), ("broom", 40), ("random", 20)])
+    def test_solved_embedding_json_survives_a_json_round_trip(self, kind, max_degree):
+        # solve builds its maps from numpy rows; the JSON must hold plain ints, which json.dumps accepts
+        g = random_balanced_colouring(64, 3)
+        forest = make_forest(ForestSpec(kind, 64, max_degree=max_degree, seed=4))
+        data = embedding_to_json(solve(forest, g).embedding)
+        assert json.loads(json.dumps(data)) == data
+        assert all(type(t) is int for t in data["map"]) and type(data["sum"]) is int
 
     def test_bad_colouring_rows_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -1063,6 +1063,8 @@ class TestForestParser:
         "12\t2\n1 2\n3 4\n",
         "12 2\n1  2\n3 4\n",
         "12  2\n1 2\n3 4\n",
+        "12 2\n1 2\n3 4",
+        "12 2\n1 2\n3 \n4",  # four numbers in the edge lines, but the last one trails past the last newline
     ])
     def test_non_canonical_tokens_take_the_int_route(self, text, slow_route_calls):
         assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
@@ -1119,6 +1121,7 @@ class TestCanonicalForestRoute:
     @example("0000000000000000001 2\n")
     @example("000000000000000001 2\n")
     @example("1 2\n3 4")
+    @example("0 0\n0 \n5")  # an empty run, made up by a run past the last newline
     @example("1 2\r\n")
     @example(" 1\n")
     @example("1 \n")
@@ -1222,62 +1225,3 @@ class TestCanonicalForestRoute:
         degree = forest.degree_array
         assert len(degree) == 10**6 and degree.sum() == 2 * len(edges)
         assert (forest.max_degree, forest.min_degree) == (max_degree, 0)
-
-
-#: JSON values for the embedding loader fuzz: ints, bools, floats, strings, lists and objects
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 8) | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=2),
-    lambda inner: st.lists(inner, max_size=8) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=12,
-)
-
-
-class TestEmbeddingJson:
-    @pytest.mark.parametrize("data, message", [
-        ([0, 1], "must be an object, got list"),
-        ("map", "must be an object, got str"),
-        (None, "must be an object, got NoneType"),
-        ({}, "missing 'map'"),
-        ({"map": 5, "sum": 0}, "'map' must be a list, got int"),
-        ({"map": {"0": 1}, "sum": 0}, "'map' must be a list, got dict"),
-        ({"map": [0, "1"], "sum": 0}, "'map' entries must be integers"),
-        ({"map": [0, 1.0], "sum": 0}, "'map' entries must be integers"),
-        ({"map": [0, True], "sum": 0}, "'map' entries must be integers"),
-        ({"map": [0, 1], "sum": "x"}, "'sum' must be an integer, got 'x'"),
-        ({"map": [0, 1], "sum": 1.0}, "'sum' must be an integer, got 1.0"),
-        ({"map": [0, 1], "sum": False}, "'sum' must be an integer, got False"),
-        ({"map": [0, 0], "sum": 0}, "not a bijection"),
-        ({"map": [0, 1]}, "missing 'sum'"),
-    ])
-    def test_malformed_rejected_with_message(self, data, message):
-        with pytest.raises(InvalidInputError, match=message):
-            embedding_from_json(data)
-
-    @pytest.mark.parametrize("fwd", [[], [0, 1], list(range(6)), list(range(8))])
-    def test_map_of_the_wrong_length_rejected_in_context(self, fwd):
-        g, forest, _ = random_instance(7, 33)
-        with pytest.raises(InvalidInputError, match=f"has {len(fwd)} entries, expected 7"):
-            embedding_from_json({"map": fwd}, forest, g)
-
-    @given(
-        st.dictionaries(
-            st.sampled_from(["map", "sum", "other"]),
-            st.one_of(st.permutations(range(7)).map(list), st.lists(st.integers(-1, 8), max_size=9), _json_values),
-        )
-        | _json_values
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_fuzzed_json_loads_or_raises_invalid_input(self, data):
-        data = json.loads(json.dumps(data))
-        g, forest, _ = random_instance(7, 34)
-        for context in ((), (forest, g)):
-            try:
-                emb = embedding_from_json(data, *context)
-            except InvalidInputError as exc:
-                assert str(exc)
-                continue
-            assert isinstance(emb, Embedding) and sorted(emb.forward) == list(range(len(emb.forward)))
-            assert type(emb.colour_sum) is int
-            if context:
-                assert emb.colour_sum == subgraph_sum(g, emb, forest)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from forestbalance.solver import SAMPLE_BUDGET
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "solve_sweep.py"
 _SPEC = importlib.util.spec_from_file_location("solve_sweep", _PATH)
 solve_sweep = importlib.util.module_from_spec(_SPEC)
@@ -113,16 +115,34 @@ def test_census_counts_add_up_to_the_grids(timed_grid):
     grid, oracle, timings, _ = timed_grid
     rows = [json.loads(line) for line in grid + oracle]
     assert len(timings) == len(rows)
-    summary = solve_sweep.census(rows, timings)
+    summary = solve_sweep.census(rows, timings, SAMPLE_BUDGET)
     assert sum(count for count, _ in summary["solve"].values()) == len(grid) == 13 * 4 * 9 * 2 * 2
     assert sum(count for count, _ in summary["oracle"].values()) == len(oracle) == 5 * 3 * 2 * 8 * 4
     assert {query for query, _ in summary["oracle"]} == {"min", "sign"}
     certified = sum(1 for row in rows if row.get("certified_value") is not None)
     assert sum(total for _, total in summary["over_refined"].values()) == certified
     assert all(0 <= over <= total for over, total in summary["over_refined"].values())
+    # no grid row reaches the sample cap, and only the oracle's exact rows draw nothing
+    assert summary["samples"].keys() == {"exact", "interpolation", "hub-split"}
+    assert summary["samples"]["exact"] == [0, 0]
+    assert all(0 < largest < SAMPLE_BUDGET and at_cap == 0 for largest, at_cap in
+               (summary["samples"][m] for m in ("interpolation", "hub-split")))
     text = solve_sweep.format_census("change", summary)
     assert text.startswith("census of the change: ")
-    assert len(text.splitlines()) == len(summary["solve"]) + len(summary["oracle"]) + 3
+    assert len(text.splitlines()) == len(summary["solve"]) + len(summary["samples"]) + len(summary["oracle"]) + 4
+    assert f"samples drawn by mechanism: largest, rows at SAMPLE_BUDGET = {SAMPLE_BUDGET}" in text
+
+
+def test_census_counts_the_largest_draw_and_the_rows_at_the_cap():
+    rows = [{"colouring": "c", "mechanism": m, "balanced": True, "stats": {"samples_drawn": d}}
+            for m, d in (("interpolation", 7), ("interpolation", 50), ("hub-split", 3), ("hub-split", 50))]
+    rows.append({"colouring": "c", "mechanism": None, "balanced": True, "error": "InvalidInputError: x"})
+    summary = solve_sweep.census(rows, [1.0] * len(rows), 50)
+    assert summary["samples"] == {"interpolation": [50, 1], "hub-split": [50, 1]}
+    lines = solve_sweep.format_census("parent", summary).splitlines()
+    start = lines.index("  samples drawn by mechanism: largest, rows at SAMPLE_BUDGET = 50")
+    assert [line.split() for line in lines[start + 1:start + 3]] == [["hub-split", "50", "1"],
+                                                                      ["interpolation", "50", "1"]]
 
 
 def test_instance_digest_tells_inputs_apart():

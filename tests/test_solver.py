@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,16 +41,19 @@ from forestbalance.solver import (
     SAMPLE_BUDGET,
     ExtensionSampler,
     SolverConfig,
+    anchored_mean,
     find_signed_pair,
     greedy_star_balance,
     greedy_star_certificate,
-    hub_split_pair,
     large_degree_anchor,
     large_degree_set,
     local_search,
+    pin_hub_leaves,
     sample_extension,
     solve,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def all_red(n):
@@ -119,18 +124,28 @@ class TestFindSignedPair:
         pair = find_signed_pair(forest, g, budget=5)
         assert pair.h_neg.colour_sum == 0 == pair.h_pos.colour_sum
 
-    def test_all_red_misses_and_returns_none(self):
-        # every sum is +m, so no sample is <= 0 and the whole budget goes
+    def test_all_red_spends_the_cap_and_centres_on_the_one_sum(self):
+        # every sum is +m, so the range drawn never meets 0: the whole budget
+        # goes, and the centre is 0 clipped to [m, m]
         g = all_red(6)
         forest = make_forest(ForestSpec("path", 6))
         stats = {}
-        assert find_signed_pair(forest, g, stats=stats, budget=50) is None
-        assert stats == {"samples_drawn": 50}
+        pair = find_signed_pair(forest, g, stats=stats, budget=50)
+        assert stats == {"samples_drawn": 50, "hub_split": False}
+        assert pair.centre == pair.h_neg.colour_sum == pair.h_pos.colour_sum == 5
+        assert pair.h_neg == pair.h_pos and pair.disagreement == ()
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_without_a_sample_rejected(self, budget):
+        g = random_balanced_colouring(8, 1)
+        with pytest.raises(InvalidInputError, match="budget must be at least 1 sample"):
+            find_signed_pair(make_forest(ForestSpec("path", 8)), g, budget=budget)
 
     def test_success_rate_on_balanced_paths(self):
         forest = make_forest(ForestSpec("path", 9))
+        # both signs seen, so the centre is 0
         successes = sum(
-            find_signed_pair(forest, random_balanced_colouring(9, seed), rng=random.Random(seed)) is not None
+            find_signed_pair(forest, random_balanced_colouring(9, seed), rng=random.Random(seed)).centre == 0
             for seed in range(200)
         )
         assert successes >= 198
@@ -254,14 +269,18 @@ class TestExtensionSampler:
     @pytest.mark.parametrize("budget", [5, 50, 5000])
     def test_anchored_star_spends_the_exact_budget(self, budget):
         # with its centre anchored, every extension of a star sums to the
-        # host's signed degree, which is odd at even n
+        # host's signed degree, -1 here: the mean is that far from 0, no
+        # further than the leaves' degree plus the min degree, so nothing is
+        # pinned, the range never meets the target 0 and the budget goes;
+        # the centre is the one sum
         g = random_balanced_colouring(16, 2)
         star = make_forest(ForestSpec("star", 16))
         anchor = PartialEmbedding({0: 3})
         stats = {}
-        assert find_signed_pair(star, g, anchor, stats=stats, budget=budget) is None
-        assert stats["samples_drawn"] == budget
-        assert g.signed_degree(3) % 2 == 1
+        pair = find_signed_pair(star, g, anchor, stats=stats, budget=budget)
+        assert stats == {"samples_drawn": budget, "hub_split": False}
+        assert anchored_mean(star, g, anchor) == g.signed_degree(3) == pair.centre == -1
+        assert pair.disagreement == ()
 
     def test_same_seed_same_pair(self):
         g = random_balanced_colouring(32, 3)
@@ -428,47 +447,46 @@ class TestSolve:
                 assert result.certified_value <= result.bound_report.refined
                 assert result.achieved <= greedy
 
-    def test_unbalanced_input_certifies_by_hub_split(self):
-        # every embedding is all-red, so the search misses and hub-split's
-        # block centres the window on the one sum, 11, with half-width 0 + 1
+    def test_unbalanced_input_centres_on_the_range_it_drew(self):
+        # every embedding is all-red and nothing is anchored, so the search
+        # spends its cap; the centre is 0 clipped to the one sum, 11, and
+        # the window's half-width is 0 + 1
         g = all_red(12)
         forest = make_forest(ForestSpec("path", 12))
         result = solve(forest, g, SolverConfig(seed=0))
-        assert result.certified == CERT_HUB_SPLIT
+        assert result.certified == CERT_INTERPOLATION
         assert result.achieved == forest.edge_count == 11
         assert result.certified_value == 12.0
         assert result.stats == {"samples_drawn": SAMPLE_BUDGET}
 
-    def test_missed_search_walks_and_polishes_the_hub_split_pair_once(self, monkeypatch):
-        # every embedding into an all-red graph has sum |E| > 0, so the one
-        # search spends its budget; hub-split's pair is walked, and the walk's
-        # result is polished once under the walk's certificate
-        g = all_red(12)
-        forest = make_forest(ForestSpec("random", 12, max_degree=4, seed=1))
-        searched, split, polished = [], [], []
+    def test_hub_split_search_walks_and_polishes_its_pair_once(self, monkeypatch):
+        # on the paper's split-parity colouring the Delta = 24 broom's hub
+        # sits on a host whose leaves lean one way: the first block misses 0,
+        # the anchored mean is far off, and the search pins the hub's leaves;
+        # its one pair is walked, and the walk's result is polished once
+        # under the walk's certificate
+        g = split_parity_colouring(32)
+        forest = make_forest(ForestSpec("broom", 32, 24))
+        searched, polished = [], []
 
         def recording_pair(*args, **kwargs):
-            searched.append(find_signed_pair(*args, **kwargs))
-            return searched[-1]
-
-        def recording_split(*args):
-            split.append(hub_split_pair(*args))
-            return split[-1]
+            searched.append((find_signed_pair(*args, **kwargs), dict(args[4])))
+            return searched[-1][0]
 
         def recording_polish(forest, graph, start, budget):
             polished.append((start, budget))
             return local_search(forest, graph, start, budget)
 
         monkeypatch.setattr("forestbalance.solver.find_signed_pair", recording_pair)
-        monkeypatch.setattr("forestbalance.solver.hub_split_pair", recording_split)
         monkeypatch.setattr("forestbalance.solver.local_search", recording_polish)
         result = solve(forest, g, SolverConfig(seed=3))
-        assert searched == [None] and len(split) == 1
-        pair = split[0]
-        assert result.certified == CERT_HUB_SPLIT
+        [(pair, search)] = searched
+        assert search["hub_split"] and result.certified == CERT_HUB_SPLIT
         assert result.certified_value == abs(pair.centre) + pair.bound(forest)
+        assert result.certified_value <= result.bound_report.refined
         assert polished == [(result.trace.result, SAMPLE_BUDGET)]
-        assert result.stats == {"samples_drawn": SAMPLE_BUDGET}
+        assert result.stats == {"samples_drawn": search["samples_drawn"]}
+        assert result.stats["samples_drawn"] < SAMPLE_BUDGET
 
     def test_edgeless_forest(self):
         g = random_balanced_colouring(8, 3)
@@ -814,13 +832,31 @@ class TestLargeDegreeAnchor:
         g = random_balanced_colouring(n, 3)
         forest = spider(n, 2)  # two hubs of degree 32
         anchor = large_degree_anchor(forest, g, BoundReport.compute(n, forest.max_degree))
-        assert list(anchor.domain) == [0, 1]
-        hosts = [anchor[0], anchor[1]]
-        ranked = sorted(range(n), key=lambda v: (abs(g.signed_degree(v)), v))
-        assert hosts == ranked[:2]
-        # both hosts tie at the least |signed degree|, so index order decides
-        assert abs(g.signed_degree(hosts[0])) == abs(g.signed_degree(hosts[1])) == 1
-        assert hosts[0] < hosts[1]
+        assert list(anchor.mapping) == [0, 1]
+        sd = [g.signed_degree(x) for x in range(n)]
+        # hub 0 takes the lowest-index host of least |sd|; hub 1 the host that
+        # cancels it, the lowest-index one of that |sd|
+        assert anchor[0] == min(range(n), key=lambda x: (abs(sd[x]), x)) == 0 and sd[0] == 1
+        assert sd[anchor[1]] == -1 and anchor[1] == min(x for x in range(n) if sd[x] == -1)
+
+    @pytest.mark.parametrize("n, colouring", [(64, "random"), (128, "random"), (129, "perturbed"), (128, "split")])
+    def test_hosts_match_the_scalar_rule(self, n, colouring):
+        # every vertex of L, in descending degree, takes the free host x of least
+        # (|running + deg * sd(x)|, |sd(x)|, x), with running summed in exact integers
+        g = {"random": lambda: random_balanced_colouring(n, n),
+             "perturbed": lambda: perturbed_colouring(PerturbedParams.for_ratio(n, Fraction(1, 10))),
+             "split": lambda: split_parity_colouring(n)}[colouring]()
+        for hubs in (1, 2, 3):
+            forest = spider(n, hubs)
+            anchor = large_degree_anchor(forest, g, BoundReport.compute(n, forest.max_degree))
+            sd = [g.signed_degree(x) for x in range(n)]
+            running, expected = 0, {}
+            for v in sorted(anchor.mapping, key=lambda v: (-forest.degree[v], v)):
+                d = forest.degree[v]
+                x = min((x for x in range(n) if x not in expected.values()),
+                        key=lambda x: (abs(running + d * sd[x]), abs(sd[x]), x))
+                expected[v], running = x, running + d * sd[x]
+            assert list(anchor.mapping.items()) == list(expected.items()), hubs
 
     def test_uses_crossing_epsilon_in_the_middle_regime(self):
         n = 256
@@ -867,8 +903,8 @@ def _split_parity_cases(n):
 class TestHubSplit:
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_split_parity_certifies_the_refined_bound(self, n):
-        # the paper's extremal colouring: the L-anchored search misses on most
-        # of these, and hub-split's certificate still proves the refined bound
+        # the paper's extremal colouring: the anchored mean lies far from 0 on
+        # about half of these, and the pinned search's certificate still proves the refined bound
         g = split_parity_colouring(n)
         failures = []
         for name, forest in _split_parity_cases(n):
@@ -880,36 +916,137 @@ class TestHubSplit:
         assert failures == []
 
     def test_pinned_star_splits_its_leaves_nearest_zero(self):
-        # with its centre on host 3, a star's leaves all get pinned: k on the
-        # host's first red neighbours, the rest on its first blue ones
+        # with its centre on host 3, a star's 8 leaves (7 vertices isolated)
+        # go k onto red and 8 - k onto blue neighbours of the host; the other
+        # edges are none, so the pinned map's mean is its sum 2k - 8, nearest 0
         g = random_balanced_colouring(16, 2)
-        star = make_forest(ForestSpec("star", 16))
-        pair = hub_split_pair(star, g, PartialEmbedding({0: 3}), random.Random(0))
+        star = Forest(16, [(0, v) for v in range(1, 9)])
+        pinned = pin_hub_leaves(star, g, PartialEmbedding({0: 3}))
         red, blue = g.red_neighbours(3), g.blue_neighbours(3)
-        feasible = range(max(0, 15 - len(blue)), min(15, len(red)) + 1)
-        k = min(feasible, key=lambda k: abs(2 * k - 15))
-        assert pair.h_neg == pair.h_pos and pair.disagreement == ()
-        assert pair.centre == pair.h_neg.colour_sum == 2 * k - 15
-        assert list(pair.h_neg.forward) == [3, *red[:k], *blue[: 15 - k]]
+        k = min(range(max(0, 8 - len(blue)), min(8, len(red)) + 1), key=lambda k: abs(2 * k - 8))
+        assert list(pinned.mapping) == list(range(9))
+        assert sum(pinned[v] in red for v in range(1, 9)) == k
+        assert anchored_mean(star, g, pinned) == 2 * k - 8
+
+    def test_pins_take_the_least_mean_over_both_orders_and_every_k(self):
+        # a scalar replay of the rule with anchored_mean on each candidate map
+        for n, g in ((33, perturbed_colouring(PerturbedParams.for_ratio(33, Fraction(1, 10)))),
+                     (64, split_parity_colouring(64)), (65, random_balanced_colouring(65, 2))):
+            for forest in (make_forest(ForestSpec("broom", n, 3 * n // 4)), spider(n, 2), double_star(n, n // 2 + 7)):
+                anchor = large_degree_anchor(forest, g, BoundReport.compute(n, forest.max_degree))
+                fwd = dict(anchor.mapping)
+                for v, x in anchor.mapping.items():
+                    leaves = [u for u in forest.neighbours[v] if u not in fwd]
+                    d, used = len(leaves), set(fwd.values())
+                    red = [t for t in g.red_neighbours(x) if t not in used]
+                    blue = [t for t in g.blue_neighbours(x) if t not in used]
+                    best = None
+                    for sign in (-1, 1):
+                        def by_sd(hosts):
+                            return sorted(hosts, key=lambda t: (sign * g.signed_degree(t), t))
+                        for k in range(max(0, d - len(blue)), min(d, len(red)) + 1):
+                            trial = {**fwd, **dict(zip(leaves, by_sd(red)[:k] + by_sd(blue)[: d - k]))}
+                            mean = abs(anchored_mean(forest, g, PartialEmbedding(trial)))
+                            if best is None or mean < best[0]:
+                                best = mean, trial
+                    fwd = best[1] if best else fwd
+                assert pin_hub_leaves(forest, g, anchor) == PartialEmbedding(fwd), (n, forest)
 
     def test_hubs_are_pinned_in_descending_degree(self):
         # four hubs 0-1-2-3 on a path, every other vertex a leaf of hub v % 4:
-        # degrees 64, 65, 65, 64, so the anchor and hub-split take hubs 1, 2, 0, 3
+        # degrees 64, 65, 65, 64, so the anchor and the leaf pins take hubs 1, 2, 0, 3
         n = 256
         spider = Forest(n, [(0, 1), (1, 2), (2, 3), *((v % 4, v) for v in range(4, n))])
         g = perturbed_colouring(PerturbedParams.for_ratio(n, Fraction(1, 10)))
         anchor = large_degree_anchor(spider, g, BoundReport.compute(n, spider.max_degree))
         assert list(anchor.mapping) == [1, 2, 0, 3]
+        pinned = list(pin_hub_leaves(spider, g, anchor).mapping)
+        assert pinned == [1, 2, 0, 3, *range(5, n, 4), *range(6, n, 4), *range(4, n, 4), *range(7, n, 4)]
+        # the hosts' degree-weighted signed degrees cancel to a mean of -2, so
+        # nothing is pinned and the search's first block already meets 0
+        assert anchored_mean(spider, g, anchor) == -2
         result = solve(spider, g, SolverConfig(seed=0))
-        assert result.certified == CERT_HUB_SPLIT
-        assert result.achieved == 1 and result.certified_value == 20.0
+        assert result.certified == CERT_INTERPOLATION
+        assert result.achieved == 1 and result.certified_value == 2.0
 
     def test_pair_straddles_its_centre(self):
+        # the hub's anchored mean is -491/21, far beyond the leaves' degree 1
+        # plus 1, so its leaves are pinned; the centre lies between 0 and the
+        # pinned map's mean truncated toward 0
         g = split_parity_colouring(64)
         forest = make_forest(ForestSpec("broom", 64, 48))
         anchor = large_degree_anchor(forest, g, BoundReport.compute(64, 48))
-        pair = hub_split_pair(forest, g, anchor, random.Random(1))
+        assert anchored_mean(forest, g, anchor) == Fraction(-491, 21)
+        stats = {}
+        pair = find_signed_pair(forest, g, anchor, random.Random(1), stats)
+        target = int(anchored_mean(forest, g, pin_hub_leaves(forest, g, anchor)))
+        assert stats["hub_split"]
+        assert min(0, target) <= pair.centre <= max(0, target)
         assert pair.h_neg.colour_sum <= pair.centre <= pair.h_pos.colour_sum
         assert all(pair.h_neg.forward[v] == pair.h_pos.forward[v] == t for v, t in anchor.mapping.items())
+        assert all(pair.h_neg.forward[v] == pair.h_pos.forward[v] for v in forest.neighbours[0])
         for emb in (pair.h_neg, pair.h_pos):
             assert subgraph_sum(g, emb, forest) == emb.colour_sum
+
+
+    @pytest.mark.parametrize("budget, split", [(1, False), (4, False), (5, True)])
+    def test_a_first_block_that_spends_the_budget_pins_nothing(self, budget, split):
+        # the first block holds 4 samples; pinning needs a sample left to draw after it
+        g = split_parity_colouring(64)
+        forest = make_forest(ForestSpec("broom", 64, 48))
+        anchor = large_degree_anchor(forest, g, BoundReport.compute(64, 48))
+        stats = {}
+        pair = find_signed_pair(forest, g, anchor, random.Random(1), stats, budget)
+        assert stats == {"samples_drawn": budget, "hub_split": split}
+        assert pair.h_neg.colour_sum <= pair.centre <= pair.h_pos.colour_sum
+
+
+class TestAnchoredMean:
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_matches_the_mean_over_every_extension(self, n):
+        # balanced and unbalanced colourings; maps that leave 1-4 hosts free
+        # (1 and 2 free hosts give the free-free term's C(k, 2) its edge cases)
+        rng = random.Random(n)
+        colourings = [random_balanced_colouring(n, n) if n % 4 in (0, 1) else split_parity_colouring(4),
+                      perturbed_colouring(PerturbedParams.for_ratio(max(n, 8), Fraction(1, 10)))]
+        red = np.triu(np.random.default_rng(n).random((n, n)) < 0.8, 1)
+        colourings = [g for g in colourings if g.n == n] + [ColouredCompleteGraph.from_red_matrix(red | red.T)]
+        assert {is_balanced(g) for g in colourings} == ({True, False} if n in (5, 8) else {False})
+        for g in colourings:
+            for forest in (make_forest(ForestSpec("path", n)), make_forest(ForestSpec("random", n, 3, seed=n)),
+                           Forest(n, [(0, v) for v in range(1, n - 2)])):
+                for free in (1, 2, 3, 4):
+                    vs, hosts = rng.sample(range(n), n - free), rng.sample(range(n), n - free)
+                    anchor = PartialEmbedding(dict(zip(vs, hosts)))
+                    free_vs = [v for v in range(n) if v not in anchor]
+                    sums = []
+                    for image in itertools.permutations(sorted(set(range(n)) - set(hosts))):
+                        fwd = [0] * n
+                        for v, t in [*anchor.mapping.items(), *zip(free_vs, image)]:
+                            fwd[v] = t
+                        sums.append(Embedding.build(fwd, forest, g).colour_sum)
+                    assert anchored_mean(forest, g, anchor) == Fraction(sum(sums), len(sums)), (free, forest)
+
+    def test_unanchored_mean_is_the_edge_share_of_the_total(self):
+        # no anchor: every edge's expected colour is total / C(n, 2)
+        for n, g in ((8, random_balanced_colouring(8, 1)), (9, all_red(9))):
+            forest = make_forest(ForestSpec("random", n, 3, seed=2))
+            expected = Fraction(forest.edge_count * g.total_sum(), n * (n - 1) // 2)
+            assert anchored_mean(forest, g, None) == anchored_mean(forest, g, PartialEmbedding({})) == expected
+
+
+class TestBalancedFixtures:
+    def test_split_parity_caterpillar_certifies_the_refined_bound(self):
+        # split_parity_colouring(64) with red edges (2, 38), (32, 35), (41, 46),
+        # (53, 58) turned blue and blue edges (5, 31), (7, 13), (10, 12), (25, 26)
+        # turned red: still balanced.  The caterpillar's two hubs of degree 32
+        # once both sat on hosts of signed degree -29, and every anchored
+        # extension then summed into [-31, -27]: certified 30 against 25
+        g = parse_colouring((DATA / "split_parity_64_eight_flips.colouring").read_text())
+        forest = parse_forest((DATA / "caterpillar_64.forest").read_text())
+        assert is_balanced(g) and sorted(forest.degree)[-2:] == [32, 32]
+        for seed in range(4):
+            result = solve(forest, g, SolverConfig(seed=seed))
+            assert result.bound_report.refined == 25.0
+            assert result.certified_value <= result.bound_report.refined, seed
+            assert fits(result.achieved, result.certified_value)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from forestbalance.core import InvalidInputError
+from forestbalance.solver import find_signed_pair
 from forestbalance.verify import (
     bench_csv,
     run_bench,
@@ -27,15 +30,21 @@ class TestSuitesSmall:
         assert report["passed"], report["violations"]
         assert report["details"]["runs"] == 40
 
-    def test_interpolation_reports_a_missed_search_as_a_violation(self, monkeypatch):
-        def missed(forest, graph, rng, budget):
-            return None
+    @pytest.mark.parametrize("end", ["h_neg", "h_pos"])
+    def test_interpolation_measures_the_result_from_the_pair_centre(self, end, monkeypatch):
+        # a pair centred on one of its ends is met at once by that end, however far its sum lies from 0
+        beyond_bound_from_zero = []
 
-        monkeypatch.setattr("forestbalance.verify.find_signed_pair", missed)
-        report = suite_interpolation(n_list=(8,), trials=2)
-        assert report["violations"] == [
-            {"trial": t, "error": "no pair of opposite signs within 2000 samples"} for t in range(2)
-        ]
+        def centred_on_an_end(forest, graph, rng, budget):
+            pair = find_signed_pair(forest, graph, rng=rng, budget=budget)
+            moved = dataclasses.replace(pair, centre=getattr(pair, end).colour_sum)
+            beyond_bound_from_zero.append(abs(moved.centre) > moved.bound(forest))
+            return moved
+
+        monkeypatch.setattr("forestbalance.verify.find_signed_pair", centred_on_an_end)
+        report = suite_interpolation(n_list=(12, 13), trials=30, seed=2)
+        assert report["passed"], report["violations"]
+        assert any(beyond_bound_from_zero)
 
     def test_interpolation_lets_a_programming_error_through(self, monkeypatch):
         def broken(forest, graph, rng, budget):

@@ -25,8 +25,10 @@ parent, change, change, parent, so a drift of the machine's speed that is
 linear in time cancels in each side's mean; it records every per-layer
 metric's per-side mean and both readings, and takes 4 x ``run_seconds``.
 ``--rows-seeds`` adds ``--seconds 0`` runs of every
-workload and compares their per-op rows on the answer fields; it prints the
-comparison, and given without ``--seeds`` it runs alone and writes no file.
+workload and compares their per-op rows on the answer fields; it prints how
+many rows differ in each field and in how many rows ``achieved`` and
+``certified_value`` rose or fell, and given without ``--seeds`` it runs
+alone and writes no file.
 """
 
 from __future__ import annotations
@@ -135,24 +137,33 @@ def summarise(spec: dict, runs: dict, seeds: list[int]) -> dict:
 
 
 def compare_rows(sides: dict, workloads: list[str], seeds: list[int]) -> str:
-    """Run --seconds 0 on both sides and say whether the per-op rows agree on ROW_FIELDS."""
-    total = differing = failed = 0
+    """Run --seconds 0 on both sides and say how the per-op rows differ on ROW_FIELDS."""
+    rows = {side: [] for side in sides}
     for workload in workloads:
         for seed in seeds:
-            rows = {}
+            run = {}
             for side, path in sides.items():
                 run_bench(path, workload, seed, 0, 0)
                 out = path / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.jsonl"
-                rows[side] = [json.loads(line) for line in out.read_text().splitlines()]
-            if len(rows["parent"]) != len(rows["change"]):
+                run[side] = [json.loads(line) for line in out.read_text().splitlines()]
+                rows[side] += run[side]
+            if len(run["parent"]) != len(run["change"]):
                 raise SystemExit(f"{workload} seed {seed}: the sides ran different numbers of ops")
-            for p, c in zip(rows["parent"], rows["change"]):
-                total += 1
-                differing += any(p.get(k) != c.get(k) for k in ROW_FIELDS)
-                failed += c["failed"]
     return (f"perfbench --seconds 0 runs, seeds {seeds[0]}-{seeds[-1]}, {len(workloads)} workloads "
-            f"({total} rows per side): {differing} rows differ from the parent's in "
-            f"{', '.join(ROW_FIELDS)}; {failed} failed ops on the change side")
+            f"({len(rows['change'])} rows per side): {row_changes(rows['parent'], rows['change'])}")
+
+
+def row_changes(parent: list[dict], change: list[dict]) -> str:
+    """How many rows differ, per ROW_FIELDS entry, whether achieved and certified_value rose or fell, and failures."""
+    per_field = {k: sum(p.get(k) != c.get(k) for p, c in zip(parent, change)) for k in ROW_FIELDS}
+    differing = sum(any(p.get(k) != c.get(k) for k in ROW_FIELDS) for p, c in zip(parent, change))
+    moved = []
+    for k in ("achieved", "certified_value"):
+        pairs = [(p[k], c[k]) for p, c in zip(parent, change) if p.get(k) is not None and c.get(k) is not None]
+        moved.append(f"{k} rose in {sum(c > p for p, c in pairs)} and fell in {sum(c < p for p, c in pairs)}")
+    fields = ", ".join(f"{k} {v}" for k, v in per_field.items() if v) or "none"
+    return (f"{differing} rows differ from the parent's (by field: {fields}); {'; '.join(moved)}; "
+            f"{sum(c['failed'] for c in change)} failed ops on the change side")
 
 
 def main(argv=None) -> int:

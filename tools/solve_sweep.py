@@ -29,9 +29,11 @@ many rows differ, how many differ in each field, and the first few
 differing rows.
 
 After the diff it prints each side's census: the solve rows' count and
-total wall time per (colouring, mechanism), the oracle rows' per (query,
-n), and how many solve rows certify more than the refined bound, balanced
-and unbalanced colourings apart.  Each call's wall time is measured around
+total wall time per (colouring, mechanism), per mechanism the largest
+``samples_drawn`` and the rows that drew the side's whole
+``solver.SAMPLE_BUDGET``, the oracle rows' count and time per (query, n),
+and how many solve rows certify more than the refined bound, balanced and
+unbalanced colourings apart.  Each call's wall time is measured around
 the solve or query alone and kept apart from the rows, so timings never
 show as differing rows.
 """
@@ -253,40 +255,51 @@ def grid_lines(timings: list[float]) -> list[str]:
     return lines
 
 
-def side_rows(side: Path) -> tuple[list[dict], list[float]]:
-    """The solve and oracle grid rows of the checkout at ``side``, and each row's ms, computed in a fresh process."""
+def side_rows(side: Path) -> tuple[list[dict], list[float], int]:
+    """The solve and oracle grid rows of the checkout at ``side``, each row's ms and its solver's SAMPLE_BUDGET.
+
+    They are computed in a fresh process.
+    """
     code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import solve_sweep; timings = []; "
+            "from forestbalance.solver import SAMPLE_BUDGET; "
             "lines = [*solve_sweep.grid_lines(timings), *solve_sweep.oracle_lines(timings)]; "
-            "print(json.dumps(timings), *lines, sep='\\n')")
+            "print(json.dumps([timings, SAMPLE_BUDGET]), *lines, sep='\\n')")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
         env={**os.environ, "PYTHONPATH": str(side / "src")}, capture_output=True, text=True, check=True,
     )
-    timings, *lines = proc.stdout.splitlines()
-    return [json.loads(line) for line in lines], json.loads(timings)
+    head, *lines = proc.stdout.splitlines()
+    timings, budget = json.loads(head)
+    return [json.loads(line) for line in lines], timings, budget
 
 
-def census(rows: list[dict], timings: list[float]) -> dict:
-    """Counts and total ms per (colouring, mechanism) and per (query, n), and certificates over the refined bound.
+def census(rows: list[dict], timings: list[float], budget: int) -> dict:
+    """Counts and total ms per (colouring, mechanism) and per (query, n), samples, and certificates over the bound.
 
-    ``over_refined`` maps "balanced" and "unbalanced" to [rows whose
-    certified value exceeds the refined bound, solve rows with a certificate].
+    ``samples`` maps each mechanism to [the largest ``samples_drawn`` of its
+    rows, its rows that drew ``budget`` samples], and ``over_refined`` maps
+    "balanced" and "unbalanced" to [rows whose certified value exceeds the
+    refined bound, solve rows with a certificate].
     """
     solves: dict[tuple, list] = {}
     queries: dict[tuple, list] = {}
+    samples: dict[str, list] = {}
     over = {"balanced": [0, 0], "unbalanced": [0, 0]}
     for row, ms in zip(rows, timings, strict=True):
         if "query" in row:
             cell = queries.setdefault((row["query"], row["n"]), [0, 0.0])
         else:
             cell = solves.setdefault((row["colouring"], row.get("mechanism")), [0, 0.0])
+            if row.get("stats") is not None:
+                drawn, tally = row["stats"]["samples_drawn"], samples.setdefault(row["mechanism"], [0, 0])
+                tally[0], tally[1] = max(tally[0], drawn), tally[1] + (drawn == budget)
             if row.get("certified_value") is not None:
                 tally = over["balanced" if row["balanced"] else "unbalanced"]
                 tally[0] += row["certified_value"] > row["bounds"]["refined"]
                 tally[1] += 1
         cell[0] += 1
         cell[1] += ms
-    return {"solve": solves, "oracle": queries, "over_refined": over}
+    return {"solve": solves, "oracle": queries, "samples": samples, "budget": budget, "over_refined": over}
 
 
 def format_census(name: str, summary: dict) -> str:
@@ -294,6 +307,9 @@ def format_census(name: str, summary: dict) -> str:
     lines = [f"census of the {name}: solves by (colouring, mechanism): count, total ms"]
     lines += [f"  {colouring:<13} {str(mechanism):<14} {count:5d} {ms:10.1f}"
               for (colouring, mechanism), (count, ms) in sorted(summary["solve"].items(), key=str)]
+    lines.append(f"  samples drawn by mechanism: largest, rows at SAMPLE_BUDGET = {summary['budget']}")
+    lines += [f"  {mechanism:<28} {largest:5d} {at_cap:10d}"
+              for mechanism, (largest, at_cap) in sorted(summary["samples"].items())]
     lines.append("  oracle queries by (query, n): count, total ms")
     lines += [f"  {query:<13} {n:<14} {count:5d} {ms:10.1f}"
               for (query, n), (count, ms) in sorted(summary["oracle"].items())]
@@ -335,10 +351,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="sweep-parent-") as tmp:
         parent = Path(tmp)
         export(args.parent, parent)
-        (parent_rows, parent_ms), (change_rows, change_ms) = side_rows(parent), side_rows(ROOT)
+        (parent_rows, *parent_run), (change_rows, *change_run) = side_rows(parent), side_rows(ROOT)
         print(compare(parent_rows, change_rows), end="")
-        print(format_census("parent", census(parent_rows, parent_ms)), end="")
-        print(format_census("change", census(change_rows, change_ms)), end="")
+        print(format_census("parent", census(parent_rows, *parent_run)), end="")
+        print(format_census("change", census(change_rows, *change_run)), end="")
     return 0
 
 
