@@ -651,9 +651,9 @@ def parse_colouring(text: str) -> ColouredCompleteGraph:
 
 
 def serialize_forest(forest: Forest) -> str:
-    lines = [f"{forest.n} {len(forest.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in forest.edges)
-    return "\n".join(lines) + "\n"
+    """The header "n m", then one line "low high" per edge, ascending; every line ends in "\\n"."""
+    edges = forest.edges
+    return f"{forest.n} {len(edges)}\n" + ("%d %d\n" * len(edges)) % tuple(chain.from_iterable(edges))
 
 
 #: bytes.translate table: every ASCII digit to "0"
@@ -709,17 +709,28 @@ def _forest_of_ends(n: int, ends: np.ndarray) -> Forest:
     When the edges are as serialize_forest writes them (low < high < n,
     ascending), they form a forest if every vertex is the high end of at
     most one edge, since the largest vertex on a cycle would have two lower
-    neighbours on it; otherwise a union-find pass decides.  Any fault, a
-    repeated edge among them, sends the edges to the constructor, which
-    words the error.
+    neighbours on it; otherwise a union-find pass decides.  Edges in range
+    and free of self-loops but written high-low or out of order are first
+    turned low-high and sorted.  Any other fault, a repeated edge among
+    them, sends the edges to the constructor, which words the error.
     """
     low, high = ends[0::2], ends[1::2]
     if n >= 1 and (not low.size or (high.max() < n and (low < high).all())):
         step = low[1:] - low[:-1]
-        if ((step > 0) | ((step == 0) & (high[1:] >= high[:-1]))).all():
-            top = np.sort(high)
-            if (top[1:] != top[:-1]).all() or _acyclic(n, ends):
-                return Forest._of_arrays(n, ends)
+        ascending = ((step > 0) | ((step == 0) & (high[1:] >= high[:-1]))).all()
+    else:
+        ascending = False
+    edges = ends
+    if not ascending and n >= 1 and ends.max() < n and (low != high).all():
+        # in range and free of self-loops, so only the order is off: sort the pairs (low, high)
+        lows, highs = np.minimum(low, high), np.maximum(low, high)
+        order = np.lexsort((highs, lows))
+        edges = np.column_stack((lows[order], highs[order])).ravel()
+        ascending = True
+    if ascending:
+        top = np.sort(edges[1::2])
+        if (top[1:] != top[:-1]).all() or _acyclic(n, edges):
+            return Forest._of_arrays(n, edges)
     return Forest(n, list(zip(low.tolist(), high.tolist())))
 
 

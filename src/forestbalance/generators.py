@@ -32,13 +32,25 @@ def _check_size(n: int) -> None:
         raise InvalidInputError(f"a colouring needs at least 2 vertices, got n={n}")
 
 
+#: a shuffle of at least this many pairs is drawn with numpy
+#: (``_shuffle_signs_numpy``), which has fixed costs of ~0.2 ms; the loop
+#: wins below it.  Medians of 15 on a 2-core VM (Python 3.11.7, numpy
+#: 2.4.6), numpy / loop: n = 9 0.18 / 0.014 ms, n = 97 0.67 / 0.42 ms,
+#: n = 121 0.68 / 0.66 ms, n = 129 0.76 / 0.73 ms, n = 145 0.87 / 0.94 ms,
+#: n = 181 0.96 / 1.54 ms.  2^13 puts n <= 128 on the loop.
+_NUMPY_PAIRS = 1 << 13
+#: the most words one fixpoint pass of ``_shuffle_picks`` reads at once
+_CHUNK = 1 << 14
+
+
 def random_balanced_colouring(n: int, seed: int) -> ColouredCompleteGraph:
     """Uniformly random colouring with exactly half the edges of each colour.
 
-    Requires an even number of edges, i.e. n = 0 or 1 (mod 4).  Deterministic
-    for a fixed seed: the pairs (1,0), (2,0), (2,1), (3,0), ... are numbered
-    in that order, the numbers shuffled with ``random.Random(seed).shuffle``
-    and the first half painted red.
+    Requires an even number of edges, i.e. n = 0 or 1 (mod 4), and fewer
+    than 2^32 edges.  Deterministic for a fixed seed: the pairs (1,0),
+    (2,0), (2,1), (3,0), ... are numbered in that order, the numbers
+    shuffled with ``random.Random(seed).shuffle`` and the first half
+    painted red.
 
     Only the half of the shuffle that decides the red set runs.  Fisher-Yates
     fixes position i for good at step i, from the last position down, so once
@@ -46,8 +58,13 @@ def random_balanced_colouring(n: int, seed: int) -> ColouredCompleteGraph:
     half is decided; the remaining steps would only reorder it.  Each step
     draws j exactly as ``shuffle`` does (``_randbelow(i + 1)``:
     ``getrandbits`` of (i+1).bit_length() bits, redrawn while above i), so
-    the colouring is the one the full shuffle gives, in time linear in the
-    number of pairs, with half the draws.
+    the colouring is the one the full shuffle gives, with half the draws.
+
+    Two routes draw the same steps: below ``_NUMPY_PAIRS`` (8,192 pairs,
+    so n <= 128) a Python loop swaps one pair per step
+    (``_shuffle_signs_loop``); from there on numpy does the steps in bulk
+    (``_shuffle_signs_numpy``), the faster of the two from about n = 129,
+    where they measured even.
     """
     _check_size(n)
     npairs = n * (n - 1) // 2
@@ -56,6 +73,14 @@ def random_balanced_colouring(n: int, seed: int) -> ColouredCompleteGraph:
             f"K_{n} has {npairs} edges, which cannot be split evenly; "
             "a balanced colouring needs n = 0 or 1 (mod 4)"
         )
+    if npairs >= 1 << 32:
+        raise InvalidInputError(f"K_{n} has {npairs} edges; a random colouring needs fewer than 2^32")
+    shuffle = _shuffle_signs_loop if npairs < _NUMPY_PAIRS else _shuffle_signs_numpy
+    return ColouredCompleteGraph.from_lower_triangle(n, shuffle(npairs, seed))
+
+
+def _shuffle_signs_loop(npairs: int, seed: int) -> np.ndarray:
+    """The pairs' int8 signs: Fisher-Yates steps npairs-1 ... npairs/2, one swap at a time; the first half red."""
     getrandbits = random.Random(seed).getrandbits
     order = list(range(npairs))
     half = npairs // 2
@@ -67,7 +92,85 @@ def random_balanced_colouring(n: int, seed: int) -> ColouredCompleteGraph:
         order[i], order[j] = order[j], order[i]
     signs = np.full(npairs, BLUE, dtype=np.int8)
     signs[order[:half]] = RED
-    return ColouredCompleteGraph.from_lower_triangle(n, signs)
+    return signs
+
+
+def _shuffle_signs_numpy(npairs: int, seed: int) -> np.ndarray:
+    """``_shuffle_signs_loop``'s signs for 6 <= npairs < 2^32, from the same draws, with no per-step Python.
+
+    ``_shuffle_picks`` gives every step's j.  The value that lands at i for
+    good at step t is the one at j just before it: j itself unless an
+    earlier step picked j too, in which case it is the value that step
+    moved there from its own i, found by following, from each step, the
+    last earlier step that picked its i.  A stable order of the picks by
+    (j, step) gives both.  Every pair that never lands is red.
+    """
+    half = npairs // 2
+    steps = npairs - half
+    # sort the picks by (j, step) in one key: the step in the low bits
+    shift = steps.bit_length()
+    key = np.sort(_shuffle_picks(npairs, seed) << shift | np.arange(steps))
+    picks, step = key >> shift, key & ((1 << shift) - 1)
+    # source[t]: the last step to pick step t's i, else t; a step that picks its own i is that
+    # last one, but then nothing reads what it moved, so it may stand as its own source
+    ends = np.append(np.flatnonzero(picks[1:] != picks[:-1]), steps - 1)
+    ends = ends[np.searchsorted(picks[ends], half):]
+    source = np.arange(steps)
+    source[npairs - 1 - picks[ends]] = step[ends]
+    # pointer jumping: then source[t] is the step whose i's own value step t moves
+    while True:
+        nxt = source[source]
+        if np.array_equal(nxt, source):
+            break
+        source = nxt
+    # a position's first pick lands its own value; each later one what the step before it moved in
+    again = np.flatnonzero(picks[1:] == picks[:-1])
+    picks[again + 1] = npairs - 1 - source[step[again]]
+    signs = np.full(npairs, RED, dtype=np.int8)
+    signs[picks] = BLUE
+    return signs
+
+
+def _shuffle_picks(npairs: int, seed: int) -> np.ndarray:
+    """The j that ``random.Random(seed)`` gives Fisher-Yates steps i = npairs-1 ... npairs/2, in step order.
+
+    ``randbytes(4c)`` read as little-endian uint32 is the generator's next c
+    ``getrandbits(32)`` words, and ``getrandbits(k)`` for k <= 32 is the next
+    word shifted right by 32 - k.  The steps that share k = (i+1).bit_length()
+    (at most two runs) draw words in batches of exactly the steps left, so
+    no word past the run's last step is drawn.  The p-th word of a chunk is
+    accepted iff its j <= i - s(p), with i the chunk's first step and s(p)
+    the words accepted before p; since s(p) depends on earlier words only,
+    iterating s = (exclusive cumulative sum of the acceptances) from a guess
+    reaches that rule's one fixpoint, in a few passes over chunks of at most
+    2^k / 8 words.
+    """
+    randbytes = random.Random(seed).randbytes
+    half = npairs // 2
+    picks = np.empty(npairs - half, dtype=np.int64)
+    done, i = 0, npairs - 1
+    while i >= half:
+        k = (i + 1).bit_length()
+        last = max(half, (1 << (k - 1)) - 1)  # the run's last step
+        width = min(1 << (k - 3), _CHUNK)  # k >= 3, since npairs >= 6
+        while i >= last:
+            words = np.frombuffer(randbytes(4 * (i - last + 1)), dtype="<u4") >> (32 - k)
+            ramp = np.arange(min(width, words.size), dtype=np.float64) * ((i + 1) / (1 << k))
+            for a in range(0, words.size, width):
+                j = words[a:a + width].astype(np.int64)
+                s = ramp[:j.size].astype(np.int64)  # the expected acceptances, a guess
+                while True:
+                    accepted = j <= i - s
+                    nxt = np.cumsum(accepted)
+                    nxt -= accepted
+                    if np.array_equal(nxt, s):
+                        break
+                    s = nxt
+                got = j.compress(accepted)
+                picks[done:done + got.size] = got
+                done += got.size
+                i -= got.size
+    return picks
 
 
 def split_parity_colouring(n: int) -> ColouredCompleteGraph:

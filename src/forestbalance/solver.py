@@ -327,8 +327,9 @@ def pin_hub_leaves(forest: Forest, graph: ColouredCompleteGraph, anchor: Partial
             order = np.concatenate([red[np.argsort(sign * sd[red], kind="stable")][:nr],
                                     blue[np.argsort(sign * sd[blue], kind="stable")][: d - ks[0]]])
             leaf_hosts = order[np.where(i < ks, i, nr + i - ks)]  # column c: k = ks[c]
-            # prefix sums over the candidate hosts' columns give every map's r in O(n) each
-            prefix = np.cumsum(np.pad(matrix[:, order], ((0, 0), (1, 0))), axis=1, dtype=np.int64)
+            # prefix sums over the candidate hosts' columns give every map's r in O(n) each;
+            # each is at most n in magnitude, so int32 holds it
+            prefix = np.cumsum(np.pad(matrix[:, order], ((0, 0), (1, 0))), axis=1, dtype=np.int32)
             r_k = r[:, None] - prefix[:, ks] - prefix[:, nr + d - ks] + prefix[:, [nr]]
             hosts = np.concatenate([np.repeat(placed[:, None], len(ks), axis=1), leaf_hosts])
             two_f = free @ r_k - r_k[leaf_hosts, cols].sum(axis=0)

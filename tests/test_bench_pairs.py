@@ -98,10 +98,16 @@ def test_rows_seeds_alone_prints_the_comparison_and_writes_no_file(tmp_path, mon
         calls.append((sides["change"], workloads, seeds))
         return "0 rows differ"
 
+    def compare_texts(sides, workloads, seeds):
+        calls.append(("texts", sides["change"], workloads, seeds))
+        return "texts identical"
+
     monkeypatch.setattr(bench_pairs, "compare_rows", compare_rows)
+    monkeypatch.setattr(bench_pairs, "compare_texts", compare_texts)
     assert bench_pairs.main(["--parent", "abc123", "--rows-seeds", "1-3"]) == 0
-    assert calls == [("export", "abc123"), (tmp_path, ["w1", "w2"], [1, 2, 3])]
-    assert capsys.readouterr().out == "0 rows differ\n"
+    assert calls == [("export", "abc123"), (tmp_path, ["w1", "w2"], [1, 2, 3]),
+                     ("texts", tmp_path, ["w1", "w2"], [1, 2, 3])]
+    assert capsys.readouterr().out == "0 rows differ\ntexts identical\n"
     assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
 
 
@@ -153,3 +159,43 @@ def test_compare_rows_reads_each_sides_rows(tmp_path, monkeypatch):
     text = bench_pairs.compare_rows(sides, ["w1", "w2"], [1, 2])
     assert text.startswith("perfbench --seconds 0 runs, seeds 1-2, 2 workloads (4 rows per side): 2 rows differ")
     assert "(by field: achieved 2)" in text and "achieved rose in 0 and fell in 2" in text
+
+
+WORKLOADS = ["sampled-large", "anchored-hub", "oracle-small"]
+
+
+def test_cycle_digests_hash_every_text_of_the_tiny_cycles():
+    digests = bench_pairs.cycle_digests(bench_pairs.ROOT, WORKLOADS, [1, 2], tiny=True)
+    # tiny cycles: sampled-large one pass of 8 ops, anchored-hub one of 14, oracle-small two of 6
+    sizes = {"sampled-large": 16, "anchored-hub": 28, "oracle-small": 24}
+    for workload in WORKLOADS:
+        assert set(digests[workload]) == {"1", "2"}
+        for seed in ("1", "2"):
+            assert len(digests[workload][seed]) == sizes[workload]
+            assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests[workload][seed])
+        assert digests[workload]["1"] != digests[workload]["2"]
+
+
+def test_compare_texts_of_one_checkout_with_itself_finds_them_identical():
+    sides = {"parent": bench_pairs.ROOT, "change": bench_pairs.ROOT}
+    assert bench_pairs.compare_texts(sides, WORKLOADS, [1], tiny=True).splitlines() == [
+        "sampled-large seed 1 instance texts (sha256): all 16 colouring and forest texts identical",
+        "anchored-hub seed 1 instance texts (sha256): all 28 colouring and forest texts identical",
+        "oracle-small seed 1 instance texts (sha256): all 24 colouring and forest texts identical",
+    ]
+
+
+def test_compare_texts_counts_the_texts_that_differ(monkeypatch):
+    sides = {"parent": Path("parent"), "change": Path("change")}
+
+    def cycle_digests(side, workloads, seeds, tiny=False):
+        texts = {"1": ["a", "b", "c", "d"], "2": ["e", "f"]}
+        if side == sides["change"]:
+            texts = {"1": ["a", "x", "c", "y"], "2": ["e", "f", "g"]}
+        return {"w": texts}
+
+    monkeypatch.setattr(bench_pairs, "cycle_digests", cycle_digests)
+    assert bench_pairs.compare_texts(sides, ["w"], [1, 2]).splitlines() == [
+        "w seed 1 instance texts (sha256): 2 of 4 texts differ",
+        "w seed 2 instance texts (sha256): 1 of 3 texts differ",
+    ]

@@ -58,6 +58,14 @@ class TestGen:
         assert code == 1
         assert "mod 4" in capsys.readouterr().err
 
+    def test_gen_colouring_of_2_to_the_32_edges_is_usage_error(self, tmp_path, capsys):
+        # BEHAVIOUR CHANGE: refused before anything of that size is allocated
+        out = tmp_path / "c.txt"
+        assert main(["gen-colouring", "--kind", "random", "--n", "92684", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: K_92684 has 4295115586 edges; a random colouring needs fewer than 2^32"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["random", "split-parity"])
     @pytest.mark.parametrize("n", ["-8", "-4", "-3", "0", "1"])
     def test_gen_colouring_below_two_vertices_is_usage_error(self, tmp_path, kind, n, capsys):

@@ -599,6 +599,20 @@ class TestFormats:
         f = make_forest(ForestSpec("random", 12, max_degree=4, seed=5))
         assert parse_forest(serialize_forest(f)) == f
 
+    @pytest.mark.parametrize("forest", [
+        Forest(1, []),
+        Forest(6, []),
+        make_forest(ForestSpec("star", 9)),
+        make_forest(ForestSpec("path", 300)),
+        # relabelled: edges given high-low and out of order, stored low-high and ascending
+        Forest(7, [(6, 2), (5, 0), (3, 1), (2, 0), (4, 3)]),
+        parse_forest("7 3\n0 6\n1 2\n2 5\n"),
+        parse_forest(serialize_forest(make_forest(ForestSpec("random", 400, max_degree=50, seed=3)))),
+    ], ids=["n1-edgeless", "n6-edgeless", "star", "path", "relabelled", "parsed-small", "parsed-large"])
+    def test_serialize_forest_matches_one_line_per_edge(self, forest):
+        lines = [f"{forest.n} {len(forest.edges)}", *(f"{u} {v}" for u, v in forest.edges)]
+        assert serialize_forest(forest) == "\n".join(lines) + "\n"
+
     def test_embedding_json_holds_the_map_and_the_sum(self):
         g, forest, emb = random_instance(7, 31)
         assert embedding_to_json(emb) == {"map": list(emb.forward), "sum": subgraph_sum(g, emb, forest)}
@@ -1043,9 +1057,10 @@ class TestForestParser:
         text = "\n".join([head, *lines, ""])
         constructor_calls.clear()
         assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
-        # an order fault sends the edges to the constructor; a repeat or a cycle hands them over from the
-        # one pass (n = 9) or the union-find fallback (n = 257)
-        assert constructor_calls == [n]
+        # the one pass (n = 9) hands every fault to the constructor; numpy (n = 257) sorts an order fault
+        # itself, hands the range fault straight over and a repeat or a cycle from the union-find fallback
+        sorts_itself = n == 257 and fault in ("high-low", "swapped lines")
+        assert constructor_calls == ([] if sorts_itself else [n])
 
     @pytest.mark.parametrize("text", ["0 0\n", "1 0\n", "9 0\n"])
     def test_edgeless_canonical_text_gives_the_reference_outcome(self, text, constructor_calls):
@@ -1225,3 +1240,26 @@ class TestCanonicalForestRoute:
         degree = forest.degree_array
         assert len(degree) == 10**6 and degree.sum() == 2 * len(edges)
         assert (forest.max_degree, forest.min_degree) == (max_degree, 0)
+
+    @pytest.mark.parametrize("text", [
+        "1000000 1\n5 3\n",
+        "1000000 3\n999999 7\n1 2\n0 1\n",
+        "1000000 4\n8 999999\n0 1\n999999 7\n2 1\n",
+    ])
+    def test_huge_file_with_only_an_order_fault_builds_no_list_of_length_n(self, text):
+        # edges written high-low or out of order are sorted by numpy, not handed to the constructor
+        head, *lines = text.splitlines()
+        n = int(head.split()[0])
+        edges = [tuple(map(int, line.split())) for line in lines]
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            forest = parse_forest(text)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 << 20 and elapsed < 0.2
+        assert forest == Forest(n, edges)
+        assert forest.edges == tuple(sorted(tuple(sorted(e)) for e in edges))
+        assert forest.degree == Forest(n, edges).degree

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +16,7 @@ from forestbalance.core import (
     is_balanced,
     r_balanced_vertices,
 )
+from forestbalance import generators
 from forestbalance.generators import (
     ForestSpec,
     PerturbedParams,
@@ -29,12 +32,14 @@ from forestbalance.generators import (
 
 # the cases pinned before the generator ran only the red-deciding half of the shuffle
 _PINNED_SHUFFLE_CASES = [(4, 0), (5, 3), (8, 11), (9, 123), (16, 7), (17, 2), (32, 5)]
-# n = 0 and 1 (mod 4) up to 256, seeds 0-4
+# n = 0 and 1 (mod 4) up to 256, seeds 0-4, and two sizes of the benchmark's on numpy's route
 _SHUFFLE_CASES = _PINNED_SHUFFLE_CASES + [
     case
     for case in product((4, 5, 8, 9, 12, 13, 16, 17, 32, 33, 64, 65, 128, 129, 256), range(5))
     if case not in _PINNED_SHUFFLE_CASES
-]
+] + [(512, 0), (513, 1)]
+# seeds of every kind random.Random takes: negative, at least 2^32, str
+_KERNEL_SEEDS = (0, 7, -5, 2**32 + 3, 10**12, "abc")
 
 
 def mod_to_one_based(value: int, y: int) -> int:
@@ -109,6 +114,49 @@ class TestRandomBalanced:
     @pytest.mark.parametrize("n", [4, 5, 8, 9, 12, 13, 16, 17])
     def test_balanced_for_valid_n(self, n):
         assert is_balanced(random_balanced_colouring(n, 7))
+
+    @pytest.mark.parametrize("k", range(1, 33))
+    def test_randbytes_words_are_the_getrandbits_draws(self, k):
+        # the numpy route reads getrandbits(k) as randbytes' little-endian uint32 words >> (32 - k)
+        a, b = random.Random(11), random.Random(11)
+        draws = [a.getrandbits(k) for _ in range(64)]
+        words = np.frombuffer(b.randbytes(4 * 64), dtype="<u4") >> (32 - k)
+        assert words.tolist() == draws
+        assert a.getrandbits(32) == b.getrandbits(32)  # both streams stand at the same word
+
+    @pytest.mark.parametrize("n", [n for n in range(4, 66) if n % 4 in (0, 1)])
+    def test_numpy_route_matches_the_loop(self, n):
+        npairs = n * (n - 1) // 2
+        for seed in _KERNEL_SEEDS:
+            loop = generators._shuffle_signs_loop(npairs, seed)
+            signs = generators._shuffle_signs_numpy(npairs, seed)
+            assert signs.dtype == np.int8 and np.array_equal(signs, loop), seed
+            assert (signs == RED).sum() == npairs // 2
+
+    @pytest.mark.parametrize("n, route", [(9, "loop"), (64, "loop"), (128, "loop"), (129, "numpy"),
+                                          (256, "numpy")])
+    def test_route_by_pair_count(self, n, route, monkeypatch):
+        taken = []
+        for name in ("loop", "numpy"):
+            fn = getattr(generators, f"_shuffle_signs_{name}")
+            monkeypatch.setattr(generators, f"_shuffle_signs_{name}",
+                                lambda npairs, seed, name=name, fn=fn: taken.append(name) or fn(npairs, seed))
+        assert (n * (n - 1) // 2 >= generators._NUMPY_PAIRS) == (route == "numpy")
+        assert is_balanced(random_balanced_colouring(n, 3))
+        assert taken == [route]
+
+    def test_refuses_2_to_the_32_pairs_before_allocating(self):
+        # BEHAVIOUR CHANGE: K_92684 has 4,295,115,586 >= 2^32 pairs, past what one 32-bit word numbers
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(InvalidInputError, match="^K_92684 has 4295115586 edges; .* fewer than 2\\^32$"):
+                random_balanced_colouring(92684, 0)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20 and elapsed < 0.1
 
 
 class TestSplitParity:

@@ -27,8 +27,11 @@ metric's per-side mean and both readings, and takes 4 x ``run_seconds``.
 ``--rows-seeds`` adds ``--seconds 0`` runs of every
 workload and compares their per-op rows on the answer fields; it prints how
 many rows differ in each field and in how many rows ``achieved`` and
-``certified_value`` rose or fell, and given without ``--seeds`` it runs
-alone and writes no file.
+``certified_value`` rose or fell.  It also builds every workload's cycle for
+those seeds on both sides, in one process per side that imports that side's
+own ``src/`` and ``perfbench/``, and prints per workload and seed whether
+the SHA-256 of every colouring and forest text matches.  Given without
+``--seeds`` it runs alone and writes no file.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -153,6 +157,40 @@ def compare_rows(sides: dict, workloads: list[str], seeds: list[int]) -> str:
             f"({len(rows['change'])} rows per side): {row_changes(rows['parent'], rows['change'])}")
 
 
+#: run in a side's checkout: the SHA-256 of each instance's colouring and forest text, per workload and seed
+_DIGEST_SCRIPT = """
+import hashlib, json, sys
+sys.path[:0] = ["src", "perfbench"]
+from instances import WORKLOADS
+workloads, seeds, tiny = json.loads(sys.argv[1])
+print(json.dumps({w: {str(s): [hashlib.sha256(text.encode()).hexdigest()
+                               for ops in WORKLOADS[w].cycle(s, tiny) for inst in ops
+                               for text in (inst.colouring, inst.forest)]
+                      for s in seeds} for w in workloads}))
+"""
+
+
+def cycle_digests(side: Path, workloads: list[str], seeds: list[int], tiny: bool = False) -> dict:
+    """{workload: {seed: [sha256 of each colouring and forest text of the cycle]}}, built by ``side``'s own code."""
+    proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, json.dumps([workloads, seeds, tiny])],
+                          cwd=side, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def compare_texts(sides: dict, workloads: list[str], seeds: list[int], tiny: bool = False) -> str:
+    """One line per workload and seed: whether the two sides' cycles hold byte-identical texts."""
+    digests = {side: cycle_digests(path, workloads, seeds, tiny) for side, path in sides.items()}
+    lines = []
+    for workload in workloads:
+        for seed in seeds:
+            parent, change = (digests[side][workload][str(seed)] for side in ("parent", "change"))
+            differ = sum(p != c for p, c in zip_longest(parent, change))
+            verdict = (f"{differ} of {max(len(parent), len(change))} texts differ" if differ
+                       else f"all {len(parent)} colouring and forest texts identical")
+            lines.append(f"{workload} seed {seed} instance texts (sha256): {verdict}")
+    return "\n".join(lines)
+
+
 def row_changes(parent: list[dict], change: list[dict]) -> str:
     """How many rows differ, per ROW_FIELDS entry, whether achieved and certified_value rose or fell, and failures."""
     per_field = {k: sum(p.get(k) != c.get(k) for p, c in zip(parent, change)) for k in ROW_FIELDS}
@@ -192,7 +230,9 @@ def main(argv=None) -> int:
         sides = {"parent": parent, "change": ROOT}
         if args.rows_seeds:
             rows = compare_rows(sides, workloads, args.rows_seeds)
+            texts = compare_texts(sides, workloads, args.rows_seeds)
             print(rows)
+            print(texts)
         if args.seeds is None:
             return 0
 
@@ -222,6 +262,7 @@ def main(argv=None) -> int:
                 sides, args.trace_workload, args.trace_seed, seconds)
         if args.rows_seeds:
             result[f"rows_seeds_{args.rows_seeds[0]}_{args.rows_seeds[-1]}"] = rows
+            result[f"texts_seeds_{args.rows_seeds[0]}_{args.rows_seeds[-1]}"] = texts.splitlines()
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=2) + "\n")
