@@ -62,12 +62,13 @@ class ColouredCompleteGraph:
     (``_score``, ``swap_delta`` and ``edge_colours``) reads the triangle, so
     a solve that never asks for a degree never builds the matrix.  Degree
     sums reduce each row in int32, which holds any signed degree
-    (|sd| <= n - 1), and return int64.  Immutable; safe to share across
-    threads for reading (two threads that both build the matrix build equal
-    ones).
+    (|sd| <= n - 1), and return int64; the signed degree vector, read-only,
+    is computed once and cached too.  Immutable; safe to share across
+    threads for reading (two threads that both build the matrix or the
+    degrees build equal ones).
     """
 
-    __slots__ = ("n", "_triangle", "_matrix", "_cells")
+    __slots__ = ("n", "_triangle", "_matrix", "_cells", "_signed_degrees")
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix)
@@ -77,14 +78,14 @@ class ColouredCompleteGraph:
             raise InvalidInputError("colour matrix must hold +1 or -1 off the diagonal and 0 on it")
         triangle = matrix[_triangle_layout(n)[0]].astype(np.int8)  # a copy: later writes to matrix do not reach it
         triangle.flags.writeable = False
-        self.n, self._triangle, self._matrix, self._cells = n, triangle, None, None
+        self.n, self._triangle, self._matrix, self._cells, self._signed_degrees = n, triangle, None, None, None
 
     @classmethod
     def _of_triangle(cls, n: int, triangle: np.ndarray) -> "ColouredCompleteGraph":
         """Wrap the packed inclusive lower triangle of a colouring of K_n, made read-only in place."""
         triangle.flags.writeable = False
         g = cls.__new__(cls)
-        g.n, g._triangle, g._matrix, g._cells = n, triangle, None, None
+        g.n, g._triangle, g._matrix, g._cells, g._signed_degrees = n, triangle, None, None, None
         return g
 
     @classmethod
@@ -144,12 +145,16 @@ class ColouredCompleteGraph:
         return self.triangle[cells]
 
     def signed_degrees(self) -> np.ndarray:
-        """Signed degree of every vertex (see signed_degree), as an int64 vector.
+        """Signed degree of every vertex (see signed_degree), as a read-only int64 vector computed on first call.
 
         Each row sums in int32, which holds |sd| <= n - 1 exactly and reduces
         int8 about twice as fast as int64 at n = 512.
         """
-        return self.matrix.sum(axis=1, dtype=np.int32).astype(np.int64)
+        if self._signed_degrees is None:
+            sd = self.matrix.sum(axis=1, dtype=np.int32).astype(np.int64)
+            sd.flags.writeable = False
+            self._signed_degrees = sd
+        return self._signed_degrees
 
     def red_degrees(self) -> np.ndarray:
         """Red degree of every vertex, as an int64 vector."""
@@ -686,21 +691,25 @@ def _canonical_numbers(text: str) -> np.ndarray | None:
 _ARRAY_CHECKS = 128
 
 
-def _acyclic(n: int, ends: np.ndarray) -> bool:
-    """True iff the edges (ends[0], ends[1]), (ends[2], ends[3]), ... on range(n) close no cycle (union-find)."""
+def _first_cycle_edge(n: int, ends: np.ndarray) -> int | None:
+    """Index of the first edge (ends[2i], ends[2i + 1]) on range(n) that closes a cycle with the earlier ones, else None.
+
+    A union-find pass.  A repeated edge closes a cycle too, at its second
+    occurrence.
+    """
     if ends.size < n:  # most vertices are isolated: number the ones the edges meet instead
         n, ends = ends.size, np.unique(ends, return_inverse=True)[1]
     parent = list(range(n))
     it = iter(ends.tolist())
-    for u, v in zip(it, it):
+    for i, (u, v) in enumerate(zip(it, it)):
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
             parent[v] = v = parent[parent[v]]
         if u == v:
-            return False
+            return i
         parent[u] = v
-    return True
+    return None
 
 
 def _forest_of_ends(n: int, ends: np.ndarray) -> Forest:
@@ -709,10 +718,12 @@ def _forest_of_ends(n: int, ends: np.ndarray) -> Forest:
     When the edges are as serialize_forest writes them (low < high < n,
     ascending), they form a forest if every vertex is the high end of at
     most one edge, since the largest vertex on a cycle would have two lower
-    neighbours on it; otherwise a union-find pass decides.  Edges in range
-    and free of self-loops but written high-low or out of order are first
-    turned low-high and sorted.  Any other fault, a repeated edge among
-    them, sends the edges to the constructor, which words the error.
+    neighbours on it; otherwise a union-find pass over the edges in file
+    order decides, and at the first edge that closes a cycle raises the
+    constructor's error for it.  Edges in range and free of self-loops but
+    written high-low or out of order are first turned low-high and sorted.
+    A range fault or a self-loop sends the edges to the constructor, which
+    words the error.
     """
     low, high = ends[0::2], ends[1::2]
     if n >= 1 and (not low.size or (high.max() < n and (low < high).all())):
@@ -727,11 +738,16 @@ def _forest_of_ends(n: int, ends: np.ndarray) -> Forest:
         order = np.lexsort((highs, lows))
         edges = np.column_stack((lows[order], highs[order])).ravel()
         ascending = True
-    if ascending:
-        top = np.sort(edges[1::2])
-        if (top[1:] != top[:-1]).all() or _acyclic(n, edges):
-            return Forest._of_arrays(n, edges)
-    return Forest(n, list(zip(low.tolist(), high.tolist())))
+    if not ascending:
+        return Forest(n, list(zip(low.tolist(), high.tolist())))
+    top = np.sort(edges[1::2])
+    # the file's own order, as the constructor checks it; a cycle does not depend on which end comes first
+    if (top[1:] != top[:-1]).all() or (k := _first_cycle_edge(n, ends)) is None:
+        return Forest._of_arrays(n, edges)
+    u, v = sorted((int(low[k]), int(high[k])))
+    # every earlier edge joined two trees, so the first to close a cycle is a repeat iff its pair came before
+    repeat = ((low[:k] == u) & (high[:k] == v) | (low[:k] == v) & (high[:k] == u)).any()
+    raise InvalidInputError(f"duplicate edge ({u},{v})" if repeat else f"edge ({u},{v}) closes a cycle")
 
 
 def parse_forest(text: str, graph_n: int | None = None) -> Forest:

@@ -4,14 +4,14 @@ Strategy outline: tiny instances and stars (every edge meets one vertex, so
 the sum is set by the centre's host and the leaves' colours there) go to the
 exact oracle, which solves stars in closed form at any n; everything else
 runs one sampling search (find_signed_pair), which cannot miss, and
-interpolates between the pair it finds around a centre, which certifies
-|centre| + disagreement max degree + forest min degree.  One argument covers
-all three degree regimes.  The large-degree set L (forest vertices of degree
->= 2/eps, with eps the bound report's crossing epsilon, or 1/8 where there
-is none) is pinned before sampling, to hosts whose degree-weighted signed
-degrees sum nearest 0, so two extensions can disagree only on vertices of
-degree < 2/eps.  Below max degree 16 no admissible eps leaves L non-empty,
-and sampling is unanchored; on a balanced colouring an unanchored embedding
+interpolates between the pair it finds, the drawn samples nearest a centre
+on each side of it, which certifies |centre| + disagreement max degree +
+forest min degree.  One argument covers all three degree regimes.  The
+large-degree set L (forest vertices of degree >= 2/eps, with eps the bound
+report's crossing epsilon, or 1/8 where there is none) is pinned before
+sampling, to hosts whose degree-weighted signed degrees sum nearest 0, so
+two extensions can disagree only on vertices of degree < 2/eps.  Below max
+degree 16 no admissible eps leaves L non-empty, and sampling is unanchored; on a balanced colouring an unanchored embedding
 has mean sum zero, so the centre is 0.  When the anchor's exact mean
 (anchored_mean) lies far from 0, the search pins L's neighbours as well
 (pin_hub_leaves, the ``hub-split`` mechanism) and centres on the new map's
@@ -163,7 +163,7 @@ def sample_extension(
 ) -> Embedding:
     """Uniformly random embedding extending the anchor (empty anchor = uniform)."""
     images, sums = ExtensionSampler(forest, graph, anchor).draw(rng, 1)
-    return _row(images, sums, 0)
+    return _embedding(images[0], sums[0])
 
 
 def find_signed_pair(
@@ -182,27 +182,29 @@ def find_signed_pair(
     vertices' neighbours are pinned as well (pin_hub_leaves), T is the new
     map's mean truncated toward 0, with extensions proven on both sides of
     it, and sampling restarts.  ``budget`` caps the samples.  The centre is
-    0 clipped to [lo, hi]; the pair is the first sample <= it and the first
-    >= it, in stream order.  ``samples_drawn`` counts the samples up to the
-    later of the two (all of them if the cap ended the search) and
-    ``hub_split`` says whether neighbours were pinned.
+    0 clipped to [lo, hi]; the pair is the sample of largest sum <= it and
+    the one of smallest sum >= it, the earlier in stream order on a tie, so
+    both are one sample when every sum lies on one side of 0.
+    ``samples_drawn`` counts every sample the search drew and ``hub_split``
+    says whether neighbours were pinned.
     """
     if budget < 1:
         raise InvalidInputError(f"budget must be at least 1 sample, got {budget}")
     rng = rng or random.Random(0)
     blocks = ExtensionSampler(forest, graph, anchor).blocks(rng, budget)
-    target, drawn, lo, hi, split, met = 0, 0, math.inf, -math.inf, False, False
+    target, drawn, lo, hi, split = 0, 0, math.inf, -math.inf, False
+    # (sum, copied row) of the largest sum <= 0 and of the smallest >= 0, the earlier on a tie; the
+    # centre is 0, lo or hi, and with no sample <= 0 the nearest >= 0 is the first at lo (so too for hi)
+    below, above = (-math.inf, None), (math.inf, None)
     while (block := next(blocks, None)) is not None:
         images, sums = block[0], block[1].tolist()
         b_lo, b_hi = min(sums), max(sums)
-        # low is the first sample <= max(lo, 0) and high the first >= min(hi, 0): the first on
-        # each side of 0 once a side is seen, else the first at the running min or max
-        if b_lo < lo and lo > 0:
-            low = _first(images, sums, next(r for r, s in enumerate(sums) if s <= max(b_lo, 0)), drawn)
-        if b_hi > hi and hi < 0:
-            high = _first(images, sums, next(r for r, s in enumerate(sums) if s >= min(b_hi, 0)), drawn)
+        if b_lo <= 0 and (s := max(s for s in sums if s <= 0)) > below[0]:
+            below = s, images[sums.index(s)].copy()
+        if b_hi >= 0 and (s := min(s for s in sums if s >= 0)) < above[0]:
+            above = s, images[sums.index(s)].copy()
         lo, hi, drawn = min(lo, b_lo), max(hi, b_hi), drawn + len(sums)
-        if met := lo <= max(target, 0) and hi >= min(target, 0):
+        if lo <= max(target, 0) and hi >= min(target, 0):
             break
         if anchor is not None and len(sums) == drawn < budget:  # the first block missed 0
             unanchored = np.delete(forest.degree_array, list(anchor.mapping))
@@ -210,20 +212,17 @@ def find_signed_pair(
                 anchor, split = pin_hub_leaves(forest, graph, anchor), True
                 target = int(anchored_mean(forest, graph, anchor))
                 blocks = ExtensionSampler(forest, graph, anchor).blocks(rng, budget - drawn)
-                lo, hi = math.inf, -math.inf
+                lo, hi, below, above = math.inf, -math.inf, (-math.inf, None), (math.inf, None)
     if stats is not None:
-        stats.update(samples_drawn=max(low[0], high[0]) + 1 if met else drawn, hub_split=split)
-    return SignedPair.of(low[1], high[1], forest, min(max(0, lo), hi))
+        stats.update(samples_drawn=drawn, hub_split=split)
+    seen = [end for end in (below, above) if end[1] is not None]
+    ends = [(_embedding(row, s), row) for s, row in (seen[0], seen[-1])]
+    return SignedPair.of(*ends, forest, min(max(0, lo), hi))
 
 
-def _row(images: np.ndarray, sums, r: int) -> Embedding:
+def _embedding(row: np.ndarray, colour_sum) -> Embedding:
     # every sampled row is an argsort permutation, so it needs no bijection re-check
-    return Embedding.of_bijection(tuple(images[r].tolist()), int(sums[r]))
-
-
-def _first(images: np.ndarray, sums: list[int], r: int, offset: int):
-    """(stream index, (embedding, row as the intp array SignedPair.of compares)) of a block's row r."""
-    return offset + r, (_row(images, sums, r), images[r])
+    return Embedding.of_bijection(tuple(row.tolist()), int(colour_sum))
 
 
 def anchored_mean(forest: Forest, graph: ColouredCompleteGraph, anchor: PartialEmbedding | None) -> Fraction:
@@ -235,8 +234,7 @@ def anchored_mean(forest: Forest, graph: ColouredCompleteGraph, anchor: PartialE
     """
     fixed = anchor.mapping if anchor is not None else {}
     hosts = np.fromiter(fixed.values(), dtype=np.intp, count=len(fixed))
-    rows = graph.matrix[hosts]
-    sd, inner = rows.sum(axis=1, dtype=np.int64), rows[:, hosts].sum(axis=1, dtype=np.int64)
+    sd, inner = graph.signed_degrees()[hosts], graph.matrix[hosts[:, None], hosts].sum(axis=1, dtype=np.int64)
     # F is the total minus the anchored hosts' rows, which count the edges among them twice
     two_f = 2 * (graph.total_sum() - int(sd.sum())) + int(inner.sum())
     num, den = _mean_numerators(forest, graph, list(fixed), hosts[:, None], (sd - inner)[:, None], two_f)

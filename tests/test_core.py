@@ -104,6 +104,17 @@ class TestColouredCompleteGraph:
         assert sd.tolist() == [g.signed_degree(v) for v in range(11)]
         assert g.red_degrees().tolist() == [g.red_degree(v) for v in range(11)]
 
+    def test_signed_degrees_are_cached_read_only_and_rebuilt_by_a_copy(self):
+        g = random_colouring(11, 5)
+        sd = g.signed_degrees()
+        assert g.signed_degrees() is sd and not sd.flags.writeable
+        with pytest.raises(ValueError):
+            sd[0] = 0
+        np.testing.assert_array_equal(sd, g.matrix.astype(np.int64).sum(axis=1))
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and hash(copy) == hash(g) and copy._signed_degrees is None
+        assert copy.signed_degrees() is not sd and copy.signed_degrees().tolist() == sd.tolist()
+
     def test_degree_sum_counts_red_edges_twice(self):
         g = random_colouring(10, 7)
         assert sum(g.red_degree(v) for v in range(10)) == 2 * g.red_edge_count
@@ -1058,9 +1069,9 @@ class TestForestParser:
         constructor_calls.clear()
         assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
         # the one pass (n = 9) hands every fault to the constructor; numpy (n = 257) sorts an order fault
-        # itself, hands the range fault straight over and a repeat or a cycle from the union-find fallback
-        sorts_itself = n == 257 and fault in ("high-low", "swapped lines")
-        assert constructor_calls == ([] if sorts_itself else [n])
+        # and refuses a repeat or a cycle itself, and hands only the range fault over
+        numpy_alone = n == 257 and fault != "high is n"
+        assert constructor_calls == ([] if numpy_alone else [n])
 
     @pytest.mark.parametrize("text", ["0 0\n", "1 0\n", "9 0\n"])
     def test_edgeless_canonical_text_gives_the_reference_outcome(self, text, constructor_calls):
@@ -1115,16 +1126,16 @@ def distinct_high_edges(n, rng):
 
 @contextmanager
 def union_find_calls():
-    """The result of every core._acyclic call, the union-find pass of the numpy route, made inside the block."""
+    """The result of every core._first_cycle_edge call, the union-find pass of the numpy route, made inside the block."""
     calls = []
-    acyclic = core._acyclic
+    first_cycle_edge = core._first_cycle_edge
 
     def spy(n, ends):
-        calls.append(acyclic(n, ends))
+        calls.append(first_cycle_edge(n, ends))
         return calls[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(core, "_acyclic", spy)
+        patch.setattr(core, "_first_cycle_edge", spy)
         yield calls
 
 
@@ -1175,7 +1186,8 @@ class TestCanonicalForestRoute:
             message = outcome(parse_forest, text)
         assert message == outcome(reference_parse_forest, text)
         assert message.startswith("InvalidInputError: " + ("edge" if fault == "cycle" else "duplicate edge"))
-        assert calls == [False]
+        # one union-find pass, which stops at the edge the message names
+        assert len(calls) == 1 and "({},{})".format(*sorted(edges)[calls[0]]) in message
 
     @pytest.mark.parametrize("kind", ["path", "random", "relabelled", "constructor"])
     def test_swap_delta_on_the_flat_adjacency_matches_a_numpy_reference(self, kind):
@@ -1263,3 +1275,43 @@ class TestCanonicalForestRoute:
         assert forest == Forest(n, edges)
         assert forest.edges == tuple(sorted(tuple(sorted(e)) for e in edges))
         assert forest.degree == Forest(n, edges).degree
+
+    @pytest.mark.parametrize("text", [
+        "1000000 2\n3 5\n3 5\n",
+        "1000000 3\n3 5\n3 7\n5 7\n",
+        # out of order and high-low: the first fault in file order is the repeat, not the sorted order's cycle
+        "1000000 4\n7 5\n3 5\n5 3\n3 7\n",
+        "1000000 5\n7 5\n999999 8\n3 7\n5 3\n3 5\n",
+    ])
+    def test_huge_file_with_a_repeat_or_a_cycle_is_refused_with_no_list_of_length_n(self, text):
+        head, *lines = text.splitlines()
+        n = int(head.split()[0])
+        edges = [tuple(map(int, line.split())) for line in lines]
+        with pytest.raises(InvalidInputError) as expected:
+            Forest(n, edges)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(InvalidInputError) as refused:
+                parse_forest(text)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 << 20 and elapsed < 0.2
+        assert str(refused.value) == str(expected.value)
+
+    @given(st.integers(129, 400), st.integers(0, 2**32 - 1), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_shuffled_faults_get_the_constructors_message(self, n, seed, faults):
+        rng = random.Random(seed)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]  # a random tree
+        for _ in range(faults):  # repeats and cycle-closing edges, either way round, anywhere
+            u, v = rng.choice(edges) if rng.random() < 0.5 else rng.sample(range(n), 2)
+            edges.insert(rng.randrange(len(edges) + 1), (u, v))
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        text = "".join([f"{n} {len(edges)}\n", *(f"{u} {v}\n" for u, v in edges)])
+        with union_find_calls() as calls:
+            message = outcome(parse_forest, text)
+        assert message == outcome(lambda _: Forest(n, edges), text)
+        assert message.startswith("InvalidInputError: ") and len(calls) == 1

@@ -127,22 +127,34 @@ def test_census_counts_add_up_to_the_grids(timed_grid):
     assert summary["samples"]["exact"] == [0, 0]
     assert all(0 < largest < SAMPLE_BUDGET and at_cap == 0 for largest, at_cap in
                (summary["samples"][m] for m in ("interpolation", "hub-split")))
+    # every mechanism but the oracle's walks; the oracle's rows carry no trace
+    assert summary["walks"].keys() == {"interpolation", "hub-split"}
+    assert all(total >= largest >= 0 for total, largest in summary["walks"].values())
+    assert sum(total for total, _ in summary["walks"].values()) == sum(
+        len(row["trace"]) - 1 for row in rows if row.get("trace") is not None)
     text = solve_sweep.format_census("change", summary)
     assert text.startswith("census of the change: ")
-    assert len(text.splitlines()) == len(summary["solve"]) + len(summary["samples"]) + len(summary["oracle"]) + 4
+    assert len(text.splitlines()) == (len(summary["solve"]) + len(summary["samples"]) + len(summary["walks"])
+                                      + len(summary["oracle"]) + 5)
     assert f"samples drawn by mechanism: largest, rows at SAMPLE_BUDGET = {SAMPLE_BUDGET}" in text
 
 
 def test_census_counts_the_largest_draw_and_the_rows_at_the_cap():
-    rows = [{"colouring": "c", "mechanism": m, "balanced": True, "stats": {"samples_drawn": d}}
-            for m, d in (("interpolation", 7), ("interpolation", 50), ("hub-split", 3), ("hub-split", 50))]
+    rows = [{"colouring": "c", "mechanism": m, "balanced": True, "stats": {"samples_drawn": d},
+             "trace": [[None, 9], *[[[0, 1], 9 - 2 * k] for k in range(1, walk + 1)]]}
+            for m, d, walk in (("interpolation", 7, 4), ("interpolation", 50, 0), ("hub-split", 3, 2),
+                               ("hub-split", 50, 5))]
     rows.append({"colouring": "c", "mechanism": None, "balanced": True, "error": "InvalidInputError: x"})
     summary = solve_sweep.census(rows, [1.0] * len(rows), 50)
     assert summary["samples"] == {"interpolation": [50, 1], "hub-split": [50, 1]}
+    assert summary["walks"] == {"interpolation": [4, 4], "hub-split": [7, 5]}
     lines = solve_sweep.format_census("parent", summary).splitlines()
     start = lines.index("  samples drawn by mechanism: largest, rows at SAMPLE_BUDGET = 50")
     assert [line.split() for line in lines[start + 1:start + 3]] == [["hub-split", "50", "1"],
                                                                       ["interpolation", "50", "1"]]
+    assert lines[start + 3] == "  walk steps by mechanism: total, largest"
+    assert [line.split() for line in lines[start + 4:start + 6]] == [["hub-split", "7", "5"],
+                                                                      ["interpolation", "4", "4"]]
 
 
 def test_instance_digest_tells_inputs_apart():
@@ -159,13 +171,17 @@ def test_instance_digest_tells_inputs_apart():
 
 def test_compare_counts_differing_rows_per_field():
     parent = [{"n": 8, "colouring": "random", "forest": "path", "seed": s, "exact_threshold": 0,
-               "achieved": 1, "stats": {"samples_drawn": 3}} for s in range(5)]
+               "achieved": 1, "certified_value": 5.0, "stats": {"samples_drawn": 3}} for s in range(5)]
     change = copy.deepcopy(parent)
     change[1].update(achieved=3, stats={"samples_drawn": 4})
+    change[2].update(certified_value=3.0)
+    change[3].update(achieved=None, error="InvalidInputError: x")  # an error on one side neither rose nor fell
     change[4]["stats"] = {}
     lines = solve_sweep.compare(parent, change).splitlines()
-    assert lines[0] == "2 of 5 rows differ from the parent's (by field: achieved 1, stats 2)"
+    assert lines[0] == ("4 of 5 rows differ from the parent's (by field: achieved 2, certified_value 1, error 1, "
+                        "stats 2); achieved rose in 1 and fell in 0; certified_value rose in 0 and fell in 1")
     assert lines[2:4] == ["    achieved: parent 1 / change 3",
                           '    stats: parent {"samples_drawn": 3} / change {"samples_drawn": 4}']
     assert solve_sweep.compare(parent, parent).splitlines() == [
-        "0 of 5 rows differ from the parent's (by field: none)"]
+        "0 of 5 rows differ from the parent's (by field: none); achieved rose in 0 and fell in 0; "
+        "certified_value rose in 0 and fell in 0"]

@@ -25,15 +25,18 @@ an ``exact_sign`` row the min and max sums, both witnesses and
 of the serialised colouring and forest, so a changed generator shows as a
 differing field of its own and not only through changed answers; a solve
 row also says whether its colouring is ``balanced``.  The tool prints how
-many rows differ, how many differ in each field, and the first few
+many rows differ, how many differ in each field, in how many rows
+``achieved`` and ``certified_value`` rose and fell, and the first few
 differing rows.
 
 After the diff it prints each side's census: the solve rows' count and
 total wall time per (colouring, mechanism), per mechanism the largest
 ``samples_drawn`` and the rows that drew the side's whole
-``solver.SAMPLE_BUDGET``, the oracle rows' count and time per (query, n),
-and how many solve rows certify more than the refined bound, balanced and
-unbalanced colourings apart.  Each call's wall time is measured around
+``solver.SAMPLE_BUDGET``, per mechanism the total and the largest number
+of interpolation walk steps (the trace's steps after its start), the
+oracle rows' count and time per (query, n), and how many solve rows
+certify more than the refined bound, balanced and unbalanced colourings
+apart.  Each call's wall time is measured around
 the solve or query alone and kept apart from the rows, so timings never
 show as differing rows.
 """
@@ -277,13 +280,16 @@ def census(rows: list[dict], timings: list[float], budget: int) -> dict:
     """Counts and total ms per (colouring, mechanism) and per (query, n), samples, and certificates over the bound.
 
     ``samples`` maps each mechanism to [the largest ``samples_drawn`` of its
-    rows, its rows that drew ``budget`` samples], and ``over_refined`` maps
-    "balanced" and "unbalanced" to [rows whose certified value exceeds the
-    refined bound, solve rows with a certificate].
+    rows, its rows that drew ``budget`` samples], ``walks`` maps each
+    mechanism with a trace to [its rows' total walk steps, the largest],
+    and ``over_refined`` maps "balanced" and "unbalanced" to [rows whose
+    certified value exceeds the refined bound, solve rows with a
+    certificate].
     """
     solves: dict[tuple, list] = {}
     queries: dict[tuple, list] = {}
     samples: dict[str, list] = {}
+    walks: dict[str, list] = {}
     over = {"balanced": [0, 0], "unbalanced": [0, 0]}
     for row, ms in zip(rows, timings, strict=True):
         if "query" in row:
@@ -293,13 +299,17 @@ def census(rows: list[dict], timings: list[float], budget: int) -> dict:
             if row.get("stats") is not None:
                 drawn, tally = row["stats"]["samples_drawn"], samples.setdefault(row["mechanism"], [0, 0])
                 tally[0], tally[1] = max(tally[0], drawn), tally[1] + (drawn == budget)
+            if row.get("trace") is not None:
+                steps, tally = len(row["trace"]) - 1, walks.setdefault(row["mechanism"], [0, 0])
+                tally[0], tally[1] = tally[0] + steps, max(tally[1], steps)
             if row.get("certified_value") is not None:
                 tally = over["balanced" if row["balanced"] else "unbalanced"]
                 tally[0] += row["certified_value"] > row["bounds"]["refined"]
                 tally[1] += 1
         cell[0] += 1
         cell[1] += ms
-    return {"solve": solves, "oracle": queries, "samples": samples, "budget": budget, "over_refined": over}
+    return {"solve": solves, "oracle": queries, "samples": samples, "walks": walks, "budget": budget,
+            "over_refined": over}
 
 
 def format_census(name: str, summary: dict) -> str:
@@ -310,6 +320,9 @@ def format_census(name: str, summary: dict) -> str:
     lines.append(f"  samples drawn by mechanism: largest, rows at SAMPLE_BUDGET = {summary['budget']}")
     lines += [f"  {mechanism:<28} {largest:5d} {at_cap:10d}"
               for mechanism, (largest, at_cap) in sorted(summary["samples"].items())]
+    lines.append("  walk steps by mechanism: total, largest")
+    lines += [f"  {mechanism:<28} {total:5d} {largest:10d}"
+              for mechanism, (total, largest) in sorted(summary["walks"].items())]
     lines.append("  oracle queries by (query, n): count, total ms")
     lines += [f"  {query:<13} {n:<14} {count:5d} {ms:10.1f}"
               for (query, n), (count, ms) in sorted(summary["oracle"].items())]
@@ -319,7 +332,7 @@ def format_census(name: str, summary: dict) -> str:
 
 
 def compare(parent: list[dict], change: list[dict]) -> str:
-    """How many rows differ, per field, and the first few differing rows."""
+    """How many rows differ, per field, where achieved and certified_value rose and fell, and a few differing rows."""
     if len(parent) != len(change):
         raise SystemExit(f"the sides gave {len(parent)} and {len(change)} rows")
     per_field: dict[str, int] = {}
@@ -338,7 +351,11 @@ def compare(parent: list[dict], change: list[dict]) -> str:
                          + "".join(f"    {k}: parent {json.dumps(p.get(k))} / change {json.dumps(c.get(k))}\n"
                                    for k in fields))
     counts = ", ".join(f"{k} {v}" for k, v in sorted(per_field.items())) or "none"
-    return (f"{differing} of {len(change)} rows differ from the parent's (by field: {counts})\n"
+    moved = []
+    for k in ("achieved", "certified_value"):
+        pairs = [(p[k], c[k]) for p, c in zip(parent, change) if p.get(k) is not None and c.get(k) is not None]
+        moved.append(f"{k} rose in {sum(c > p for p, c in pairs)} and fell in {sum(c < p for p, c in pairs)}")
+    return (f"{differing} of {len(change)} rows differ from the parent's (by field: {counts}); {'; '.join(moved)}\n"
             + "".join(shown))
 
 
