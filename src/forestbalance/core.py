@@ -140,9 +140,9 @@ class ColouredCompleteGraph:
 
     def edge_colours(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The int8 colours of the edges a[k]b[k] (intp arrays of one shape): one gather from the triangle."""
-        cells = _row_offsets(self.n)[1][np.maximum(a, b)]
+        cells = _row_offsets(self.n)[1].take(np.maximum(a, b))
         cells += np.minimum(a, b)
-        return self.triangle[cells]
+        return self.triangle.take(cells)
 
     def signed_degrees(self) -> np.ndarray:
         """Signed degree of every vertex (see signed_degree), as a read-only int64 vector computed on first call.
@@ -758,8 +758,10 @@ def parse_forest(text: str, graph_n: int | None = None) -> Forest:
     serialize_forest writes them are built in one Python pass
     (``Forest._of_sorted``); from there on numpy builds the forest with no
     per-edge or per-vertex Python (``_forest_of_ends``), so a file with many
-    isolated vertices makes no list of length n either.  Any other text goes
-    through the constructor, which checks each edge in file order.
+    isolated vertices makes no list of length n either.  Any other text
+    that passes the line checks is rejoined as canonical lines and parsed
+    again, unless a number is negative or has more than 18 digits: such
+    edges go through the constructor, which checks each edge in file order.
     """
     numbers = _canonical_numbers(text)
     if numbers is not None:
@@ -794,6 +796,10 @@ def parse_forest(text: str, graph_n: int | None = None) -> Forest:
         except ValueError:
             raise InvalidInputError(f"bad edge line: {ln!r}") from None
         edges.append((u, v))
+    ends = tuple(chain.from_iterable(edges))
+    # runs of 1 to 18 digits rejoin into canonical lines, which the first branch reads: no second recursion
+    if all(0 <= x < 10**18 for x in (n, *ends)):
+        return parse_forest(f"{n} {m}\n" + ("%d %d\n" * m) % ends, graph_n)
     return Forest(n, edges)
 
 

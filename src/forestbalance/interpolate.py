@@ -6,6 +6,12 @@ bounded amount, so somewhere along the way an embedding within that amount
 of T must appear.  Routing every swap through a minimum-degree vertex keeps
 each step's sum change at most 2 * (disagreement max degree + forest min
 degree), so the walk certifies |T| + disagreement max degree + min degree.
+
+The argument needs some sequence of such swaps, in any order.  The walk
+places the disagreeing vertices in two ascending sweeps: the first places
+a vertex only when its net move brings the sum strictly nearer T, the
+second places the rest.  Each vertex is placed once and never moves again,
+so the walk still ends at the far embedding and must enter the window.
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ class SignedPair:
                 f"the same side of {centre}"
             )
         dis = np.flatnonzero(a_row != b_row)
-        dmax = int(forest.degree_array[dis].max(initial=0))
+        dmax = int(forest.degree_array.take(dis).max(initial=0))
         return cls(neg, pos, tuple(dis.tolist()), dmax, centre)
 
     def bound(self, forest: Forest) -> int:
@@ -94,6 +100,19 @@ def interpolate_traced(
     pair: SignedPair, forest: Forest, graph: ColouredCompleteGraph
 ) -> tuple[Embedding, InterpolationTrace]:
     """Walk from h_pos towards h_neg until the sum is within ``pair.bound`` of the centre.
+
+    A disagreeing vertex v is placed by the transposition of v and u, the
+    vertex holding v's target under h_neg: directly when u or v has minimum
+    degree, else in three steps through the lowest-index minimum-degree
+    vertex w, which ends where it began.  The first sweep goes over
+    ``pair.disagreement`` in ascending order and places v only when that
+    transposition's delta brings the sum strictly nearer the centre (a
+    direct step reuses the delta); every other v waits for the second
+    sweep, which places them in ascending order.  A placed vertex never
+    moves again: u does not hold its own target, and w is restored.  So the
+    walk ends at h_neg, below the window, having started above it, and no
+    step moves the sum by more than twice the bound: some step lands in the
+    window, and each step is checked against it and recorded in the trace.
 
     The walk swaps entries of one forward list in place and keeps the sum as
     a running int; the only Embedding it builds is the one it returns.
@@ -121,16 +140,32 @@ def interpolate_traced(
     # so the lowest-index minimum-degree vertex is always a free intermediate.
     w = degree.index(min_deg)
     goal = pair.h_neg.forward
-    for v in pair.disagreement:
-        target = goal[v]
-        if fwd[v] == target:
-            continue
-        u = holder[target]
+
+    def moves():
+        """(u, v, the net delta or None) per vertex v to place: first those whose move nears the centre."""
+        deferred = []
+        for v in pair.disagreement:
+            if fwd[v] != goal[v]:
+                u = holder[goal[v]]
+                delta = swap_delta(fwd, u, v, forest, graph)
+                if abs(total + delta - centre) < abs(total - centre):
+                    yield u, v, delta
+                else:
+                    deferred.append(v)
+        for v in deferred:
+            if fwd[v] != goal[v]:
+                yield holder[goal[v]], v, None
+
+    for u, v, delta in moves():
         # u also disagrees with h_neg, so both swap partners lie in the
         # disagreement set and carry degree <= disagreement_max_degree.
-        route = ((u, v),) if degree[u] == min_deg or degree[v] == min_deg else ((u, w), (v, w), (u, w))
+        if degree[u] == min_deg or degree[v] == min_deg:
+            route = ((u, v),)
+        else:
+            # each of the three steps moves the sum by its own delta
+            route, delta = ((u, w), (v, w), (u, w)), None
         for a, b in route:
-            total += swap_delta(fwd, a, b, forest, graph)
+            total += swap_delta(fwd, a, b, forest, graph) if delta is None else delta
             ta, tb = fwd[a], fwd[b]
             fwd[a], fwd[b] = tb, ta
             holder[ta], holder[tb] = b, a

@@ -105,13 +105,14 @@ class ExtensionSampler:
     caller's ``random.Random`` (k = number of free vertices) and argsorts them
     per row, which gives ``size`` independent uniform permutations of the free
     targets; the free vertices, in ascending order, take them.  With nothing
-    pinned both are 0..n-1, so the argsort itself is the block.  Each row's
-    colour sum is one gather from the colouring's packed int8 triangle
-    (``ColouredCompleteGraph.edge_colours``) at the ends of
-    ``forest.edge_array``.
+    pinned both are 0..n-1, so the argsort itself is the block, and the
+    sampler keeps no arrays of its own (``base`` and ``free_*`` are None).
+    Each row's colour sum is one gather from the colouring's packed int8
+    triangle (``ColouredCompleteGraph.edge_colours``) at the ends of
+    ``forest.edge_array``, read with ``ndarray.take``.
     """
 
-    __slots__ = ("graph", "base", "free_vs", "free_ts", "us", "vs", "cap")
+    __slots__ = ("graph", "n", "base", "free_vs", "free_ts", "us", "vs", "cap")
 
     def __init__(self, forest: Forest, graph: ColouredCompleteGraph, anchor: PartialEmbedding | None = None):
         n = forest.n
@@ -120,29 +121,31 @@ class ExtensionSampler:
         fixed = anchor.mapping if anchor is not None else {}
         if any(v >= n or t >= n for v, t in fixed.items()):
             raise InvalidInputError("anchor out of range")
-        vs = np.fromiter(fixed, dtype=np.intp, count=len(fixed))
-        ts = np.fromiter(fixed.values(), dtype=np.intp, count=len(fixed))
-        self.graph = graph
-        self.base = np.zeros(n, dtype=np.intp)
-        self.base[vs] = ts
-        free = np.ones((2, n), dtype=bool)
-        free[0, vs] = free[1, ts] = False
-        self.free_vs, self.free_ts = np.flatnonzero(free[0]), np.flatnonzero(free[1])
+        self.graph, self.n = graph, n
+        self.base = self.free_vs = self.free_ts = None
+        if fixed:
+            vs = np.fromiter(fixed, dtype=np.intp, count=len(fixed))
+            ts = np.fromiter(fixed.values(), dtype=np.intp, count=len(fixed))
+            self.base = np.zeros(n, dtype=np.intp)
+            self.base[vs] = ts
+            free = np.ones((2, n), dtype=bool)
+            free[0, vs] = free[1, ts] = False
+            self.free_vs, self.free_ts = np.flatnonzero(free[0]), np.flatnonzero(free[1])
         self.us, self.vs = forest.edge_array.T
         self.cap = max(1, _BLOCK_CELLS // n)
 
     def draw(self, rng: random.Random, size: int) -> tuple[np.ndarray, np.ndarray]:
         """``size`` samples: an intp (size, n) array of forward maps and their int64 sums."""
-        k = len(self.free_ts)
+        k = self.n if self.free_ts is None else len(self.free_ts)
         keys = np.frombuffer(rng.randbytes(8 * size * k), dtype=np.uint64).reshape(size, k)
-        if k == len(self.base):
+        if self.base is None:
             images = keys.argsort(axis=1)
         else:
-            images = np.empty((size, len(self.base)), dtype=np.intp)
+            images = np.empty((size, self.n), dtype=np.intp)
             images[:] = self.base
             images[:, self.free_vs] = self.free_ts[keys.argsort(axis=1)]
         del keys  # frees the key bytes before the gather below allocates
-        colours = self.graph.edge_colours(images[:, self.us], images[:, self.vs])
+        colours = self.graph.edge_colours(images.take(self.us, axis=1), images.take(self.vs, axis=1))
         return images, colours.sum(axis=1, dtype=np.int64)
 
     def blocks(self, rng: random.Random, total: int):

@@ -1024,8 +1024,8 @@ class TestForestParser:
         text = serialize_forest(forest)
         constructor_calls.clear()  # make_forest's own
         assert parse_forest(text) == forest and constructor_calls == []
-        # a text the regex refuses is read line by line and built by the constructor
-        assert parse_forest(text.replace("\n", "\r\n")) == forest and constructor_calls == [n]
+        # a text the canonical check refuses is read line by line, rejoined and read again the same way
+        assert parse_forest(text.replace("\n", "\r\n")) == forest and constructor_calls == []
 
     @given(forest_edge_lists(max_n=300))
     @example((1, []))
@@ -1300,6 +1300,19 @@ class TestCanonicalForestRoute:
             tracemalloc.stop()
         assert peak < 20 << 20 and elapsed < 0.2
         assert str(refused.value) == str(expected.value)
+
+    @pytest.mark.parametrize("text", ["1000000 1\r\n0 1\r\n", "1000000 1\n0  1\n", " 1000000 1\n0 1\n"])
+    def test_huge_non_canonical_file_is_rejoined_and_takes_the_canonical_route(self, text):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            forest = parse_forest(text)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 << 20 and elapsed < 0.2
+        assert forest == parse_forest("1000000 1\n0 1\n")
 
     @given(st.integers(129, 400), st.integers(0, 2**32 - 1), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ import copy
 import importlib.util
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -185,3 +186,19 @@ def test_compare_counts_differing_rows_per_field():
     assert solve_sweep.compare(parent, parent).splitlines() == [
         "0 of 5 rows differ from the parent's (by field: none); achieved rose in 0 and fell in 0; "
         "certified_value rose in 0 and fell in 0"]
+
+
+def test_best_of_keeps_the_first_answer_and_the_least_time():
+    calls = []
+
+    def call():
+        calls.append(len(calls))
+        if len(calls) == 1:
+            time.sleep(0.05)
+            return "first"
+        raise ValueError("a later call")
+
+    answer, ms = solve_sweep.best_of(call)
+    assert answer == "first" and len(calls) == solve_sweep.REPEATS == 3 and ms < 50
+    error, _ = solve_sweep.best_of(lambda: 1 // 0)
+    assert isinstance(error, ZeroDivisionError)

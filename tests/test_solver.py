@@ -204,6 +204,40 @@ class TestExtensionSampler:
             assert sums.tolist() == (2 * hits.sum(axis=1) - len(edges)).tolist()
         assert g._matrix is None
 
+    @pytest.mark.parametrize("n", [2, 16, 129, 512])
+    def test_draw_is_byte_identical_to_the_fancy_index_formula(self, n):
+        # the formula the sampler followed before it gathered with take: the same keys and argsort,
+        # then images[:, us] and triangle[off[max] + min]
+        lower = np.tril(np.random.default_rng(n).random((n, n)) < 0.5, k=-1)
+        g = ColouredCompleteGraph.from_red_matrix(lower | lower.T)
+        forest = make_forest(ForestSpec("random", n, max_degree=max(2, n // 8), seed=n))
+        us, vs = forest.edge_array.T
+        i = np.arange(n)
+        off = i * (i + 1) // 2
+        for fixed in ({}, {0: n - 1}, {0: n - 1, n // 2: 0}):
+            anchor = PartialEmbedding(fixed) if fixed else None
+            free_vs = [v for v in range(n) if v not in fixed]
+            free_ts = np.array(sorted(set(range(n)) - set(fixed.values())), dtype=np.intp)
+            for size in (1, 4, 7):
+                images, sums = ExtensionSampler(forest, g, anchor).draw(random.Random(n + size), size)
+                keys = np.frombuffer(random.Random(n + size).randbytes(8 * size * len(free_vs)), dtype=np.uint64)
+                expected = np.empty((size, n), dtype=np.intp)
+                expected[:, list(fixed)] = list(fixed.values())
+                expected[:, free_vs] = free_ts[keys.reshape(size, len(free_vs)).argsort(axis=1)]
+                a, b = expected[:, us], expected[:, vs]
+                colours = g.triangle[off[np.maximum(a, b)] + np.minimum(a, b)]
+                assert images.dtype == expected.dtype and images.tobytes() == expected.tobytes()
+                assert sums.dtype == np.int64
+                assert sums.tobytes() == colours.sum(axis=1, dtype=np.int64).tobytes()
+
+    def test_unanchored_sampler_builds_no_arrays(self):
+        g = random_balanced_colouring(16, 1)
+        forest = make_forest(ForestSpec("path", 16))
+        for anchor in (None, PartialEmbedding({})):
+            sampler = ExtensionSampler(forest, g, anchor)
+            assert sampler.base is sampler.free_vs is sampler.free_ts is None
+        assert ExtensionSampler(forest, g, PartialEmbedding({3: 5})).free_ts.tolist() == [t for t in range(16) if t != 5]
+
     def test_path_solve_at_512_never_builds_the_matrix(self):
         n = 512
         g = parse_colouring(serialize_colouring(random_balanced_colouring(n, 4)))
