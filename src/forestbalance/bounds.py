@@ -28,7 +28,11 @@ def refined_bound(n: int, delta: int) -> float:
         raise InvalidInputError(f"need 1 <= delta <= n-1, got delta={delta}, n={n}")
     if 2 * delta >= n or delta <= 15:
         return 0.5 * delta + 9
-    t = delta - n / 4
+    return _midrange(n, delta - n / 4)
+
+
+def _midrange(n: int, t: float) -> float:
+    """The midrange bound at max degree n/4 + t, at its best epsilon: (t + 3)/2 + sqrt((t + 1)^2/4 + 4n)."""
     return 0.5 * (t + 3) + math.sqrt(0.25 * (t + 1) ** 2 + 4 * n)
 
 
@@ -50,8 +54,7 @@ def _check_offset_domain(n: int, offset: float) -> None:
 def optimized_midrange_bound(n: int, offset: float) -> float:
     """Best value of the midrange bound over admissible epsilon, in closed form."""
     _check_offset_domain(n, offset)
-    t = offset * n
-    return (3 + t) / 2 + math.sqrt((1 + t) ** 2 + 16 * n) / 2
+    return _midrange(n, offset * n)
 
 
 def crossing_epsilon(n: int, offset: float) -> float:

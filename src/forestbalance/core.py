@@ -9,8 +9,8 @@ edge straight from it; the n x n matrix is built only when something reads it.
 from __future__ import annotations
 
 import functools
-from itertools import chain
-from operator import lt
+from itertools import chain, islice
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -247,6 +247,11 @@ def r_balanced_vertices(g: ColouredCompleteGraph, r: int) -> list[int]:
     return np.flatnonzero(np.minimum(red, g.n - 1 - red) >= r).tolist()
 
 
+#: a forest on n vertices with m edges is built from numpy arrays when n + m reaches this, and makes its
+#: tuples on first read; a smaller one builds its tuples at once, since numpy's fixed costs would slow it
+_ARRAY_BUILD = 64
+
+
 class Forest:
     """An acyclic simple graph on n labelled vertices (isolated vertices allowed).
 
@@ -254,23 +259,15 @@ class Forest:
     lists each vertex's neighbours ascending and ``degree`` each vertex's
     degree, all as tuples of ints.  ``edge_array``, the (m, 2) intp array
     whose row i is ``edges[i]``, and ``degree_array``, the intp vector of
-    ``degree``, are read-only.  ``edge_count``, ``max_degree`` and
-    ``min_degree`` are plain ints.
+    ``degree``, are read-only.  ``adjacency`` holds the neighbours without a
+    tuple per vertex (see there); ``swap_delta`` reads it.  ``edge_count``,
+    ``max_degree`` and ``min_degree`` are plain ints.
 
-    The constructor checks each edge in input order and builds the three
-    tuples at once, with Python lists of length n on the way even when the
-    forest has no edge; its arrays are made on first read.  ``parse_forest``
-    builds a canonical file's forest from the numbers it parsed (see there):
-    a small one in one Python pass that also builds the tuples, a large one
-    from numpy arrays alone, so that ``edges``, ``degree`` and
-    ``neighbours`` are made on first read.
-
-    ``adjacency`` holds the neighbours without a tuple per vertex: the list
-    ``off`` of n + 1 offsets and the list ``flat`` in which vertex v's
-    neighbours are ``flat[off[v]:off[v + 1]]``, ascending.  It is made on
-    first read by one stable argsort of the edge ends.  ``swap_delta`` reads
-    ``neighbours`` when they are built and ``adjacency`` otherwise, so a
-    large parsed forest's walk and polish never build a tuple per vertex.
+    The constructor checks each edge in input order, with nothing of size n
+    allocated, and hands the edges to one build, chosen by n + m alone.
+    Below ``_ARRAY_BUILD`` it makes the tuples at once and the arrays on
+    first read; from there on it makes the arrays with numpy and the tuples
+    on first read.  ``parse_forest`` feeds the same build.
     """
 
     __slots__ = ("n", "edge_count", "max_degree", "min_degree", "_edges", "_degree", "_neighbours",
@@ -279,85 +276,72 @@ class Forest:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise InvalidInputError(f"need at least 1 vertex, got n={n}")
-        norm = []
-        parent = list(range(n))
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise InvalidInputError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            ru, rv = u, v
-            while parent[ru] != ru:
-                parent[ru] = ru = parent[parent[ru]]
-            while parent[rv] != rv:
-                parent[rv] = rv = parent[parent[rv]]
-            if ru == rv:
-                # a repeated edge also joins two vertices already in one tree
-                if (u, v) in norm:
-                    raise InvalidInputError(f"duplicate edge ({u},{v})")
-                raise InvalidInputError(f"edge ({u},{v}) closes a cycle")
-            parent[ru] = rv
-            norm.append((u, v))
-        norm.sort()
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:  # ascending edges append each neighbour list in ascending order
-            adj[u].append(v)
-            adj[v].append(u)
-        self._fill(n, norm, adj, None)
+        pairs: list[tuple[int, int]] = []
+        try:
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
+                if u == v:
+                    raise InvalidInputError(f"self-loop at vertex {u}")
+                pairs.append((index(u), index(v)) if u < v else (index(v), index(u)))
+        except (TypeError, ValueError):  # InvalidInputError too, and a malformed pair or value
+            # a repeat or a cycle among the earlier edges is the first fault
+            _refuse_cycle(pairs, _first_cycle_edge(n, pairs, len(pairs)))
+            raise
+        self._build(n, pairs)
 
-    @classmethod
-    def _of_sorted(cls, n: int, edges: list[tuple[int, int]], ends: np.ndarray) -> "Forest":
-        """Build from ascending edges (low, high), 0 <= low < high < n, and their ends as one int vector.
+    def _build(self, n: int, edges: list[tuple[int, int]] | np.ndarray) -> None:
+        """Fill in the forest with these edges in input order: pairs (low, high), or the int ends u0 v0 u1 v1 ...
 
-        Such edges hold no range fault or self-loop and need no sort, so one
-        pass tests each for a cycle and appends the neighbour lists.  At an
-        edge that closes a cycle, a repeated edge among them, the constructor
-        takes the list over and words the error.  ``edge_array`` views ``ends``.
+        Every end lies in range(n) and no edge is a self-loop; the first edge
+        that repeats one or closes a cycle is refused.  Pairs are checked by
+        the union-find and sorted in Python.  Ends, which ``parse_forest``
+        passes only from n + m = ``_ARRAY_BUILD`` on, are sorted only when
+        not as serialize_forest writes them (low < high, ascending), and
+        checked by the union-find only when some vertex is the high end of
+        two edges: the largest vertex on a cycle has two lower neighbours on it.
         """
-        parent = list(range(n))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            ru, rv = u, v
-            while parent[ru] != ru:
-                parent[ru] = ru = parent[parent[ru]]
-            while parent[rv] != rv:
-                parent[rv] = rv = parent[parent[rv]]
-            if ru == rv:
-                return cls(n, edges)
-            parent[ru] = rv
-            adj[u].append(v)
-            adj[v].append(u)
-        forest = cls.__new__(cls)
-        forest._fill(n, edges, adj, ends)
-        return forest
-
-    def _fill(self, n: int, edges: list[tuple[int, int]], adj: list[list[int]], ends: np.ndarray | None) -> None:
-        self.n, self.edge_count = n, len(edges)
-        self._edges = tuple(edges)
-        self._neighbours = tuple(map(tuple, adj))
-        self._degree = tuple(map(len, adj))
-        self.max_degree = max(self._degree)
-        self.min_degree = min(self._degree)
-        self._edge_array, self._degree_array, self._adjacency = ends, None, None
-
-    @classmethod
-    def _of_arrays(cls, n: int, ends: np.ndarray) -> "Forest":
-        """Wrap the ends u0 v0 u1 v1 ... of a forest's ascending edges on n >= 1 vertices; degrees by bincount."""
+        m = len(edges) if isinstance(edges, list) else len(edges) // 2
+        self.n, self.edge_count, self._adjacency = n, m, None
+        if isinstance(edges, list):
+            _refuse_cycle(edges, _first_cycle_edge(n, edges, m))
+            edges.sort()
+            if n + m < _ARRAY_BUILD:
+                adj: list[list[int]] = [[] for _ in range(n)]
+                for u, v in edges:  # ascending edges append each neighbour list in ascending order
+                    adj[u].append(v)
+                    adj[v].append(u)
+                self._edges, self._neighbours = tuple(edges), tuple(map(tuple, adj))
+                self._degree = degree = tuple(map(len, adj))
+                self.max_degree, self.min_degree = max(degree), min(degree)
+                self._edge_array = self._degree_array = None
+                return
+            ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * m)
+        else:
+            ends = edges.astype(np.intp, copy=False)
+            low, high = ends[0::2], ends[1::2]
+            step = low[1:] - low[:-1]
+            if not ((low < high).all() and ((step > 0) | (step == 0) & (high[1:] >= high[:-1])).all()):
+                lows, highs = np.minimum(low, high), np.maximum(low, high)
+                order = np.lexsort((highs, lows))
+                ends = np.column_stack((lows[order], highs[order])).ravel()
+            top = np.sort(ends[1::2])
+            if not (top[1:] != top[:-1]).all():
+                flat = edges.tolist()
+                it, again = iter(flat), iter(flat)  # pairs made as each pass goes: no list of m tuples
+                _refuse_cycle(zip(again, again), _first_cycle_edge(n, zip(it, it), m))
         degree = np.bincount(ends, minlength=n)
-        degree.flags.writeable = False
-        forest = cls.__new__(cls)
-        forest.n, forest.edge_count = n, len(ends) // 2
-        forest.max_degree, forest.min_degree = int(degree.max()), int(degree.min())
-        forest._edges = forest._degree = forest._neighbours = forest._adjacency = None
-        forest._edge_array, forest._degree_array = ends, degree
-        return forest
+        ends = ends.reshape(m, 2)
+        ends.flags.writeable = degree.flags.writeable = False
+        self._edge_array, self._degree_array = ends, degree
+        self.max_degree, self.min_degree = int(degree.max()), int(degree.min())
+        self._edges = self._degree = self._neighbours = None
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         if self._edges is None:
-            self._edges = tuple(map(tuple, self.edge_array.tolist()))
+            it = iter(self.edge_array.ravel().tolist())
+            self._edges = tuple(zip(it, it))  # zip makes each pair a tuple at once, no list per row on the way
         return self._edges
 
     @property
@@ -370,12 +354,16 @@ class Forest:
     def neighbours(self) -> tuple[tuple[int, ...], ...]:
         if self._neighbours is None:
             off, flat = self.adjacency
-            self._neighbours = tuple(tuple(flat[a:b]) for a, b in zip(off, off[1:]))
+            flat = tuple(flat)  # so that each slice is a tuple
+            self._neighbours = tuple([flat[a:b] for a, b in zip(off, off[1:])])
         return self._neighbours
 
     @property
     def adjacency(self) -> tuple[list[int], list[int]]:
-        """(off, flat): vertex v's neighbours are ``flat[off[v]:off[v + 1]]``, ascending; made on first read."""
+        """(off, flat): vertex v's neighbours are ``flat[off[v]:off[v + 1]]``, ascending; made on first read.
+
+        One stable argsort of the edge ends makes both lists.
+        """
         if self._adjacency is None:
             ends = self.edge_array.ravel()
             # the edges ascend, so a stable sort keeps each vertex's neighbours ascending
@@ -388,32 +376,25 @@ class Forest:
 
     @property
     def edge_array(self) -> np.ndarray:
-        """The read-only (m, 2) intp array of ``edges``, made on first read.
-
-        Until then the slot holds None, or the flat ends u0 v0 u1 v1 ... that
-        ``parse_forest`` read, which the array then views.
-        """
-        array = self._edge_array
-        if array is None or array.ndim == 1:
-            m = self.edge_count
-            if array is None:
-                array = np.fromiter(chain.from_iterable(self._edges), dtype=np.intp, count=2 * m)
-            array = array.reshape(m, 2).astype(np.intp, copy=False)
+        """The read-only (m, 2) intp array of ``edges``, made on first read."""
+        if self._edge_array is None:
+            array = np.fromiter(chain.from_iterable(self._edges), dtype=np.intp, count=2 * self.edge_count)
+            array = array.reshape(self.edge_count, 2)
             array.flags.writeable = False
             self._edge_array = array
-        return array
+        return self._edge_array
 
     @property
     def degree_array(self) -> np.ndarray:
-        """The read-only intp vector of ``degree``, counted from ``edge_array`` on first read."""
+        """The read-only intp vector of ``degree``, made on first read."""
         if self._degree_array is None:
-            degree = np.bincount(self.edge_array.ravel(), minlength=self.n).astype(np.intp, copy=False)
+            degree = np.array(self._degree, dtype=np.intp)
             degree.flags.writeable = False
             self._degree_array = degree
         return self._degree_array
 
     def isolated_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if self.degree[v] == 0]
+        return np.flatnonzero(self.degree_array == 0).tolist()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Forest) and self.n == other.n and self.edges == other.edges
@@ -494,12 +475,8 @@ def swap_delta(forward: Sequence[int], u: int, v: int, forest: Forest, g: Colour
     edge uv (if present) is unaffected because the colouring is symmetric.
     """
     cells, off = g._lookup()
-    rows = forest._neighbours
-    if rows is None:
-        starts, flat = forest._adjacency or forest.adjacency  # the slot, once made
-        nu, nv = flat[starts[u]:starts[u + 1]], flat[starts[v]:starts[v + 1]]
-    else:
-        nu, nv = rows[u], rows[v]
+    starts, flat = forest._adjacency or forest.adjacency  # the slot, once made
+    nu, nv = flat[starts[u]:starts[u + 1]], flat[starts[v]:starts[v + 1]]
     a, b = forward[u], forward[v]
     row_a, row_b = off[a], off[b]
     delta = 0
@@ -685,23 +662,22 @@ def _canonical_numbers(text: str) -> np.ndarray | None:
     return numbers if numbers.size == len(rest) else None
 
 
-#: a canonical forest file on n vertices with m edges takes numpy's route when
-#: n + m reaches twice this, so a spanning tree does from 128 edges on;
-#: numpy's fixed costs would slow the smaller ones
-_ARRAY_CHECKS = 128
+class _Roots(dict):
+    """Union-find parents of the vertices met so far; a vertex not met yet is its own root."""
+
+    def __missing__(self, v: int) -> int:
+        return v
 
 
-def _first_cycle_edge(n: int, ends: np.ndarray) -> int | None:
-    """Index of the first edge (ends[2i], ends[2i + 1]) on range(n) that closes a cycle with the earlier ones, else None.
+def _first_cycle_edge(n: int, edges: Iterable[tuple[int, int]], m: int) -> int | None:
+    """Index of the first of these m edges on range(n) that closes a cycle with the earlier ones, else None.
 
     A union-find pass.  A repeated edge closes a cycle too, at its second
     occurrence.
     """
-    if ends.size < n:  # most vertices are isolated: number the ones the edges meet instead
-        n, ends = ends.size, np.unique(ends, return_inverse=True)[1]
-    parent = list(range(n))
-    it = iter(ends.tolist())
-    for i, (u, v) in enumerate(zip(it, it)):
+    # with most vertices isolated, a dict of the vertices met stands in for the list of n
+    parent = list(range(n)) if n <= 2 * m else _Roots()
+    for i, (u, v) in enumerate(edges):
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -712,70 +688,40 @@ def _first_cycle_edge(n: int, ends: np.ndarray) -> int | None:
     return None
 
 
-def _forest_of_ends(n: int, ends: np.ndarray) -> Forest:
-    """The forest whose edges a canonical file lists as the ends u0 v0 u1 v1 ... (int64), built with numpy.
-
-    When the edges are as serialize_forest writes them (low < high < n,
-    ascending), they form a forest if every vertex is the high end of at
-    most one edge, since the largest vertex on a cycle would have two lower
-    neighbours on it; otherwise a union-find pass over the edges in file
-    order decides, and at the first edge that closes a cycle raises the
-    constructor's error for it.  Edges in range and free of self-loops but
-    written high-low or out of order are first turned low-high and sorted.
-    A range fault or a self-loop sends the edges to the constructor, which
-    words the error.
-    """
-    low, high = ends[0::2], ends[1::2]
-    if n >= 1 and (not low.size or (high.max() < n and (low < high).all())):
-        step = low[1:] - low[:-1]
-        ascending = ((step > 0) | ((step == 0) & (high[1:] >= high[:-1]))).all()
-    else:
-        ascending = False
-    edges = ends
-    if not ascending and n >= 1 and ends.max() < n and (low != high).all():
-        # in range and free of self-loops, so only the order is off: sort the pairs (low, high)
-        lows, highs = np.minimum(low, high), np.maximum(low, high)
-        order = np.lexsort((highs, lows))
-        edges = np.column_stack((lows[order], highs[order])).ravel()
-        ascending = True
-    if not ascending:
-        return Forest(n, list(zip(low.tolist(), high.tolist())))
-    top = np.sort(edges[1::2])
-    # the file's own order, as the constructor checks it; a cycle does not depend on which end comes first
-    if (top[1:] != top[:-1]).all() or (k := _first_cycle_edge(n, ends)) is None:
-        return Forest._of_arrays(n, edges)
-    u, v = sorted((int(low[k]), int(high[k])))
-    # every earlier edge joined two trees, so the first to close a cycle is a repeat iff its pair came before
-    repeat = ((low[:k] == u) & (high[:k] == v) | (low[:k] == v) & (high[:k] == u)).any()
-    raise InvalidInputError(f"duplicate edge ({u},{v})" if repeat else f"edge ({u},{v}) closes a cycle")
+def _refuse_cycle(edges: Iterable[tuple[int, int]], k: int | None) -> None:
+    """Refuse edge k of these, the first to close a cycle, as a duplicate edge if it repeats one; pass if k is None."""
+    if k is not None:
+        *earlier, (u, v) = islice(edges, k + 1)
+        u, v = sorted((u, v))
+        # every earlier edge joined two trees, so the first to close a cycle is a repeat iff its pair came before
+        repeat = (u, v) in {(a, b) if a < b else (b, a) for a, b in earlier}
+        raise InvalidInputError(f"duplicate edge ({u},{v})" if repeat else f"edge ({u},{v}) closes a cycle")
 
 
 def parse_forest(text: str, graph_n: int | None = None) -> Forest:
     """Parse a forest file; given graph_n, a header with another n is refused before allocating.
 
     A canonical file (see ``_canonical_numbers``) is read by one C
-    conversion.  With n + m below 2 * ``_ARRAY_CHECKS``, edges as
-    serialize_forest writes them are built in one Python pass
-    (``Forest._of_sorted``); from there on numpy builds the forest with no
-    per-edge or per-vertex Python (``_forest_of_ends``), so a file with many
-    isolated vertices makes no list of length n either.  Any other text
-    that passes the line checks is rejoined as canonical lines and parsed
-    again, unless a number is negative or has more than 18 digits: such
-    edges go through the constructor, which checks each edge in file order.
+    conversion.  From n + m = ``_ARRAY_BUILD`` on, numpy checks its numbers
+    for range and self-loops and hands them to the forest build (see
+    ``Forest``); a smaller file, or one with such a fault, goes through the
+    constructor.  Any other text that passes the line checks is rejoined as
+    canonical lines and parsed again, unless a number is negative or has
+    more than 18 digits: such edges go through the constructor too.
     """
     numbers = _canonical_numbers(text)
     if numbers is not None:
         n, m = int(numbers[0]), int(numbers[1])
         if (graph_n is None or n == graph_n) and numbers.size == 2 * m + 2:
             ends = numbers[2:]
-            if n + m >= 2 * _ARRAY_CHECKS:
-                return _forest_of_ends(n, ends)
-            lows, highs = ends[0::2].tolist(), ends[1::2].tolist()
-            edges = list(zip(lows, highs))
-            # ascending pairs with low < high < n; with no edge, the default 0 < n is the constructor's n >= 1
-            if all(map(lt, lows, highs)) and edges == sorted(edges) and max(highs, default=0) < n:
-                return Forest._of_sorted(n, edges, ends)
-            return Forest(n, edges)
+            low, high = ends[0::2], ends[1::2]
+            # the constructor checks a small forest's edges faster than numpy does; canonical digits spell no
+            # negative number, and with n = 0 every edge is out of range
+            if n + m >= _ARRAY_BUILD and ends.max(initial=-1) < n and not np.count_nonzero(low == high):
+                forest = Forest.__new__(Forest)
+                forest._build(n, ends)
+                return forest
+            return Forest(n, zip(low.tolist(), high.tolist()))
     lines = _content_lines(text)
     if not lines:
         raise InvalidInputError("empty forest file")

@@ -106,8 +106,8 @@ def interpolate_traced(
     degree, else in three steps through the lowest-index minimum-degree
     vertex w, which ends where it began.  The first sweep goes over
     ``pair.disagreement`` in ascending order and places v only when that
-    transposition's delta brings the sum strictly nearer the centre (a
-    direct step reuses the delta); every other v waits for the second
+    transposition's delta brings the sum strictly nearer the centre (the
+    route's last step reuses the delta); every other v waits for the second
     sweep, which places them in ascending order.  A placed vertex never
     moves again: u does not hold its own target, and w is restored.  So the
     walk ends at h_neg, below the window, having started above it, and no
@@ -162,10 +162,13 @@ def interpolate_traced(
         if degree[u] == min_deg or degree[v] == min_deg:
             route = ((u, v),)
         else:
-            # each of the three steps moves the sum by its own delta
-            route, delta = ((u, w), (v, w), (u, w)), None
-        for a, b in route:
-            total += swap_delta(fwd, a, b, forest, graph) if delta is None else delta
+            route = ((u, w), (v, w), (u, w))
+        start, last = total, len(route) - 1
+        for i, (a, b) in enumerate(route):
+            if i < last or delta is None:
+                total += swap_delta(fwd, a, b, forest, graph)
+            else:  # the route nets the transposition (u v), whose delta moves() took at the route's start
+                total = start + delta
             ta, tb = fwd[a], fwd[b]
             fwd[a], fwd[b] = tb, ta
             holder[ta], holder[tb] = b, a

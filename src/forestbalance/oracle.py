@@ -248,13 +248,13 @@ def exact_min_imbalance(
     return best, Embedding.build(best_map, forest, graph)
 
 
-def red_leaf_count(d, offset, red, blue):
-    """How many k of d leaves go on red edges so that offset + 2k - d is nearest 0.
+def red_leaf_count(d, red, blue):
+    """How many k of d leaves go on red edges so that 2k - d is nearest 0.
 
     With ``red`` free red and ``blue`` free blue edges at the host, k ranges over
-    [max(0, d - blue), min(d, red)]; (d - offset) // 2 clipped to it is best.
+    [max(0, d - blue), min(d, red)]; d // 2 clipped to it is best.
     """
-    return np.clip((d - offset) // 2, np.maximum(0, d - blue), np.minimum(d, red))
+    return np.clip(d // 2, np.maximum(0, d - blue), np.minimum(d, red))
 
 
 def _star_min_imbalance(forest: Forest, graph: ColouredCompleteGraph) -> tuple[int, Embedding]:
@@ -262,7 +262,7 @@ def _star_min_imbalance(forest: Forest, graph: ColouredCompleteGraph) -> tuple[i
 
     The centre is the first vertex of maximum degree d (vertex 0 when d = 0,
     the lower endpoint when d = 1).  With the centre on a host with r red
-    and b blue edges, k = red_leaf_count(d, 0, r, b) of the d leaves on red
+    and b blue edges, k = red_leaf_count(d, r, b) of the d leaves on red
     neighbours give the least |sum|; the host of least such |sum| wins, ties
     to the lowest index.  The witness puts the leaves, ascending, on the
     first k red and d - k blue neighbours in ascending order, and the
@@ -270,18 +270,20 @@ def _star_min_imbalance(forest: Forest, graph: ColouredCompleteGraph) -> tuple[i
     its value is the host's |signed degree|.
     """
     n, d = forest.n, forest.max_degree
-    centre = forest.degree.index(d)
+    degree = forest.degree_array
+    centre = int(degree.argmax())
     red = graph.red_degrees()
-    k = red_leaf_count(d, 0, red, n - 1 - red)
+    k = red_leaf_count(d, red, n - 1 - red)
     x = int(np.abs(2 * k - d).argmin())
     row = graph.matrix[x]
     leaf_hosts = np.sort(np.concatenate([np.flatnonzero(row > 0)[: k[x]], np.flatnonzero(row < 0)[: d - k[x]]]))
     hosts = np.concatenate([[x], leaf_hosts])
     unused = np.ones(n, dtype=bool)
     unused[hosts] = False
-    isolated = [v for v in forest.isolated_vertices() if v != centre]
+    # every edge meets the centre, so its neighbours are the other vertices of positive degree
+    others = np.flatnonzero(degree).tolist() + forest.isolated_vertices()
     fwd = np.empty(n, dtype=np.intp)
-    fwd[[centre, *forest.neighbours[centre], *isolated]] = np.concatenate([hosts, np.flatnonzero(unused)])
+    fwd[[centre, *(v for v in others if v != centre)]] = np.concatenate([hosts, np.flatnonzero(unused)])
     emb = Embedding.build(fwd.tolist(), forest, graph)
     return abs(emb.colour_sum), emb
 

@@ -1,9 +1,12 @@
 import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from forestbalance import bounds
 from forestbalance.bounds import (
     BoundReport,
     crossing_epsilon,
@@ -59,6 +62,24 @@ class TestRefinedBound:
             refined_bound(10, 0)
         with pytest.raises(InvalidInputError):
             refined_bound(10, 10)
+
+
+class TestMidrangeHelper:
+    def test_matches_a_decimal_reference(self):
+        rng = random.Random(0)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for _ in range(2000):
+                n = rng.randrange(33, 3000)
+                delta = rng.randrange(16, (n + 1) // 2)  # the middle regime: 15 < delta < n/2
+                t = delta - n / 4  # exact in binary
+                value = bounds._midrange(n, t)
+                exact = (Decimal(t) + 3) / 2 + ((Decimal(t) + 1) ** 2 / 4 + 4 * n).sqrt()
+                # with t < 0 the sum cancels against the root, which costs the result a few ulps
+                assert abs(Decimal(value) - exact) <= 16 * Decimal(math.ulp(value))
+                assert refined_bound(n, delta) == value
+                off = degree_offset(n, delta)
+                assert optimized_midrange_bound(n, off) == bounds._midrange(n, off * n)
 
 
 class TestOptimizedMidrange:

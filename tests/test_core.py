@@ -1022,17 +1022,21 @@ class TestForestParser:
     def test_serialized_text_skips_the_constructor(self, n, constructor_calls):
         forest = make_forest(ForestSpec("random", n, max_degree=max(2, n // 8), seed=n))
         text = serialize_forest(forest)
+        # from core._ARRAY_BUILD on the numbers go straight to the build; below it the constructor checks
+        # each edge and feeds the same build, as it is cheaper than numpy's checks there
+        calls = [] if n + forest.edge_count >= core._ARRAY_BUILD else [n]
         constructor_calls.clear()  # make_forest's own
-        assert parse_forest(text) == forest and constructor_calls == []
+        assert parse_forest(text) == forest and constructor_calls == calls
         # a text the canonical check refuses is read line by line, rejoined and read again the same way
-        assert parse_forest(text.replace("\n", "\r\n")) == forest and constructor_calls == []
+        constructor_calls.clear()
+        assert parse_forest(text.replace("\n", "\r\n")) == forest and constructor_calls == calls
 
     @given(forest_edge_lists(max_n=300))
     @example((1, []))
     @example((300, [(v - 1, v) for v in range(1, 300)]))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_keeps_the_arrays_of_the_tuples(self, case):
-        # n + m from 256 on takes the numpy route, below it the one-pass route
+        # n + m from core._ARRAY_BUILD on builds the arrays first, below it the tuples
         n, edges = case
         forest = Forest(n, edges)
         parsed = parse_forest(serialize_forest(forest))
@@ -1048,7 +1052,7 @@ class TestForestParser:
     @pytest.mark.parametrize("fault", ["high-low", "swapped lines", "high is n", "repeated line", "cycle"])
     @pytest.mark.parametrize("n", [9, 257])
     def test_canonical_shaped_text_out_of_order_gives_the_reference_outcome(self, n, fault, constructor_calls):
-        # n = 9 takes the one-pass route and n = 257 the numpy one
+        # n = 9 is below core._ARRAY_BUILD and n = 257 past it
         forest = make_forest(ForestSpec("random", n, max_degree=max(2, n // 8), seed=n))
         head, *lines = serialize_forest(forest).splitlines()
         i = len(lines) // 2
@@ -1068,8 +1072,8 @@ class TestForestParser:
         text = "\n".join([head, *lines, ""])
         constructor_calls.clear()
         assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
-        # the one pass (n = 9) hands every fault to the constructor; numpy (n = 257) sorts an order fault
-        # and refuses a repeat or a cycle itself, and hands only the range fault over
+        # the constructor checks every small text (n = 9); past the cut (n = 257) the build sorts an order
+        # fault and refuses a repeat or a cycle itself, and numpy hands only the range fault over
         numpy_alone = n == 257 and fault != "high is n"
         assert constructor_calls == ([] if numpy_alone else [n])
 
@@ -1077,8 +1081,8 @@ class TestForestParser:
     def test_edgeless_canonical_text_gives_the_reference_outcome(self, text, constructor_calls):
         constructor_calls.clear()
         assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
-        # n = 0 needs the constructor's message; any other n takes the one-pass route
-        assert constructor_calls == ([0] if text == "0 0\n" else [])
+        # n + m is below core._ARRAY_BUILD, so the constructor checks the header's n (n = 0 gets its message)
+        assert constructor_calls == [int(text.split()[0])]
 
     @pytest.mark.parametrize("text", [
         "12 2\n0000000000000000001 2\n3 4\n",
@@ -1124,14 +1128,30 @@ def distinct_high_edges(n, rng):
     return sorted((rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9)
 
 
+def traced(call):
+    """What call returns (or its InvalidInputError as "type: message"), its wall time in s and its peak traced bytes."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        try:
+            value = call()
+        except InvalidInputError as exc:
+            value = f"{type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return value, elapsed, peak
+
+
 @contextmanager
 def union_find_calls():
-    """The result of every core._first_cycle_edge call, the union-find pass of the numpy route, made inside the block."""
+    """The result of every core._first_cycle_edge call, the one union-find pass, made inside the block."""
     calls = []
     first_cycle_edge = core._first_cycle_edge
 
-    def spy(n, ends):
-        calls.append(first_cycle_edge(n, ends))
+    def spy(*args):
+        calls.append(first_cycle_edge(*args))
         return calls[-1]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1169,7 +1189,8 @@ class TestCanonicalForestRoute:
         with union_find_calls() as calls:
             parsed = parse_forest(text)
         assert forest_attrs(parsed) == forest_attrs(reference)
-        assert calls == []
+        # the array build skips the union-find; the tuple build runs it, as cheap as the check
+        assert calls == ([] if n + len(edges) >= core._ARRAY_BUILD else [None])
 
     @given(st.integers(129, 400), st.integers(0, 2**32 - 1), st.sampled_from(["cycle", "repeat"]))
     @settings(max_examples=40, deadline=None)
@@ -1204,10 +1225,10 @@ class TestCanonicalForestRoute:
         fwd = list(range(n))
         rng.shuffle(fwd)
         pairs = [tuple(rng.sample(range(n), 2)) for _ in range(200)]
-        # the parsed forests' neighbours are unbuilt, so swap_delta reads the flat adjacency
-        assert (forest._neighbours is None) == (kind != "constructor")
+        # n = 512 is past the cut, so however the forest was made its neighbour tuples are unbuilt
+        assert forest._neighbours is None
         deltas = [core.swap_delta(fwd, u, v, forest, g) for u, v in pairs]
-        assert (forest._neighbours is None) == (kind != "constructor")
+        assert forest._neighbours is None
         for (u, v), delta in zip(pairs, deltas):
             swapped = list(fwd)
             swapped[u], swapped[v] = swapped[v], swapped[u]
@@ -1215,7 +1236,7 @@ class TestCanonicalForestRoute:
         off, flat = forest.adjacency
         assert len(off) == n + 1 and all(type(x) is int for x in (*off, *flat))
         assert [tuple(flat[off[v]:off[v + 1]]) for v in range(n)] == list(tree.neighbours)
-        # once the neighbour tuples are read, swap_delta reads them instead and agrees
+        # swap_delta reads the flat adjacency even once the neighbour tuples are read
         assert forest.neighbours == tree.neighbours
         assert [core.swap_delta(fwd, u, v, forest, g) for u, v in pairs] == deltas
 
@@ -1234,18 +1255,11 @@ class TestCanonicalForestRoute:
     @pytest.mark.parametrize("text, edges, max_degree", [
         ("1000000 0\n", (), 0),
         ("1000000 3\n0 1\n1 2\n5 999999\n", ((0, 1), (1, 2), (5, 999999)), 2),
-        # a star whose centre is every edge's high end: the union-find pass numbers only the 4 vertices it meets
+        # a star whose centre is every edge's high end: the union-find keeps a parent for only the 4 vertices met
         ("1000000 3\n7 999999\n8 999999\n9 999999\n", ((7, 999999), (8, 999999), (9, 999999)), 3),
     ])
     def test_huge_sparse_canonical_file_builds_no_list_of_length_n(self, text, edges, max_degree):
-        tracemalloc.start()
-        try:
-            start = time.perf_counter()
-            forest = parse_forest(text)
-            elapsed = time.perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        forest, elapsed, peak = traced(lambda: parse_forest(text))
         # the degree vector, 8 MB of intp, is the one array of length n
         assert peak < 20 << 20 and elapsed < 0.2
         assert forest.edges == edges and forest.edge_count == len(edges)
@@ -1263,14 +1277,7 @@ class TestCanonicalForestRoute:
         head, *lines = text.splitlines()
         n = int(head.split()[0])
         edges = [tuple(map(int, line.split())) for line in lines]
-        tracemalloc.start()
-        try:
-            start = time.perf_counter()
-            forest = parse_forest(text)
-            elapsed = time.perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        forest, elapsed, peak = traced(lambda: parse_forest(text))
         assert peak < 20 << 20 and elapsed < 0.2
         assert forest == Forest(n, edges)
         assert forest.edges == tuple(sorted(tuple(sorted(e)) for e in edges))
@@ -1289,30 +1296,56 @@ class TestCanonicalForestRoute:
         edges = [tuple(map(int, line.split())) for line in lines]
         with pytest.raises(InvalidInputError) as expected:
             Forest(n, edges)
-        tracemalloc.start()
-        try:
-            start = time.perf_counter()
-            with pytest.raises(InvalidInputError) as refused:
-                parse_forest(text)
-            elapsed = time.perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        message, elapsed, peak = traced(lambda: parse_forest(text))
         assert peak < 20 << 20 and elapsed < 0.2
-        assert str(refused.value) == str(expected.value)
+        assert message == f"InvalidInputError: {expected.value}"
 
     @pytest.mark.parametrize("text", ["1000000 1\r\n0 1\r\n", "1000000 1\n0  1\n", " 1000000 1\n0 1\n"])
     def test_huge_non_canonical_file_is_rejoined_and_takes_the_canonical_route(self, text):
-        tracemalloc.start()
-        try:
-            start = time.perf_counter()
-            forest = parse_forest(text)
-            elapsed = time.perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        forest, elapsed, peak = traced(lambda: parse_forest(text))
         assert peak < 20 << 20 and elapsed < 0.2
         assert forest == parse_forest("1000000 1\n0 1\n")
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Forest(10**6, [(-1, 2)]), "edge (-1,2) out of range for n=1000000"),
+        (lambda: parse_forest("1000000 1\n-1 2\n"), "edge (-1,2) out of range for n=1000000"),
+        (lambda: parse_forest("1000000 1\n0 99999999999999999999\n"),
+         "edge (0,99999999999999999999) out of range for n=1000000"),
+        (lambda: Forest(10**6, [(0, 1), (5, 5)]), "self-loop at vertex 5"),
+        # the cycle comes before the range fault, so it is named
+        (lambda: Forest(10**6, [(0, 1), (2, 1), (0, 2), (7, 10**6)]), "edge (0,2) closes a cycle"),
+        (lambda: Forest(10**6, [(0, 1), (1, 0)]), "duplicate edge (0,1)"),
+    ], ids=["constructor-negative", "parser-negative", "parser-20-digits", "self-loop", "cycle", "repeat"])
+    def test_huge_n_with_a_fault_is_refused_with_no_list_of_length_n(self, build, message):
+        refused, elapsed, peak = traced(build)
+        assert peak < 20 << 20 and elapsed < 0.2
+        assert refused == f"InvalidInputError: {message}"
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2)], [(2, 1), (0, 1)]])
+    def test_huge_direct_construction_builds_only_the_degree_vector(self, edges):
+        forest, elapsed, peak = traced(lambda: Forest(10**6, edges))
+        assert peak < 20 << 20 and elapsed < 0.2
+        assert forest._edges is forest._neighbours is None and len(forest.degree_array) == 10**6
+        assert forest.edges == ((0, 1), (1, 2)) and (forest.max_degree, forest.min_degree) == (2, 0)
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (9, 8), (32, 31), (33, 32), (63, 0), (64, 0), (40, 30), (200, 199)])
+    @pytest.mark.parametrize("make", ["constructor", "numpy ints", "canonical text", "crlf text"])
+    def test_the_layout_depends_on_n_plus_m_alone(self, n, m, make):
+        rng = random.Random(n + m)
+        edges = [(rng.randrange(v), v) for v in range(1, m + 1)]  # a tree on the first m + 1 vertices
+        rng.shuffle(edges)
+        text = serialize_forest(Forest(n, edges))
+        forest = {
+            "constructor": lambda: Forest(n, [(v, u) for u, v in edges]),
+            "numpy ints": lambda: Forest(n, [(np.int64(u), np.int64(v)) for u, v in edges]),
+            "canonical text": lambda: parse_forest(text),
+            "crlf text": lambda: parse_forest(text.replace("\n", "\r\n")),
+        }[make]()
+        arrays = n + m >= core._ARRAY_BUILD
+        assert all((slot is None) == arrays for slot in (forest._edges, forest._degree, forest._neighbours))
+        assert all((slot is None) != arrays for slot in (forest._edge_array, forest._degree_array))
+        assert forest._adjacency is None
+        assert forest_attrs(forest) == forest_attrs(reference_forest(n, edges))
 
     @given(st.integers(129, 400), st.integers(0, 2**32 - 1), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)

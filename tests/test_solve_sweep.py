@@ -188,6 +188,21 @@ def test_compare_counts_differing_rows_per_field():
         "certified_value rose in 0 and fell in 0"]
 
 
+def test_both_tools_count_rises_and_falls_with_one_helper():
+    import bench_pairs  # solve_sweep put tools/ on the path
+
+    parent = [{"n": 8, "seed": s, "achieved": a, "certified_value": c, "failed": False}
+              for s, (a, c) in enumerate(((1, 5.0), (2, 4.0), (None, 3.0), (3, None)))]
+    change = copy.deepcopy(parent)
+    change[0].update(achieved=2, certified_value=4.0)
+    change[1].update(certified_value=6.0)
+    change[2].update(achieved=1)  # None on the parent side: neither rose nor fell
+    moves = "achieved rose in 1 and fell in 0; certified_value rose in 1 and fell in 1"
+    assert bench_pairs.answer_moves(parent, change) == moves
+    assert solve_sweep.compare(parent, change).splitlines()[0].endswith(f"); {moves}")
+    assert bench_pairs.row_changes(parent, change).endswith(f"); {moves}; 0 failed ops on the change side")
+
+
 def test_best_of_keeps_the_first_answer_and_the_least_time():
     calls = []
 

@@ -195,13 +195,18 @@ def row_changes(parent: list[dict], change: list[dict]) -> str:
     """How many rows differ, per ROW_FIELDS entry, whether achieved and certified_value rose or fell, and failures."""
     per_field = {k: sum(p.get(k) != c.get(k) for p, c in zip(parent, change)) for k in ROW_FIELDS}
     differing = sum(any(p.get(k) != c.get(k) for k in ROW_FIELDS) for p, c in zip(parent, change))
+    fields = ", ".join(f"{k} {v}" for k, v in per_field.items() if v) or "none"
+    return (f"{differing} rows differ from the parent's (by field: {fields}); {answer_moves(parent, change)}; "
+            f"{sum(c['failed'] for c in change)} failed ops on the change side")
+
+
+def answer_moves(parent: list[dict], change: list[dict]) -> str:
+    """In how many row pairs achieved and certified_value rose and fell, of those where both sides hold one."""
     moved = []
     for k in ("achieved", "certified_value"):
         pairs = [(p[k], c[k]) for p, c in zip(parent, change) if p.get(k) is not None and c.get(k) is not None]
         moved.append(f"{k} rose in {sum(c > p for p, c in pairs)} and fell in {sum(c < p for p, c in pairs)}")
-    fields = ", ".join(f"{k} {v}" for k, v in per_field.items() if v) or "none"
-    return (f"{differing} rows differ from the parent's (by field: {fields}); {'; '.join(moved)}; "
-            f"{sum(c['failed'] for c in change)} failed ops on the change side")
+    return "; ".join(moved)
 
 
 def main(argv=None) -> int:

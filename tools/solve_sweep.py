@@ -59,6 +59,11 @@ from pathlib import Path
 
 import numpy as np
 
+# bench_pairs is a sibling in tools/, whose directory is put on the path so that it imports also when
+# this file is loaded by its path
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import answer_moves, export  # noqa: E402
+
 # forestbalance is imported inside the functions below: this process only
 # compares the two sides' rows, and each side's process has its own src on the path
 ROOT = Path(__file__).resolve().parent.parent
@@ -377,11 +382,8 @@ def compare(parent: list[dict], change: list[dict]) -> str:
                          + "".join(f"    {k}: parent {json.dumps(p.get(k))} / change {json.dumps(c.get(k))}\n"
                                    for k in fields))
     counts = ", ".join(f"{k} {v}" for k, v in sorted(per_field.items())) or "none"
-    moved = []
-    for k in ("achieved", "certified_value"):
-        pairs = [(p[k], c[k]) for p, c in zip(parent, change) if p.get(k) is not None and c.get(k) is not None]
-        moved.append(f"{k} rose in {sum(c > p for p, c in pairs)} and fell in {sum(c < p for p, c in pairs)}")
-    return (f"{differing} of {len(change)} rows differ from the parent's (by field: {counts}); {'; '.join(moved)}\n"
+    return (f"{differing} of {len(change)} rows differ from the parent's (by field: {counts}); "
+            f"{answer_moves(parent, change)}\n"
             + "".join(shown))
 
 
@@ -389,8 +391,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
     args = parser.parse_args(argv)
-    from bench_pairs import export  # a sibling in tools/, which is on the path when this file runs
-
     with tempfile.TemporaryDirectory(prefix="sweep-parent-") as tmp:
         parent = Path(tmp)
         export(args.parent, parent)
